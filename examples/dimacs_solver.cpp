@@ -47,20 +47,17 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <fstream>
-#include <new>
 #include <string>
 
+#include "cli_harness.hpp"
 #include "msropm/analysis/experiments.hpp"
 #include "msropm/core/machine.hpp"
-#include "msropm/obs/obs.hpp"
 #include "msropm/core/runner.hpp"
 #include "msropm/graph/coloring.hpp"
 #include "msropm/graph/io.hpp"
 #include "msropm/sat/coloring_encoder.hpp"
 #include "msropm/sat/incremental_coloring.hpp"
 #include "msropm/solvers/dsatur.hpp"
-#include "msropm/util/fault_injector.hpp"
 #include "msropm/util/table.hpp"
 
 namespace {
@@ -109,13 +106,6 @@ void print_sat_stats(const msropm::sat::ExactColoringOutcome& outcome) {
   std::printf("%s", hot.render().c_str());
 }
 
-bool write_text_file(const std::string& path, const std::string& content) {
-  std::ofstream file(path, std::ios::binary);
-  if (!file) return false;
-  file << content;
-  return static_cast<bool>(file.flush());
-}
-
 int run_solver_cli(int argc, char** argv) {
   using namespace msropm;
 
@@ -128,10 +118,8 @@ int run_solver_cli(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
-  if (!util::fault::configure_from_env()) {
-    std::fprintf(stderr, "error: malformed MSROPM_FAULT spec\n");
-    return 2;
-  }
+  cli::ObsHarness harness;
+  if (!cli::ObsHarness::configure_fault_env()) return 2;
   const std::string path = argv[1];
   unsigned colors = 4;
   std::size_t iterations = 40;
@@ -139,21 +127,11 @@ int run_solver_cli(int argc, char** argv) {
   bool run_sat = false;
   bool run_chromatic = false;
   bool preprocess = true;
-  bool metrics = false;
-  std::string trace_path;
-  std::string metrics_json_path;
-  std::string metrics_prom_path;
-  // Repeated observability flags are idempotent: the last value wins, with
-  // one warning per flag.
-  int seen_metrics = 0, seen_trace = 0, seen_json = 0, seen_prom = 0;
-  const auto note_repeat = [](const char* flag, int& seen) {
-    if (++seen == 2) {
-      std::fprintf(stderr, "warning: %s given more than once; last value wins\n",
-                   flag);
-    }
-  };
   int positional = 0;
   for (int i = 2; i < argc; ++i) {
+    const cli::ObsHarness::Arg shared = harness.consume(argc, argv, i);
+    if (shared == cli::ObsHarness::Arg::kError) return 2;
+    if (shared == cli::ObsHarness::Arg::kConsumed) continue;
     if (std::strcmp(argv[i], "--sat") == 0) {
       run_sat = true;
     } else if (std::strcmp(argv[i], "--chromatic") == 0) {
@@ -162,39 +140,6 @@ int run_solver_cli(int argc, char** argv) {
       preprocess = true;
     } else if (std::strcmp(argv[i], "--no-preprocess") == 0) {
       preprocess = false;
-    } else if (std::strcmp(argv[i], "--metrics") == 0) {
-      note_repeat("--metrics", seen_metrics);
-      metrics = true;
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--trace needs a file path\n");
-        return 2;
-      }
-      note_repeat("--trace", seen_trace);
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-json") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--metrics-json needs a file path\n");
-        return 2;
-      }
-      note_repeat("--metrics-json", seen_json);
-      metrics_json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-prom") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--metrics-prom needs a file path\n");
-        return 2;
-      }
-      note_repeat("--metrics-prom", seen_prom);
-      metrics_prom_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--fault-spec") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--fault-spec needs a spec string\n");
-        return 2;
-      }
-      if (!util::fault::configure(argv[++i])) {
-        std::fprintf(stderr, "error: malformed --fault-spec '%s'\n", argv[i]);
-        return 2;
-      }
     } else if (std::strncmp(argv[i], "--", 2) == 0) {
       std::fprintf(stderr, "unrecognized flag: %s\n", argv[i]);
       return 2;
@@ -213,65 +158,17 @@ int run_solver_cli(int argc, char** argv) {
     }
   }
 
-  // The exposition flags imply --metrics: a file request without the
-  // registry would always export an empty snapshot.
-  metrics = metrics || !metrics_json_path.empty() || !metrics_prom_path.empty();
-  if (metrics) obs::set_metrics_enabled(true);
-  if (!trace_path.empty()) {
-    obs::set_tracing_enabled(true);
-    obs::set_thread_lane("main");
-  }
-  if ((!metrics_json_path.empty() || !metrics_prom_path.empty()) &&
-      !obs::metrics_enabled()) {
-    std::fprintf(stderr,
-                 "--metrics-json/--metrics-prom need observability compiled "
-                 "in (this binary was built with MSROPM_OBS=OFF)\n");
-    return 2;
-  }
-
-  // Every exit from here on goes through finish(): an instrumented run emits
-  // the metrics report, the machine-readable exports, and the trace on ALL
-  // paths — input errors and kUnknown included — and all three read one
-  // snapshot, so the report and the exports always agree.
-  const auto finish = [&](int status) -> int {
-    if (metrics) {
-      const obs::MetricsSnapshot snap = obs::snapshot_metrics();
-      std::printf("%s", obs::render_metrics_report(snap).c_str());
-      if (!metrics_json_path.empty() &&
-          !write_text_file(metrics_json_path, obs::export_metrics_json(snap))) {
-        std::fprintf(stderr, "metrics: could not write %s\n",
-                     metrics_json_path.c_str());
-        status = 2;
-      }
-      if (!metrics_prom_path.empty() &&
-          !write_text_file(metrics_prom_path,
-                           obs::export_metrics_prometheus(snap))) {
-        std::fprintf(stderr, "metrics: could not write %s\n",
-                     metrics_prom_path.c_str());
-        status = 2;
-      }
-    }
-    if (!trace_path.empty()) {
-      if (obs::write_chrome_trace(trace_path)) {
-        std::printf("trace: wrote %s (open in Perfetto or chrome://tracing)\n",
-                    trace_path.c_str());
-      } else {
-        std::fprintf(stderr,
-                     "trace: could not write %s (I/O error, or msropm built "
-                     "with MSROPM_OBS=OFF)\n",
-                     trace_path.c_str());
-        status = 2;
-      }
-    }
-    return status;
-  };
+  // Every exit from here on goes through harness.finish(): an instrumented
+  // run emits its metrics report, exports and trace on ALL paths -- input
+  // errors and kUnknown included.
+  if (!harness.start()) return 2;
 
   graph::Graph g;
   try {
     g = graph::read_dimacs_file(path);
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "error reading %s: %s\n", path.c_str(), ex.what());
-    return finish(2);
+    return harness.finish(2);
   }
   std::printf("%s: %zu nodes, %zu edges, max degree %zu\n", path.c_str(),
               g.num_nodes(), g.num_edges(), g.max_degree());
@@ -281,7 +178,7 @@ int run_solver_cli(int argc, char** argv) {
                  "error: the multi-stage SHIL plan needs a power-of-two "
                  "color count in [2, 128], got %u\n",
                  colors);
-    return finish(2);
+    return harness.finish(2);
   }
 
   core::MsropmConfig config = analysis::default_machine_config();
@@ -355,26 +252,11 @@ int run_solver_cli(int argc, char** argv) {
     std::printf("%s", sweep.render().c_str());
   }
 
-  return finish(status);
+  return harness.finish(status);
 }
 
 }  // namespace
 
-// Last line of defense: nothing below the CLI should let an exception
-// escape, but if one does (or the process genuinely runs out of memory), a
-// diagnostic plus a distinct exit code beats std::terminate. 3 is disjoint
-// from the DIMACS statuses (10/20/0) and usage errors (2).
 int main(int argc, char** argv) {
-  try {
-    return run_solver_cli(argc, argv);
-  } catch (const std::bad_alloc&) {
-    std::fprintf(stderr, "fatal: out of memory\n");
-    return 3;
-  } catch (const std::exception& ex) {
-    std::fprintf(stderr, "fatal: unhandled exception: %s\n", ex.what());
-    return 3;
-  } catch (...) {
-    std::fprintf(stderr, "fatal: unhandled non-standard exception\n");
-    return 3;
-  }
+  return msropm::cli::guarded_main(run_solver_cli, argc, argv);
 }

@@ -56,17 +56,15 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <limits>
-#include <new>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "cli_harness.hpp"
 #include "msropm/obs/obs.hpp"
 #include "msropm/portfolio/portfolio.hpp"
 #include "msropm/portfolio/sweep.hpp"
-#include "msropm/util/fault_injector.hpp"
 #include "msropm/util/strings.hpp"
 
 namespace {
@@ -142,13 +140,6 @@ int usage(const char* argv0) {
   return 2;
 }
 
-bool write_text_file(const std::string& path, const std::string& content) {
-  std::ofstream file(path, std::ios::binary);
-  if (!file) return false;
-  file << content;
-  return static_cast<bool>(file.flush());
-}
-
 int run_sweep_cli(int argc, char** argv) {
   std::vector<std::size_t> kings_sides;
   std::vector<std::size_t> unsat_sides;
@@ -157,25 +148,22 @@ int run_sweep_cli(int argc, char** argv) {
   portfolio::SweepOptions options;
   std::vector<portfolio::StrategyConfig> strategies;
   bool csv = false;
-  bool metrics = false;
-  std::string trace_path;
-  std::string metrics_json_path;
-  std::string metrics_prom_path;
-  int seen_metrics = 0, seen_trace = 0, seen_json = 0, seen_prom = 0;
-  const auto note_repeat = [](const char* flag, int& seen) {
-    if (++seen == 2) {
-      std::fprintf(stderr, "warning: %s given more than once; last value wins\n",
-                   flag);
+  // The cancellation-latency summary reads the same snapshot as the report.
+  cli::ObsHarness harness([](const obs::MetricsSnapshot& snap) {
+    if (const auto* lat = snap.find_histogram("portfolio.cancel_latency_us");
+        lat != nullptr && lat->count > 0) {
+      std::printf(
+          "cancellation latency: %llu cancelled, p50 %.0f us, p99 %.0f us\n",
+          static_cast<unsigned long long>(lat->count), lat->percentile(50.0),
+          lat->percentile(99.0));
     }
-  };
-
-  // Environment first so an explicit --fault-spec wins over MSROPM_FAULT.
-  if (!util::fault::configure_from_env()) {
-    std::fprintf(stderr, "error: malformed MSROPM_FAULT spec\n");
-    return 2;
-  }
+  });
+  if (!cli::ObsHarness::configure_fault_env()) return 2;
 
   for (int i = 1; i < argc; ++i) {
+    const cli::ObsHarness::Arg shared = harness.consume(argc, argv, i);
+    if (shared == cli::ObsHarness::Arg::kError) return usage(argv[0]);
+    if (shared == cli::ObsHarness::Arg::kConsumed) continue;
     const auto need_value = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s needs a value\n", flag);
@@ -229,31 +217,6 @@ int run_sweep_cli(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--csv") == 0) {
       csv = true;
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      const char* v = need_value("--trace");
-      if (!v) return usage(argv[0]);
-      note_repeat("--trace", seen_trace);
-      trace_path = v;
-    } else if (std::strcmp(argv[i], "--metrics") == 0) {
-      note_repeat("--metrics", seen_metrics);
-      metrics = true;
-    } else if (std::strcmp(argv[i], "--metrics-json") == 0) {
-      const char* v = need_value("--metrics-json");
-      if (!v) return usage(argv[0]);
-      note_repeat("--metrics-json", seen_json);
-      metrics_json_path = v;
-    } else if (std::strcmp(argv[i], "--metrics-prom") == 0) {
-      const char* v = need_value("--metrics-prom");
-      if (!v) return usage(argv[0]);
-      note_repeat("--metrics-prom", seen_prom);
-      metrics_prom_path = v;
-    } else if (std::strcmp(argv[i], "--fault-spec") == 0) {
-      const char* v = need_value("--fault-spec");
-      if (!v) return usage(argv[0]);
-      if (!util::fault::configure(v)) {
-        std::fprintf(stderr, "error: malformed --fault-spec '%s'\n", v);
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--budget-mb") == 0) {
       const auto v = parse_flag_int(need_value("--budget-mb"), 0,
                                     std::numeric_limits<long long>::max() >> 20);
@@ -284,63 +247,8 @@ int run_sweep_cli(int argc, char** argv) {
   }
 
   // Enable observability BEFORE instance construction so even an instance
-  // that fails to load leaves a report behind (via finish below).
-  metrics = metrics || !metrics_json_path.empty() || !metrics_prom_path.empty();
-  if (metrics) msropm::obs::set_metrics_enabled(true);
-  if (!trace_path.empty()) {
-    msropm::obs::set_tracing_enabled(true);
-    msropm::obs::set_thread_lane("main");
-  }
-  if ((!metrics_json_path.empty() || !metrics_prom_path.empty()) &&
-      !msropm::obs::metrics_enabled()) {
-    std::fprintf(stderr,
-                 "--metrics-json/--metrics-prom need observability compiled "
-                 "in (this binary was built with MSROPM_OBS=OFF)\n");
-    return 2;
-  }
-
-  // One snapshot feeds the report, both exports, and the cancellation
-  // summary, so every surface agrees; runs on every exit path from here on.
-  const auto finish = [&](int status) -> int {
-    if (metrics) {
-      const msropm::obs::MetricsSnapshot snap = msropm::obs::snapshot_metrics();
-      std::printf("%s", msropm::obs::render_metrics_report(snap).c_str());
-      if (const auto* lat = snap.find_histogram("portfolio.cancel_latency_us");
-          lat != nullptr && lat->count > 0) {
-        std::printf(
-            "cancellation latency: %llu cancelled, p50 %.0f us, p99 %.0f us\n",
-            static_cast<unsigned long long>(lat->count), lat->percentile(50.0),
-            lat->percentile(99.0));
-      }
-      if (!metrics_json_path.empty() &&
-          !write_text_file(metrics_json_path,
-                           msropm::obs::export_metrics_json(snap))) {
-        std::fprintf(stderr, "metrics: could not write %s\n",
-                     metrics_json_path.c_str());
-        status = 2;
-      }
-      if (!metrics_prom_path.empty() &&
-          !write_text_file(metrics_prom_path,
-                           msropm::obs::export_metrics_prometheus(snap))) {
-        std::fprintf(stderr, "metrics: could not write %s\n",
-                     metrics_prom_path.c_str());
-        status = 2;
-      }
-    }
-    if (!trace_path.empty()) {
-      if (msropm::obs::write_chrome_trace(trace_path)) {
-        std::printf("trace: wrote %s (open in Perfetto or chrome://tracing)\n",
-                    trace_path.c_str());
-      } else {
-        std::fprintf(stderr,
-                     "trace: could not write %s (I/O error, or msropm built "
-                     "with MSROPM_OBS=OFF)\n",
-                     trace_path.c_str());
-        status = 2;
-      }
-    }
-    return status;
-  };
+  // that fails to load leaves a report behind (via harness.finish).
+  if (!harness.start()) return 2;
 
   std::vector<portfolio::InstanceSpec> instances;
   for (const std::size_t side : kings_sides) {
@@ -354,7 +262,7 @@ int run_sweep_cli(int argc, char** argv) {
       instances.push_back(portfolio::dimacs_instance(path, colors));
     } catch (const std::exception& ex) {
       std::fprintf(stderr, "error reading %s: %s\n", path.c_str(), ex.what());
-      return finish(2);
+      return harness.finish(2);
     }
   }
 
@@ -372,25 +280,11 @@ int run_sweep_cli(int argc, char** argv) {
       options.portfolio.num_workers, options.portfolio.strategies.size(),
       static_cast<unsigned long long>(options.portfolio.master_seed));
 
-  return finish(result.decided() == instances.size() ? 0 : 1);
+  return harness.finish(result.decided() == instances.size() ? 0 : 1);
 }
 
 }  // namespace
 
-// Nothing below the CLI should let an exception escape, but if one does —
-// or the process genuinely runs out of memory — a diagnostic plus exit code
-// 3 (disjoint from 0/1/2) beats std::terminate for scripted sweeps.
 int main(int argc, char** argv) {
-  try {
-    return run_sweep_cli(argc, argv);
-  } catch (const std::bad_alloc&) {
-    std::fprintf(stderr, "fatal: out of memory\n");
-    return 3;
-  } catch (const std::exception& ex) {
-    std::fprintf(stderr, "fatal: unhandled exception: %s\n", ex.what());
-    return 3;
-  } catch (...) {
-    std::fprintf(stderr, "fatal: unhandled non-standard exception\n");
-    return 3;
-  }
+  return msropm::cli::guarded_main(run_sweep_cli, argc, argv);
 }

@@ -12,30 +12,29 @@
 #
 #   Preset             What it adds
 #   ----------------   ------------------------------------------------------
-#   CHECK_ASAN=1       SAT arena/GC + preprocessor + batched phase-engine
-#                      tests rebuilt and rerun under ASan/UBSan (build-asan/)
-#   CHECK_TSAN=1       portfolio + stop-token + arena cancellation + batched
-#                      runner equivalence tests under TSan (build-tsan/)
-#   CHECK_CHAOS=1      chaos suite (randomized fault schedules, budgets,
-#                      deadline edges) under ASan/UBSan; fault-injected CLI
-#                      matrix (real exits, never a crash); the
-#                      BM_FaultGateOverhead <= 8 ns gate
+#   CHECK_ASAN=1       tests labelled `asan` in CMakeLists.txt (SAT arena/GC,
+#                      preprocessor, batched phase engine) rebuilt and rerun
+#                      under ASan/UBSan (build-asan/)
+#   CHECK_TSAN=1       tests labelled `tsan` (portfolio, stop tokens, arena
+#                      cancellation, obs, batched runner) under TSan
+#                      (build-tsan/)
+#   CHECK_CHAOS=1      tests labelled `chaos` (randomized fault schedules,
+#                      budgets, deadline edges, hostile input) under
+#                      ASan/UBSan; fault-injected CLI matrix (real exits,
+#                      never a crash); the BM_FaultGateOverhead <= 8 ns gate
 #   CHECK_OBS=1        instrumented 4-worker sweep with --trace --metrics;
 #                      Chrome-trace validation (check_trace.py, jq);
 #                      bench_portfolio as the obs-disabled overhead gate
-#   CHECK_BENCH=1      bench_sat_arena / bench_portfolio / bench_chromatic /
-#                      bench_phase_batch with their hard perf + equivalence
-#                      gates; all drop bench_results/*.json
-#   CHECK_BENCH_DIFF=1 reruns the four result-dropping benches, then diffs
-#                      bench_results/ against the copy committed at HEAD
-#                      (scripts/bench_diff.py, fails on >10% regression)
+#   CHECK_BENCH=1      the result-dropping benches (BENCHES below) with their
+#                      hard perf + equivalence gates; all drop
+#                      bench_results/*.json
+#   CHECK_BENCH_DIFF=1 reruns BENCHES, then diffs bench_results/ against the
+#                      copy committed at HEAD (scripts/bench_diff.py, fails
+#                      on >10% regression)
 #   CHECK_LINT=1       msropm-lint over src/ (scripts/lint/: obs gating,
 #                      poll discipline, determinism, hot-path allocation,
 #                      atomics orders) — fails on any unsuppressed finding —
 #                      plus the lint self-test suite
-#   CHECK_TIDY=1       run-clang-tidy with the curated .clang-tidy profile
-#                      over build/compile_commands.json (skips with a notice
-#                      when clang-tidy is not installed)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -54,6 +53,29 @@ esac
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
+# Configure build dir $1 with sanitizer $2, then build and run exactly the
+# tests carrying ctest label $3 (test name == executable target).
+run_labelled() {
+  local dir="$1" sanitize="$2" label="$3" tests
+  cmake -B "${dir}" -S . -DMSROPM_SANITIZE="${sanitize}"
+  tests="$(ctest --test-dir "${dir}" -N -L "^${label}\$" |
+           sed -n 's/^ *Test *#[0-9]*: *//p')"
+  if [ -z "${tests}" ]; then
+    echo "error: no tests labelled '${label}' in ${dir}" >&2
+    exit 1
+  fi
+  cmake --build "${dir}" -j "${JOBS}" --target ${tests}
+  ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -L "^${label}\$"
+}
+
+# Benches that gate performance and drop bench_results/*.json.
+BENCHES="bench_sat_arena bench_portfolio bench_chromatic bench_phase_batch"
+run_benches() {
+  local bench
+  cmake --build "${BUILD_DIR}" -j "${JOBS}" --target ${BENCHES}
+  for bench in ${BENCHES}; do "./${BUILD_DIR}/${bench}"; done
+}
+
 cmake -B "${BUILD_DIR}" -S . -DMSROPM_SANITIZE="${SANITIZE}"
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
@@ -62,15 +84,8 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 # exactly where a use-after-free would hide, so these run under ASan/UBSan on
 # demand (the sanitizer presets also enable the solver's internal
 # stale-reference checks via MSROPM_SAT_CHECK_INVARIANTS).
-ARENA_TESTS='sat_arena_test|sat_arena_equivalence_test|sat_solver_growth_test|sat_preprocess_test|sat_preprocess_equivalence_test|sat_incremental_test|phase_batch_test|core_batch_equivalence_test'
 if [ "${CHECK_ASAN:-0}" = "1" ] && [ "${SANITIZE}" = "OFF" ]; then
-  cmake -B build-asan -S . -DMSROPM_SANITIZE=ON
-  cmake --build build-asan -j "${JOBS}" --target \
-    sat_arena_test sat_arena_equivalence_test sat_solver_growth_test \
-    sat_preprocess_test sat_preprocess_equivalence_test sat_incremental_test \
-    phase_batch_test core_batch_equivalence_test
-  ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-    -R "^(${ARENA_TESTS})\$"
+  run_labelled build-asan ON asan
 fi
 
 # Optional TSan pass over the concurrency-sensitive tests (worker pool,
@@ -78,14 +93,7 @@ fi
 # portfolio cancellation can fire mid-GC, which is where a race between the
 # stop flag and clause relocation would surface.
 if [ "${CHECK_TSAN:-0}" = "1" ] && [ "${SANITIZE}" != "thread" ]; then
-  cmake -B build-tsan -S . -DMSROPM_SANITIZE=thread
-  cmake --build build-tsan -j "${JOBS}" --target \
-    portfolio_test portfolio_cancel_test util_stop_token_test \
-    sat_arena_test sat_arena_equivalence_test sat_solver_growth_test \
-    sat_incremental_test obs_test core_batch_equivalence_test \
-    chaos_test util_fault_injector_test
-  ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-    -R "^(portfolio_test|portfolio_cancel_test|util_stop_token_test|sat_arena_test|sat_arena_equivalence_test|sat_solver_growth_test|sat_incremental_test|obs_test|core_batch_equivalence_test|chaos_test|util_fault_injector_test)\$"
+  run_labelled build-tsan thread tsan
 fi
 
 # Chaos preset: the randomized fault-schedule suite is exactly where a
@@ -95,11 +103,8 @@ fi
 # crash); and BM_FaultGateOverhead enforces that the disarmed injector costs
 # <= 8 ns per fault point.
 if [ "${CHECK_CHAOS:-0}" = "1" ] && [ "${SANITIZE}" = "OFF" ]; then
-  cmake -B build-asan -S . -DMSROPM_SANITIZE=ON
-  cmake --build build-asan -j "${JOBS}" --target \
-    chaos_test util_fault_injector_test graph_io_test dimacs_solver
-  ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-    -R "^(chaos_test|util_fault_injector_test|graph_io_test)\$"
+  run_labelled build-asan ON chaos
+  cmake --build build-asan -j "${JOBS}" --target dimacs_solver
   # Fixed seed matrix through the CLI: exit 10/20/0 are legitimate verdicts
   # under chaos, 2 is a usage error we did not make, 3 would mean an escaped
   # exception, anything else (e.g. 139) a crash.
@@ -170,12 +175,7 @@ fi
 # fabric. All emit bench_results/*.json so the numbers are tracked, not
 # just the pass/fail bit.
 if [ "${CHECK_BENCH:-0}" = "1" ] && [ "${SANITIZE}" = "OFF" ]; then
-  cmake --build "${BUILD_DIR}" -j "${JOBS}" --target \
-    bench_sat_arena bench_portfolio bench_chromatic bench_phase_batch
-  "./${BUILD_DIR}/bench_sat_arena"
-  "./${BUILD_DIR}/bench_portfolio"
-  "./${BUILD_DIR}/bench_chromatic"
-  "./${BUILD_DIR}/bench_phase_batch"
+  run_benches
 fi
 
 # Bench regression diff: rerun the result-dropping benches (refreshing the
@@ -184,12 +184,7 @@ fi
 # allocation words, speedups, decided counts) regresses beyond 10%, and on
 # any benchmark row that silently disappeared.
 if [ "${CHECK_BENCH_DIFF:-0}" = "1" ] && [ "${SANITIZE}" = "OFF" ]; then
-  cmake --build "${BUILD_DIR}" -j "${JOBS}" --target \
-    bench_sat_arena bench_portfolio bench_chromatic bench_phase_batch
-  "./${BUILD_DIR}/bench_sat_arena"
-  "./${BUILD_DIR}/bench_portfolio"
-  "./${BUILD_DIR}/bench_chromatic"
-  "./${BUILD_DIR}/bench_phase_batch"
+  run_benches
   python3 scripts/bench_diff.py --git HEAD bench_results --threshold 0.10
 fi
 
@@ -201,20 +196,4 @@ fi
 if [ "${CHECK_LINT:-0}" = "1" ]; then
   python3 scripts/lint/tests/test_msropm_lint.py
   python3 scripts/lint/msropm_lint.py src
-fi
-
-# Generic static analysis: curated .clang-tidy profile (bugprone, analyzer,
-# performance, concurrency) over the compilation database the main configure
-# step just exported. Advisory tooling availability: hosts without
-# clang-tidy skip with a notice instead of failing the check.
-if [ "${CHECK_TIDY:-0}" = "1" ]; then
-  if command -v run-clang-tidy >/dev/null 2>&1; then
-    run-clang-tidy -p "${BUILD_DIR}" -quiet "src/.*\.cpp$"
-  elif command -v clang-tidy >/dev/null 2>&1; then
-    find src -name '*.cpp' -print0 |
-      xargs -0 clang-tidy -p "${BUILD_DIR}" --quiet
-  else
-    echo "CHECK_TIDY=1: clang-tidy not installed; skipping (msropm-lint" \
-         "remains the enforced gate — CHECK_LINT=1)"
-  fi
 fi

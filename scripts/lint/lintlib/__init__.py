@@ -4,4 +4,4 @@ See scripts/lint/README.md for the rule catalogue and suppression syntax.
 """
 
 __all__ = ['config', 'lexer', 'model', 'report', 'rules', 'sources',
-           'suppress', 'textparse', 'clang_backend']
+           'suppress', 'textparse']

@@ -1,9 +1,7 @@
-"""Shared data model for msropm-lint backends and rules.
+"""Shared data model for msropm-lint's parser and rules.
 
-Backends (text or clang) produce a list of TranslationUnit objects, each
-holding FunctionModel entries.  Rules consume only this model, so both
-backends feed the exact same rule implementations — the clang backend just
-locates function boundaries more precisely.
+The parser (textparse.py) produces one TranslationUnit per source file,
+holding FunctionModel entries.  Rules consume only this model.
 """
 
 from __future__ import annotations

@@ -26,14 +26,14 @@ def _table(headers: List[str], rows: List[List[str]]) -> str:
     return '\n'.join(out)
 
 
-def render_text(findings: List[Finding], backend: str, files_scanned: int,
+def render_text(findings: List[Finding], files_scanned: int,
                 show_suppressed: bool = False) -> str:
     active = [f for f in findings if not f.suppressed]
     suppressed = [f for f in findings if f.suppressed]
     lines: List[str] = []
     header = (f'msropm-lint: {len(active)} finding(s), '
               f'{len(suppressed)} suppressed '
-              f'[backend={backend}, {files_scanned} files]')
+              f'[{files_scanned} files]')
     lines.append(header)
     if active:
         lines.append('')
@@ -49,12 +49,11 @@ def render_text(findings: List[Finding], backend: str, files_scanned: int,
     return '\n'.join(lines) + '\n'
 
 
-def render_json(findings: List[Finding], backend: str, files_scanned: int,
+def render_json(findings: List[Finding], files_scanned: int,
                 rules: List[str]) -> str:
     doc: Dict = {
         'version': 1,
         'tool': 'msropm-lint',
-        'backend': backend,
         'files_scanned': files_scanned,
         'rules': list(rules),
         'findings': [

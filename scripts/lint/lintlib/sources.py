@@ -1,16 +1,13 @@
 """Source discovery for msropm-lint.
 
 Files are addressed repo-relative with forward slashes so that the path
-prefixes in lintlib.config match on any host.  compile_commands.json (from
-CMAKE_EXPORT_COMPILE_COMMANDS=ON, satellite of this PR) supplies per-TU
-arguments to the clang backend; the text backend only needs the file list.
+prefixes in lintlib.config match on any host.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 _EXTS = ('.cpp', '.cc', '.cxx', '.hpp', '.h', '.hh')
 
@@ -54,48 +51,3 @@ def discover(root: str, paths: List[str]) -> List[str]:
             uniq.append(f)
     return uniq
 
-
-def find_compdb(root: str, explicit: Optional[str]) -> Optional[str]:
-    if explicit:
-        return explicit if os.path.isfile(explicit) else None
-    for cand in ('build/compile_commands.json',
-                 'build-asan/compile_commands.json',
-                 'build-tsan/compile_commands.json',
-                 'compile_commands.json'):
-        p = os.path.join(root, cand)
-        if os.path.isfile(p):
-            return p
-    return None
-
-
-def load_compdb(path: str, root: str) -> Dict[str, List[str]]:
-    """file (repo-relative) -> compiler args (without -c/-o/the file)."""
-    with open(path, encoding='utf-8') as fh:
-        entries = json.load(fh)
-    out: Dict[str, List[str]] = {}
-    for e in entries:
-        f = e.get('file')
-        if not f:
-            continue
-        directory = e.get('directory', '.')
-        fabs = f if os.path.isabs(f) else os.path.join(directory, f)
-        key = rel(root, fabs)
-        if 'arguments' in e:
-            argv = list(e['arguments'])[1:]
-        else:
-            argv = e.get('command', '').split()[1:]
-        args: List[str] = []
-        skip = False
-        for a in argv:
-            if skip:
-                skip = False
-                continue
-            if a in ('-c', '-o'):
-                skip = a == '-o'
-                continue
-            if a == f or a == fabs or a.endswith(os.path.basename(f)) and \
-                    a.endswith(_EXTS):
-                continue
-            args.append(a)
-        out[key] = args
-    return out

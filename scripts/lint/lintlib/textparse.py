@@ -1,4 +1,4 @@
-"""Lexical C++ structure recovery for msropm-lint's text backend.
+"""Lexical C++ structure recovery for msropm-lint.
 
 This is not a C++ parser.  It recovers exactly the structure the rules need:
 
@@ -7,9 +7,6 @@ This is not a C++ parser.  It recovers exactly the structure the rules need:
     kind + condition, return statements, everything else opaque,
   * named local lambdas (name -> body tokens) so that rule code can resolve
     `stopped()` / `should_break()` style poll helpers.
-
-The clang backend reuses parse_body()/find_lambdas() on the precise function
-extents it gets from libclang, so rule semantics are identical either way.
 """
 
 from __future__ import annotations

@@ -15,13 +15,10 @@ Usage:
     msropm_lint.py --list-rules            show rule ids + contracts
     msropm_lint.py --json out.json src     also write machine-readable report
 
-Exit codes: 0 clean, 1 findings, 2 usage error or missing toolchain
-(--backend=clang on a host without python clang.cindex/libclang).
+Exit codes: 0 clean, 1 findings, 2 usage error.
 
-Backends: `--backend clang` parses each TU with libclang using the compile
-flags from compile_commands.json (CMAKE_EXPORT_COMPILE_COMMANDS=ON);
-`--backend text` uses the built-in lexer/parser; `auto` (default) prefers
-clang and falls back to text.  Rule semantics are shared between backends.
+Sources are analysed by the built-in C++ lexer and structure recovery
+(lintlib/lexer.py, lintlib/textparse.py); no compiler toolchain is needed.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from typing import Dict, List
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from lintlib import clang_backend, report, sources, suppress  # noqa: E402
+from lintlib import report, sources, suppress  # noqa: E402
 from lintlib.model import Finding, TranslationUnit  # noqa: E402
 from lintlib.rules import contracts, rule_ids, run_rules  # noqa: E402
 from lintlib.textparse import extract_functions  # noqa: E402
@@ -49,13 +46,6 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         description='contract-enforcing static analysis for the msropm stack')
     ap.add_argument('paths', nargs='*', default=[],
                     help='files or directories to lint (default: src)')
-    ap.add_argument('--backend', choices=('auto', 'clang', 'text'),
-                    default='auto',
-                    help='analysis backend (auto: clang when libclang is '
-                         'importable, else text)')
-    ap.add_argument('--compdb', default=None, metavar='PATH',
-                    help='compile_commands.json for the clang backend '
-                         '(default: auto-discover under build*/)')
     ap.add_argument('--rules', default=None, metavar='LIST',
                     help='comma-separated rule ids to run (default: all)')
     ap.add_argument('--json', default=None, metavar='FILE',
@@ -95,19 +85,14 @@ class SystemExit2(Exception):
     """Usage error -> exit 2."""
 
 
-def _build_tu(backend: str, root: str, relpath: str,
-              compdb: Dict[str, List[str]]) -> TranslationUnit:
-    abspath = os.path.join(root, relpath)
+def _build_tu(root: str, relpath: str) -> TranslationUnit:
     try:
-        with open(abspath, encoding='utf-8', errors='replace') as fh:
+        with open(os.path.join(root, relpath), encoding='utf-8',
+                  errors='replace') as fh:
             text = fh.read()
     except OSError as exc:
         raise SystemExit2(f'cannot read {relpath}: {exc}')
-    if backend == 'clang':
-        tu = clang_backend.build(abspath, relpath, text,
-                                 compdb.get(relpath))
-    else:
-        tu = extract_functions(relpath, text)
+    tu = extract_functions(relpath, text)
     tu.raw_lines = text.splitlines()
     return tu
 
@@ -121,19 +106,6 @@ def main(argv: List[str]) -> int:
         return _list_rules()
     try:
         enabled = _select_rules(ns.rules)
-
-        backend = ns.backend
-        if backend in ('auto', 'clang'):
-            ok, reason = clang_backend.available()
-            if not ok:
-                if backend == 'clang':
-                    print(f'msropm-lint: clang backend unavailable: {reason}',
-                          file=sys.stderr)
-                    return EXIT_USAGE
-                backend = 'text'
-            else:
-                backend = 'clang'
-
         root = os.path.abspath(ns.root) if ns.root else sources.repo_root()
         paths = ns.paths or ['src']
         files = sources.discover(root, paths)
@@ -142,27 +114,21 @@ def main(argv: List[str]) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
 
-        compdb: Dict[str, List[str]] = {}
-        if backend == 'clang':
-            db = sources.find_compdb(root, ns.compdb)
-            if db:
-                compdb = sources.load_compdb(db, root)
-
         findings: List[Finding] = []
         sup: Dict[str, suppress.FileSuppressions] = {}
         for relpath in files:
-            tu = _build_tu(backend, root, relpath, compdb)
+            tu = _build_tu(root, relpath)
             sup[relpath] = suppress.scan_file(relpath, tu.raw_lines)
             findings.extend(run_rules(tu, enabled))
 
         suppress.apply(findings, sup)
         findings.extend(suppress.unused(sup))
 
-        text = report.render_text(findings, backend, len(files),
+        text = report.render_text(findings, len(files),
                                   show_suppressed=ns.show_suppressed)
         sys.stdout.write(text)
         if ns.json:
-            doc = report.render_json(findings, backend, len(files), enabled)
+            doc = report.render_json(findings, len(files), enabled)
             if ns.json == '-':
                 sys.stdout.write(doc)
             else:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Self-test for msropm-lint (text backend).
+"""Self-test for msropm-lint.
 
 Each rule has a bad fixture that must trigger exactly that rule and a
 suppressed variant that must lint clean.  Fixtures live in fixtures/ and are
@@ -39,8 +39,8 @@ _CASES = {
 }
 
 
-def _run_lint(args, cwd=None):
-    return subprocess.run([sys.executable, _LINT] + args, cwd=cwd,
+def _run_lint(args):
+    return subprocess.run([sys.executable, _LINT] + args,
                           capture_output=True, text=True)
 
 
@@ -54,8 +54,7 @@ class FixtureTest(unittest.TestCase):
         os.makedirs(os.path.dirname(dst))
         shutil.copy(os.path.join(_FIXTURES, fixture), dst)
         out = os.path.join(tmp, 'report.json')
-        proc = _run_lint(['--root', tmp, '--backend', 'text',
-                          '--json', out, 'src'])
+        proc = _run_lint(['--root', tmp, '--json', out, 'src'])
         with open(out, encoding='utf-8') as fh:
             return proc, json.load(fh)
 
@@ -102,16 +101,6 @@ class CliTest(unittest.TestCase):
         self.addCleanup(shutil.rmtree, tmp, ignore_errors=True)
         proc = _run_lint(['--root', tmp, 'src'])
         self.assertEqual(proc.returncode, 2)
-
-    def test_clang_backend_requested_without_libclang(self):
-        try:
-            import clang.cindex  # noqa: F401
-            self.skipTest('libclang available; exit-2 path not reachable')
-        except ImportError:
-            pass
-        proc = _run_lint(['--backend', 'clang', 'src'], cwd=_REPO)
-        self.assertEqual(proc.returncode, 2)
-        self.assertIn('clang backend unavailable', proc.stderr)
 
 
 class TreeCleanTest(unittest.TestCase):

@@ -2,7 +2,8 @@
 // The Multi-Stage ROSC Potts Machine (MSROPM) -- the paper's contribution --
 // running on the phase-domain engine.
 //
-// One solve() executes the full divide-and-color flow of Sec. 3.2/Fig. 3:
+// One run executes the full divide-and-color flow of Sec. 3.2/Fig. 3 (the
+// stage schedule lives in solve_batch(); solve() is a batch of one):
 //
 //   init       : random oscillator phases (random startup instants + jitter)
 //   stage k:
@@ -34,7 +35,7 @@
 #include "msropm/graph/coloring.hpp"
 #include "msropm/graph/graph.hpp"
 #include "msropm/model/maxcut.hpp"
-#include "msropm/phase/network.hpp"
+#include "msropm/phase/batch.hpp"
 #include "msropm/util/rng.hpp"
 
 namespace msropm::core {
@@ -72,14 +73,10 @@ struct MsropmResult {
   [[nodiscard]] model::CutAssignment stage1_cut() const;
 };
 
-/// Called at stage boundaries (for tracing/visualization):
-/// (stage index starting at 1, phase label, network state).
+/// Called at stage boundaries (for tracing/visualization) with the stage
+/// index (0 = init, then 1..m), the phase label, and the whole replica batch
+/// (per-replica phases via batch.phases(r)).
 using StageObserver =
-    std::function<void(unsigned, const char*, const phase::PhaseNetwork&)>;
-
-/// Batched counterpart of StageObserver: the whole replica batch is handed
-/// out at every stage boundary (per-replica phases via batch.phases(r)).
-using BatchStageObserver =
     std::function<void(unsigned, const char*, const phase::PhaseBatch&)>;
 
 class MultiStagePottsMachine {
@@ -89,7 +86,9 @@ class MultiStagePottsMachine {
   [[nodiscard]] const MsropmConfig& config() const noexcept { return config_; }
   [[nodiscard]] const graph::Graph& graph() const noexcept { return *graph_; }
 
-  /// One full multi-stage run with the given RNG (initial phases + jitter).
+  /// One full multi-stage run with the given RNG (initial phases + jitter):
+  /// solve_batch() over a batch of one, so the observer sees a one-replica
+  /// batch.
   [[nodiscard]] MsropmResult solve(util::Rng& rng,
                                    const StageObserver& observer = {}) const;
 
@@ -97,12 +96,12 @@ class MultiStagePottsMachine {
   /// anneal/lock/readout/reinit stage schedule SIMULTANEOUSLY on one
   /// phase::PhaseBatch: readouts and the P_EN/SHIL_SEL register updates are
   /// applied per replica between the shared integration windows. Replica r
-  /// consumes rngs[r] in exactly the order a serial solve(rngs[r]) would, so
-  /// its trajectory, per-stage bits, and final coloring are bit-identical to
-  /// that serial run at any batch width (hard-gated by
+  /// consumes only rngs[r], so its trajectory, per-stage bits, and final
+  /// coloring are bit-identical to solve(rngs[r]) at any batch width
+  /// (hard-gated against a frozen single-network reference by
   /// tests/core_batch_equivalence_test.cpp). Returns one result per replica.
   [[nodiscard]] std::vector<MsropmResult> solve_batch(
-      std::span<util::Rng> rngs, const BatchStageObserver& observer = {}) const;
+      std::span<util::Rng> rngs, const StageObserver& observer = {}) const;
 
  private:
   const graph::Graph* graph_;

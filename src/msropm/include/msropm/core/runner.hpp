@@ -7,9 +7,10 @@
 // stream derived from the base seed. Workers claim contiguous index ranges of
 // up to `batch_size` iterations and drive each range through ONE
 // MultiStagePottsMachine::solve_batch call, so the fabric is integrated as a
-// replica batch instead of once per trajectory. Because solve_batch is
-// bit-identical to serial solves at any width, determinism holds for a fixed
-// (seed, iteration) pair regardless of thread count AND batch size.
+// replica batch instead of once per trajectory. Because replica r of a
+// solve_batch is bit-identical to solve() on the same stream (itself a batch
+// of one) at any width, determinism holds for a fixed (seed, iteration) pair
+// regardless of thread count AND batch size.
 
 #include <cstddef>
 #include <vector>

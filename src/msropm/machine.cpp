@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "msropm/phase/lock.hpp"
 
@@ -25,102 +26,12 @@ MultiStagePottsMachine::MultiStagePottsMachine(const graph::Graph& g,
 
 MsropmResult MultiStagePottsMachine::solve(util::Rng& rng,
                                            const StageObserver& observer) const {
-  const graph::Graph& g = *graph_;
-  const unsigned num_stages = config_.num_stages();
-  const std::size_t n = g.num_nodes();
-
-  phase::PhaseNetwork net(g, config_.network);
-  net.set_uniform_coupling(-1.0);  // B2B inverters: anti-ferromagnetic
-  net.set_couplings_active(false);
-  net.set_shil_active(false);
-  if (config_.network.frequency_mismatch_stddev_hz > 0.0) {
-    // Process variation: each ROSC free-runs slightly off nominal; the SHIL
-    // must overcome this residual detune to capture the oscillator.
-    std::vector<double> detune(n);
-    const double two_pi = 2.0 * 3.14159265358979323846;
-    for (double& d : detune) {
-      d = two_pi * config_.network.frequency_mismatch_stddev_hz * rng.normal();
-    }
-    net.set_detune(std::move(detune));
-  }
-
-  // --- init: random startup phases ------------------------------------
-  net.randomize_phases(rng);
-  net.run(config_.schedule.init_s, rng);
-  if (observer) observer(0, "init", net);
-
-  // Accumulated per-oscillator readout bits (the SHIL_SEL register file).
-  std::vector<StageBits> bits(n);
-  // P_EN register file: edge enabled while endpoints share every bit so far.
-  std::vector<std::uint8_t> edge_mask(g.num_edges(), 1);
-
-  MsropmResult result;
-  result.total_time_s = config_.total_time_s();
-
-  for (unsigned stage = 1; stage <= num_stages; ++stage) {
-    // SHIL phases for the current grouping.
-    std::vector<double> psi(n);
-    for (std::size_t i = 0; i < n; ++i) psi[i] = shil_phase_for_bits(bits[i]);
-    net.set_shil_phases(psi);
-
-    // --- anneal: couplings on within groups, SHIL off -------------------
-    net.set_edge_mask(edge_mask);
-    net.set_couplings_active(true);
-    net.set_shil_active(false);
-    net.run(config_.schedule.anneal_s, rng);
-    if (observer) observer(stage, "anneal", net);
-
-    // --- lock: ramped SHIL binarizes each group ----------------------
-    net.set_couplings_active(config_.couplings_during_lock);
-    net.set_shil_active(true);
-    net.set_shil_level(1.0);
-    net.run(config_.schedule.discretize_s, rng, &config_.shil_ramp);
-    if (observer) observer(stage, "lock", net);
-
-    // --- readout: latch the lock lobe as bit b_stage ----------------------
-    StageOutcome outcome;
-    outcome.bits.resize(n);
-    const auto& theta = net.phases();
-    for (std::size_t i = 0; i < n; ++i) {
-      outcome.bits[i] = static_cast<std::uint8_t>(
-          phase::nearest_lock_index(theta[i], psi[i], 2));
-      bits[i].push_back(outcome.bits[i]);
-    }
-    outcome.max_lock_residual = phase::max_lock_residual(theta, psi, 2);
-
-    // Update P_EN: cut couplings whose endpoints read out different bits.
-    const auto edges = g.edges();
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      if (!edge_mask[e]) continue;
-      ++outcome.active_edges;
-      if (outcome.bits[edges[e].u] != outcome.bits[edges[e].v]) {
-        ++outcome.cut_edges;
-        edge_mask[e] = 0;
-      }
-    }
-    result.stages.push_back(std::move(outcome));
-
-    // --- reinit between stages -------------------------------------------
-    if (stage < num_stages) {
-      net.set_shil_active(false);
-      net.set_couplings_active(false);
-      // Free-running drift (jitter + mismatch) decorrelates the phases; the
-      // stage memory lives in the bits/edge_mask registers.
-      net.randomize_phases(rng);
-      net.run(config_.schedule.reinit_s, rng);
-      if (observer) observer(stage, "reinit", net);
-    }
-  }
-
-  result.colors.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    result.colors[i] = static_cast<graph::Color>(color_from_bits(bits[i]));
-  }
-  return result;
+  std::vector<MsropmResult> results = solve_batch({&rng, 1}, observer);
+  return std::move(results.front());
 }
 
 std::vector<MsropmResult> MultiStagePottsMachine::solve_batch(
-    std::span<util::Rng> rngs, const BatchStageObserver& observer) const {
+    std::span<util::Rng> rngs, const StageObserver& observer) const {
   const graph::Graph& g = *graph_;
   const unsigned num_stages = config_.num_stages();
   const std::size_t n = g.num_nodes();
@@ -134,8 +45,9 @@ std::vector<MsropmResult> MultiStagePottsMachine::solve_batch(
     net.set_shil_active(r, false);
   }
   if (config_.network.frequency_mismatch_stddev_hz > 0.0) {
-    // Process variation, drawn per replica from ITS stream in the same order
-    // as the serial path (detune before initial phases).
+    // Process variation: each ROSC free-runs slightly off nominal; the SHIL
+    // must overcome this residual detune to capture the oscillator. Drawn
+    // per replica from ITS stream, before the initial phases.
     std::vector<double> detune(n);
     const double two_pi = 2.0 * 3.14159265358979323846;
     for (std::size_t r = 0; r < replicas; ++r) {

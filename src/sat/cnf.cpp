@@ -57,7 +57,8 @@ Cnf read_dimacs_cnf(std::istream& in) {
       }
       const auto v = util::parse_int(tokens[2]);
       const auto c = util::parse_int(tokens[3]);
-      if (!v || !c || *v < 0 || *c < 0) {
+      if (!v || !c || *v < 0 || *c < 0 ||
+          static_cast<unsigned long long>(*v) > kMaxVars) {
         throw std::runtime_error("DIMACS CNF: bad counts at line " +
                                  std::to_string(line_no));
       }
@@ -87,12 +88,14 @@ Cnf read_dimacs_cnf(std::istream& in) {
         cnf.add_clause(std::move(current));
         current.clear();
       } else {
-        const auto v = static_cast<std::size_t>(std::llabs(*value)) - 1;
-        if (v >= declared_vars) {
+        // Range-check before negating: -INT64_MIN has no representation.
+        const auto bound = static_cast<long long>(declared_vars);
+        if (*value < -bound || *value > bound) {
           throw std::runtime_error("DIMACS CNF: variable out of range at line " +
                                    std::to_string(line_no));
         }
-        current.push_back(Lit(static_cast<Var>(v), *value < 0));
+        const auto v = static_cast<Var>((*value < 0 ? -*value : *value) - 1);
+        current.push_back(Lit(v, *value < 0));
       }
     }
   }

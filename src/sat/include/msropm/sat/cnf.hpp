@@ -5,6 +5,7 @@
 // serve as the accuracy baseline (Sec. 4). This module plus solver.hpp is
 // that generic SAT solver, built from scratch.
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -13,6 +14,10 @@
 namespace msropm::sat {
 
 using Var = std::uint32_t;
+
+/// Largest variable count a Lit can address such that every literal packs
+/// into 32 bits and its DIMACS integer (to_dimacs) fits an int.
+inline constexpr std::size_t kMaxVars = 0x7fffffff;
 
 /// Literal: variable with polarity, packed as 2*var + (negated ? 1 : 0).
 class Lit {

@@ -1,13 +1,14 @@
 // THE batched-solve equivalence gate: a MultiStagePottsMachine::solve_batch
-// of R replicas must be bit-identical to R serial solve() calls consuming the
-// same per-replica RNG streams -- final colorings, per-stage bits/cuts/
-// residuals, AND the full phase vectors at every stage boundary. Exercised
-// across R in {1, 3, 40}, with and without jitter/mismatch, and for both
-// integrators. Also gates core::run_iterations: summaries are invariant to
-// batch_size and thread count, and the stop token truncates to a clean
-// completed prefix.
+// of R replicas must be bit-identical to R runs of an independent
+// single-network implementation (reference_solve below) consuming the same
+// per-replica RNG streams -- final colorings, per-stage bits/cuts/residuals,
+// AND the full phase vectors at every stage boundary. Exercised across R in
+// {1, 3, 40}, with and without jitter/mismatch, and for both integrators.
+// Also gates core::run_iterations: summaries are invariant to batch_size and
+// thread count, and the stop token truncates to a clean completed prefix.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -15,7 +16,10 @@
 
 #include "msropm/core/machine.hpp"
 #include "msropm/core/runner.hpp"
+#include "msropm/core/shil_plan.hpp"
 #include "msropm/graph/builders.hpp"
+#include "msropm/phase/lock.hpp"
+#include "msropm/phase/network.hpp"
 #include "msropm/util/rng.hpp"
 #include "msropm/util/stop_token.hpp"
 
@@ -25,6 +29,10 @@ using namespace msropm;
 using core::MsropmConfig;
 using core::MsropmResult;
 using core::MultiStagePottsMachine;
+using core::StageBits;
+using core::StageOutcome;
+using core::color_from_bits;
+using core::shil_phase_for_bits;
 
 MsropmConfig machine_config(double noise, double mismatch_hz,
                             phase::Integrator integrator) {
@@ -41,6 +49,112 @@ MsropmConfig machine_config(double noise, double mismatch_hz,
   config.shil_ramp = phase::GainRamp{0.0, 0.5};
   config.couplings_during_lock = true;
   return config;
+}
+
+/// Stage-boundary callback of the reference: (stage, label, network state).
+using ReferenceObserver =
+    std::function<void(unsigned, const char*, const phase::PhaseNetwork&)>;
+
+/// Frozen reference: the single-network stage schedule that
+/// MultiStagePottsMachine::solve() ran before it became a batch of one,
+/// kept verbatim (members read through the machine's accessors) so the
+/// batch path is compared against an independent implementation.
+MsropmResult reference_solve(const MultiStagePottsMachine& machine,
+                             util::Rng& rng,
+                             const ReferenceObserver& observer) {
+  const MsropmConfig& config_ = machine.config();
+  const graph::Graph& g = machine.graph();
+  const unsigned num_stages = config_.num_stages();
+  const std::size_t n = g.num_nodes();
+
+  phase::PhaseNetwork net(g, config_.network);
+  net.set_uniform_coupling(-1.0);  // B2B inverters: anti-ferromagnetic
+  net.set_couplings_active(false);
+  net.set_shil_active(false);
+  if (config_.network.frequency_mismatch_stddev_hz > 0.0) {
+    // Process variation: each ROSC free-runs slightly off nominal; the SHIL
+    // must overcome this residual detune to capture the oscillator.
+    std::vector<double> detune(n);
+    const double two_pi = 2.0 * 3.14159265358979323846;
+    for (double& d : detune) {
+      d = two_pi * config_.network.frequency_mismatch_stddev_hz * rng.normal();
+    }
+    net.set_detune(std::move(detune));
+  }
+
+  // --- init: random startup phases ------------------------------------
+  net.randomize_phases(rng);
+  net.run(config_.schedule.init_s, rng);
+  if (observer) observer(0, "init", net);
+
+  // Accumulated per-oscillator readout bits (the SHIL_SEL register file).
+  std::vector<StageBits> bits(n);
+  // P_EN register file: edge enabled while endpoints share every bit so far.
+  std::vector<std::uint8_t> edge_mask(g.num_edges(), 1);
+
+  MsropmResult result;
+  result.total_time_s = config_.total_time_s();
+
+  for (unsigned stage = 1; stage <= num_stages; ++stage) {
+    // SHIL phases for the current grouping.
+    std::vector<double> psi(n);
+    for (std::size_t i = 0; i < n; ++i) psi[i] = shil_phase_for_bits(bits[i]);
+    net.set_shil_phases(psi);
+
+    // --- anneal: couplings on within groups, SHIL off -------------------
+    net.set_edge_mask(edge_mask);
+    net.set_couplings_active(true);
+    net.set_shil_active(false);
+    net.run(config_.schedule.anneal_s, rng);
+    if (observer) observer(stage, "anneal", net);
+
+    // --- lock: ramped SHIL binarizes each group ----------------------
+    net.set_couplings_active(config_.couplings_during_lock);
+    net.set_shil_active(true);
+    net.set_shil_level(1.0);
+    net.run(config_.schedule.discretize_s, rng, &config_.shil_ramp);
+    if (observer) observer(stage, "lock", net);
+
+    // --- readout: latch the lock lobe as bit b_stage ----------------------
+    StageOutcome outcome;
+    outcome.bits.resize(n);
+    const auto& theta = net.phases();
+    for (std::size_t i = 0; i < n; ++i) {
+      outcome.bits[i] = static_cast<std::uint8_t>(
+          phase::nearest_lock_index(theta[i], psi[i], 2));
+      bits[i].push_back(outcome.bits[i]);
+    }
+    outcome.max_lock_residual = phase::max_lock_residual(theta, psi, 2);
+
+    // Update P_EN: cut couplings whose endpoints read out different bits.
+    const auto edges = g.edges();
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      if (!edge_mask[e]) continue;
+      ++outcome.active_edges;
+      if (outcome.bits[edges[e].u] != outcome.bits[edges[e].v]) {
+        ++outcome.cut_edges;
+        edge_mask[e] = 0;
+      }
+    }
+    result.stages.push_back(std::move(outcome));
+
+    // --- reinit between stages -------------------------------------------
+    if (stage < num_stages) {
+      net.set_shil_active(false);
+      net.set_couplings_active(false);
+      // Free-running drift (jitter + mismatch) decorrelates the phases; the
+      // stage memory lives in the bits/edge_mask registers.
+      net.randomize_phases(rng);
+      net.run(config_.schedule.reinit_s, rng);
+      if (observer) observer(stage, "reinit", net);
+    }
+  }
+
+  result.colors.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    result.colors[i] = static_cast<graph::Color>(color_from_bits(bits[i]));
+  }
+  return result;
 }
 
 /// Stage-boundary phase snapshots keyed by (stage, label) in callback order.
@@ -73,16 +187,16 @@ void expect_batch_equals_serial(std::size_t replicas, double noise,
   const MultiStagePottsMachine machine(
       g, machine_config(noise, mismatch_hz, integrator));
 
-  // Serial reference: R independent solve() calls, each capturing the phase
-  // vector at every stage boundary.
+  // Serial reference: R independent reference_solve() calls, each capturing
+  // the phase vector at every stage boundary.
   std::vector<MsropmResult> serial_results;
   std::vector<Snapshots> serial_snaps(replicas);
   for (std::size_t r = 0; r < replicas; ++r) {
     util::Rng rng(seed + 17 * r);
     Snapshots& snaps = serial_snaps[r];
-    serial_results.push_back(machine.solve(
-        rng, [&snaps](unsigned stage, const char* label,
-                      const phase::PhaseNetwork& net) {
+    serial_results.push_back(reference_solve(
+        machine, rng, [&snaps](unsigned stage, const char* label,
+                               const phase::PhaseNetwork& net) {
           snaps.emplace_back(std::to_string(stage) + ":" + label, net.phases());
         }));
   }
@@ -152,6 +266,19 @@ TEST(BatchEquivalence, BatchOfThreeNoiseRk4) {
 
 TEST(BatchEquivalence, BatchOfThreeNoiselessRk4) {
   expect_batch_equals_serial(3, 0.0, 0.0, phase::Integrator::kRk4, 707);
+}
+
+TEST(BatchEquivalence, SolveIsBatchOfOneAndConsumesTheSameStream) {
+  const auto g = graph::kings_graph_square(7);
+  const MultiStagePottsMachine machine(
+      g, machine_config(2.0e3, 2.0e6, phase::Integrator::kEulerMaruyama));
+  util::Rng ref_rng(808);
+  util::Rng rng(808);
+  const MsropmResult ref = reference_solve(machine, ref_rng, {});
+  expect_results_identical(ref, machine.solve(rng), 0);
+  // Callers that reuse one stream across solve() calls see the same draws.
+  EXPECT_EQ(ref_rng(), rng());
+  EXPECT_EQ(ref_rng.normal(), rng.normal());
 }
 
 // --- run_iterations invariance ---------------------------------------------

@@ -163,7 +163,7 @@ TEST(Machine, StageObserverSequence) {
   util::Rng rng(9);
   std::vector<std::string> events;
   (void)machine.solve(rng, [&events](unsigned stage, const char* label,
-                                     const phase::PhaseNetwork&) {
+                                     const phase::PhaseBatch&) {
     events.push_back(std::to_string(stage) + ":" + label);
   });
   const std::vector<std::string> expected{

@@ -88,6 +88,16 @@ TEST(DimacsCnf, RejectsMalformed) {
   EXPECT_THROW(read_dimacs_cnf_string("p cnf x 1\n"), std::runtime_error);
 }
 
+TEST(DimacsCnf, RejectsUnencodableVariables) {
+  // A variable count beyond what a 32-bit Lit can pack would alias var
+  // 2147483648 onto var 0.
+  EXPECT_THROW(read_dimacs_cnf_string("p cnf 3000000000 1\n2147483649 0\n"),
+               std::runtime_error);
+  // The most negative int64 literal is range-checked before it is negated.
+  EXPECT_THROW(read_dimacs_cnf_string("p cnf 3 1\n-9223372036854775808 0\n"),
+               std::runtime_error);
+}
+
 TEST(DimacsCnf, AcceptsSatlibPercentEofMarker) {
   // SATLIB benchmark files end with a "%" line followed by a stray "0" (and
   // sometimes trailing garbage); everything after the marker is ignored.
