@@ -5,8 +5,7 @@
 // Usage:
 //   portfolio_sweep [--kings S1,S2,...] [--colors K] [--kings-unsat S1,S2,...]
 //                   [--dimacs graph.col]... [--jobs N] [--timeout-ms T]
-//                   [--strategies dsatur,cdcl,cdcl-pre,cdcl-inc,tabucol,sa,
-//                    msropm[:N]]
+//                   [--strategies dsatur,cdcl,tabucol,msropm[:N]]
 //                   [--seed S] [--schedule strategy|instance] [--csv]
 //
 //   --kings        side lengths of King's-graph instances colored with
@@ -17,12 +16,12 @@
 //   --jobs         worker threads (default 1; 1 = fully deterministic)
 //   --timeout-ms   wall-clock cap per strategy attempt (default 0 = none;
 //                  breaks strict determinism, see src/portfolio/README.md)
-//   --strategies   comma list; a kind may repeat (each slot gets its own
-//                  seed stream). "msropm" runs the paper's machine as a
-//                  strategy (best-of-40 batched Monte-Carlo iterations;
-//                  "msropm:N" overrides the iteration budget), so the report
-//                  compares machine rows against the SAT-side strategies on
-//                  the same instances
+//   --strategies   comma list (default dsatur,cdcl,tabucol); a kind may
+//                  repeat (each slot gets its own seed stream). "msropm" runs
+//                  the paper's machine as a strategy (best-of-40 batched
+//                  Monte-Carlo iterations; "msropm:N" overrides the iteration
+//                  budget), so the report compares machine rows against the
+//                  SAT-side strategies on the same instances
 //   --schedule     queue order: "strategy" (cheap probes first, default) or
 //                  "instance" (all strategies of an instance race)
 //   --csv          emit the report as CSV instead of an aligned table
@@ -131,7 +130,7 @@ int usage(const char* argv0) {
                "usage: %s [--kings S1,S2,...] [--colors K] "
                "[--kings-unsat S1,S2,...] [--dimacs graph.col]... [--jobs N] "
                "[--timeout-ms T] [--strategies "
-               "dsatur,cdcl,cdcl-pre,cdcl-inc,tabucol,sa,msropm[:N]] "
+               "dsatur,cdcl,tabucol,msropm[:N]] "
                "[--seed S] [--schedule strategy|instance] [--csv] "
                "[--trace FILE] [--metrics] [--metrics-json FILE] "
                "[--metrics-prom FILE] [--fault-spec SPEC] [--budget-mb M] "

@@ -1,14 +1,13 @@
 #pragma once
 // Parallel solver portfolio for K-coloring instances.
 //
-// A portfolio runs several diversified strategies — bounded DSATUR, CDCL
-// with/without presimplify, Tabucol, SA-Potts — against the same instance
-// over a fixed-size worker pool. The first strategy to reach a DEFINITIVE
-// verdict (a verified proper coloring, or a CDCL UNSAT proof) wins and
-// cancels its siblings through the cooperative util::StopToken that is
-// threaded into every solver's inner loop. Strategies that merely exhaust
-// their budget without a proper coloring are inconclusive and do NOT cancel
-// anyone.
+// A portfolio runs several diversified strategies — bounded DSATUR, CDCL,
+// Tabucol, the MSROPM machine — against the same instance over a fixed-size
+// worker pool. The first strategy to reach a DEFINITIVE verdict (a verified
+// proper coloring, or a CDCL UNSAT proof) wins and cancels its siblings
+// through the cooperative util::StopToken that is threaded into every
+// solver's inner loop. Strategies that merely exhaust their budget without a
+// proper coloring are inconclusive and do NOT cancel anyone.
 //
 // Determinism contract (see src/portfolio/README.md for the argument):
 //   - With num_workers == 1 and timeout_ms == 0, results are bit-identical
@@ -38,14 +37,9 @@ namespace msropm::portfolio {
 enum class StrategyKind : std::uint8_t {
   kDsatur,          ///< bounded DSATUR greedy (deterministic, microseconds)
   kCdcl,            ///< CDCL on the direct encoding (complete)
-  kCdclPresimplify, ///< CDCL behind the clause-database preprocessor
-  kCdclIncremental, ///< incremental chromatic sweep (sat::chromatic_search):
-                    ///< one multi-shot solver, per-color activation-literal
-                    ///< assumptions, clique-seeded. Complete, and its SAT
-                    ///< witness uses the MINIMAL palette (often < K colors).
-                    ///< Not in default_strategies(); opt in explicitly.
-  kTabucol,         ///< tabu search (seeded, budgeted)
-  kSaPotts,         ///< simulated annealing (seeded, budgeted)
+  kTabucol,         ///< tabu search (seeded, fixed iteration budget): colors
+                    ///< instances DSATUR cannot and CDCL does not finish
+                    ///< within a deadline or conflict budget
   kMsropm,          ///< the paper's machine: best-of-N MSROPM Monte-Carlo
                     ///< iterations on the batched phase engine. Runs at the
                     ///< largest power-of-two palette <= num_colors (hardware
@@ -54,36 +48,33 @@ enum class StrategyKind : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(StrategyKind kind) noexcept;
-/// Parse "dsatur", "cdcl", "cdcl-pre", "cdcl-inc", "tabucol", "sa",
-/// "msropm"; nullopt otherwise.
+/// Parse "dsatur", "cdcl", "tabucol", "msropm"; nullopt otherwise.
 [[nodiscard]] std::optional<StrategyKind> strategy_from_string(
     std::string_view name) noexcept;
 
-/// One strategy slot of a portfolio. The same kind may appear several times
-/// with different knobs; every slot draws an independent RNG stream from the
-/// master seed, so duplicated slots are automatically seed-diversified.
+/// One strategy slot of a portfolio. The same kind may appear several times;
+/// every slot draws an independent RNG stream from the master seed, so
+/// duplicated slots are automatically seed-diversified.
 struct StrategyConfig {
   StrategyKind kind = StrategyKind::kDsatur;
-  /// CDCL: give up after this many conflicts (0 = run to completion). For
-  /// cdcl-inc this bounds each K-round of the sweep, so the whole attempt
-  /// may spend up to (sweep rounds) x conflict_limit conflicts.
-  std::uint64_t conflict_limit = 0;
-  /// Tabucol: iteration budget.
-  std::size_t tabu_iterations = 50000;
-  /// Tabucol: base tabu tenure.
-  std::size_t tabu_tenure = 7;
-  /// SA-Potts: sweep budget and starting temperature.
-  std::size_t sa_sweeps = 400;
-  double sa_t_start = 2.0;
   /// MSROPM: Monte-Carlo iteration budget (the paper's best-of-40), driven
   /// through core::run_iterations' batched solve path in one worker thread.
   std::size_t msropm_iterations = 40;
 };
 
-/// The default lineup: one slot per strategy kind, cheapest first. The order
-/// doubles as the queue order of the strategy-major sweep schedule, so the
-/// near-free DSATUR probe screens every instance before the heavyweights run.
+/// The default lineup: DSATUR, CDCL, Tabucol. DSATUR decides the easy
+/// colorable instances in microseconds, CDCL everything it can finish, and
+/// Tabucol colors what DSATUR cannot when CDCL is cut short by a deadline or
+/// conflict budget (src/portfolio/README.md has the evidence). The order
+/// doubles as the queue order of the strategy-major sweep schedule, so each
+/// slot only runs on instances the cheaper ones before it left undecided.
 [[nodiscard]] std::vector<StrategyConfig> default_strategies();
+
+/// Watchdog retry cap for attempts killed by an injected fault or an
+/// exception: up to this many re-runs per (instance, strategy) slot, with
+/// exponential backoff. Resource/deadline breaches are NOT retried (the same
+/// budget would just breach again).
+inline constexpr unsigned kMaxRetries = 2;
 
 enum class Verdict : std::uint8_t {
   kColored,  ///< verified proper num_colors-coloring found
@@ -117,8 +108,7 @@ struct StrategyOutcome {
   /// fault. Reflects the FINAL attempt when retries happened.
   util::LimitReason limit = util::LimitReason::kNone;
   /// Retries consumed by the watchdog (attempts beyond the first; bounded by
-  /// PortfolioOptions::max_retries). Only injected-fault and thrown attempts
-  /// are retried.
+  /// kMaxRetries). Only injected-fault and thrown attempts are retried.
   unsigned retries = 0;
 };
 
@@ -177,13 +167,9 @@ struct PortfolioOptions {
   /// (memory / conflicts / propagations; wall time is timeout_ms). A breach
   /// ends that attempt with its LimitReason — it never cancels siblings.
   util::ResourceBudget budget = {};
-  /// Watchdog retry cap for attempts killed by an injected fault or an
-  /// exception: up to this many re-runs per (instance, strategy) slot, with
-  /// exponential backoff. Resource/deadline breaches are NOT retried (the
-  /// same budget would just breach again).
-  unsigned max_retries = 2;
-  /// Base backoff before the first retry; doubles per retry. 0 disables the
-  /// sleep (retries stay immediate and deterministic-ish for tests).
+  /// Base backoff before the first watchdog retry (see kMaxRetries); doubles
+  /// per retry. 0 disables the sleep (retries stay immediate and
+  /// deterministic-ish for tests).
   unsigned retry_backoff_ms = 1;
   /// Graceful-degradation ladder: when every strategy left an instance
   /// unknown, run bounded DSATUR + a short deterministic tabucol post-drain

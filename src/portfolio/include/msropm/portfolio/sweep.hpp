@@ -48,8 +48,6 @@ class SweepRunner {
  public:
   explicit SweepRunner(SweepOptions options = {}) : options_(std::move(options)) {}
 
-  [[nodiscard]] const SweepOptions& options() const noexcept { return options_; }
-
   /// Run the portfolio over every instance on one shared pool.
   [[nodiscard]] SweepResult run(const std::vector<InstanceSpec>& instances) const;
 

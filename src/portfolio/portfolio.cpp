@@ -11,9 +11,7 @@
 #include "msropm/core/runner.hpp"
 #include "msropm/obs/obs.hpp"
 #include "msropm/sat/coloring_encoder.hpp"
-#include "msropm/sat/incremental_coloring.hpp"
 #include "msropm/solvers/dsatur.hpp"
-#include "msropm/solvers/sa_potts.hpp"
 #include "msropm/solvers/tabucol.hpp"
 #include "msropm/util/fault_injector.hpp"
 #include "msropm/util/rng.hpp"
@@ -27,14 +25,8 @@ const char* to_string(StrategyKind kind) noexcept {
       return "dsatur";
     case StrategyKind::kCdcl:
       return "cdcl";
-    case StrategyKind::kCdclPresimplify:
-      return "cdcl-pre";
-    case StrategyKind::kCdclIncremental:
-      return "cdcl-inc";
     case StrategyKind::kTabucol:
       return "tabucol";
-    case StrategyKind::kSaPotts:
-      return "sa";
     case StrategyKind::kMsropm:
       return "msropm";
   }
@@ -44,10 +36,7 @@ const char* to_string(StrategyKind kind) noexcept {
 std::optional<StrategyKind> strategy_from_string(std::string_view name) noexcept {
   if (name == "dsatur") return StrategyKind::kDsatur;
   if (name == "cdcl") return StrategyKind::kCdcl;
-  if (name == "cdcl-pre") return StrategyKind::kCdclPresimplify;
-  if (name == "cdcl-inc") return StrategyKind::kCdclIncremental;
   if (name == "tabucol") return StrategyKind::kTabucol;
-  if (name == "sa") return StrategyKind::kSaPotts;
   if (name == "msropm") return StrategyKind::kMsropm;
   return std::nullopt;
 }
@@ -65,18 +54,20 @@ const char* to_string(Verdict verdict) noexcept {
 }
 
 std::vector<StrategyConfig> default_strategies() {
-  std::vector<StrategyConfig> strategies(5);
+  std::vector<StrategyConfig> strategies(3);
   strategies[0].kind = StrategyKind::kDsatur;
   strategies[1].kind = StrategyKind::kCdcl;
-  strategies[2].kind = StrategyKind::kCdclPresimplify;
-  strategies[3].kind = StrategyKind::kTabucol;
-  strategies[4].kind = StrategyKind::kSaPotts;
+  strategies[2].kind = StrategyKind::kTabucol;
   return strategies;
 }
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Tabucol iteration budget per attempt (the README's lineup table was
+/// measured with it).
+constexpr std::size_t kTabuIterations = 50000;
 
 double millis_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
@@ -108,7 +99,6 @@ void accept_if_proper(const graph::Graph& g, unsigned num_colors,
 }
 
 StrategyRun run_cdcl(const graph::Graph& g, unsigned num_colors,
-                     const StrategyConfig& config, bool presimplify,
                      const util::StopToken& token,
                      const util::ResourceBudget& budget) {
   StrategyRun run;
@@ -117,9 +107,9 @@ StrategyRun run_cdcl(const graph::Graph& g, unsigned num_colors,
     return run;
   }
   const auto encoding = sat::encode_coloring(g, num_colors);
-  sat::SolverOptions options = sat::exact_coloring_solver_options();
-  options.presimplify = presimplify;
-  options.conflict_limit = config.conflict_limit;
+  // Plain CDCL: on these encodings presimplify costs more than it saves
+  // (src/portfolio/README.md, "Default lineup").
+  sat::SolverOptions options;
   options.budget = budget;
   options.stop = token;
   sat::Solver solver(encoding.cnf, options);
@@ -129,36 +119,6 @@ StrategyRun run_cdcl(const graph::Graph& g, unsigned num_colors,
   if (result == sat::SolveResult::kSat) {
     accept_if_proper(g, num_colors, encoding.decode(solver.model()), run);
   } else if (result == sat::SolveResult::kUnsat) {
-    run.verdict = Verdict::kUnsat;
-  }
-  return run;
-}
-
-StrategyRun run_cdcl_incremental(const graph::Graph& g, unsigned num_colors,
-                                 const StrategyConfig& config,
-                                 const util::StopToken& token,
-                                 const util::ResourceBudget& budget) {
-  // Incremental chromatic sweep: clique-seeded lower bound (K below the
-  // clique size is UNSAT with zero solver calls), one multi-shot solver
-  // across every K, colors disabled per query via activation-literal
-  // assumptions. A SAT verdict therefore carries the MINIMAL proper
-  // coloring; an exhausted sweep proves chromatic > num_colors, which is
-  // exactly the portfolio's UNSAT verdict.
-  StrategyRun run;
-  if (token.stop_requested()) {
-    run.cancelled = true;
-    return run;
-  }
-  sat::ChromaticSearchOptions options;
-  options.conflict_limit = config.conflict_limit;
-  options.budget = budget;
-  options.stop = token;
-  auto outcome = sat::chromatic_search(g, num_colors, options);
-  run.cancelled = outcome.cancelled;
-  run.limit = outcome.limit;
-  if (outcome.chromatic) {
-    accept_if_proper(g, num_colors, std::move(outcome.coloring), run);
-  } else if (!outcome.incomplete) {
     run.verdict = Verdict::kUnsat;
   }
   return run;
@@ -221,31 +181,13 @@ StrategyRun run_strategy(const graph::Graph& g, unsigned num_colors,
       return run;
     }
     case StrategyKind::kCdcl:
-      return run_cdcl(g, num_colors, config, /*presimplify=*/false, token,
-                      budget);
-    case StrategyKind::kCdclPresimplify:
-      return run_cdcl(g, num_colors, config, /*presimplify=*/true, token,
-                      budget);
-    case StrategyKind::kCdclIncremental:
-      return run_cdcl_incremental(g, num_colors, config, token, budget);
+      return run_cdcl(g, num_colors, token, budget);
     case StrategyKind::kTabucol: {
       solvers::TabucolOptions options;
       options.num_colors = num_colors;
-      options.max_iterations = config.tabu_iterations;
-      options.base_tenure = config.tabu_tenure;
+      options.max_iterations = kTabuIterations;
       options.stop = token;
       auto result = solvers::solve_tabucol(g, options, rng);
-      run.cancelled = result.cancelled;
-      accept_if_proper(g, num_colors, std::move(result.colors), run);
-      return run;
-    }
-    case StrategyKind::kSaPotts: {
-      solvers::SaPottsOptions options;
-      options.num_colors = num_colors;
-      options.sweeps = config.sa_sweeps;
-      options.t_start = config.sa_t_start;
-      options.stop = token;
-      auto result = solvers::solve_sa_potts(g, options, rng);
       run.cancelled = result.cancelled;
       accept_if_proper(g, num_colors, std::move(result.colors), run);
       return run;
@@ -328,10 +270,7 @@ const char* attempt_span_name(StrategyKind kind) noexcept {
   switch (kind) {
     case StrategyKind::kDsatur: return "attempt:dsatur";
     case StrategyKind::kCdcl: return "attempt:cdcl";
-    case StrategyKind::kCdclPresimplify: return "attempt:cdcl-pre";
-    case StrategyKind::kCdclIncremental: return "attempt:cdcl-inc";
     case StrategyKind::kTabucol: return "attempt:tabucol";
-    case StrategyKind::kSaPotts: return "attempt:sa";
     case StrategyKind::kMsropm: return "attempt:msropm";
   }
   return "attempt:?";
@@ -341,10 +280,7 @@ const char* win_marker_name(StrategyKind kind) noexcept {
   switch (kind) {
     case StrategyKind::kDsatur: return "win:dsatur";
     case StrategyKind::kCdcl: return "win:cdcl";
-    case StrategyKind::kCdclPresimplify: return "win:cdcl-pre";
-    case StrategyKind::kCdclIncremental: return "win:cdcl-inc";
     case StrategyKind::kTabucol: return "win:tabucol";
-    case StrategyKind::kSaPotts: return "win:sa";
     case StrategyKind::kMsropm: return "win:msropm";
   }
   return "win:?";
@@ -469,7 +405,7 @@ std::vector<PortfolioResult> run_portfolio_batch(
       // (stop token without deadline) makes any retry pointless.
       const bool transient =
           !run.error.empty() || run.limit == util::LimitReason::kInjected;
-      if (!transient || retries >= options.max_retries ||
+      if (!transient || retries >= kMaxRetries ||
           token.stop_requested()) {
         break;
       }

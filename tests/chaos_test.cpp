@@ -397,8 +397,7 @@ TEST_F(ChaosTest, PhaseBatchStepFaultEndsWindowEarlyAndRestoresLevels) {
 
 std::vector<portfolio::StrategyConfig> cdcl_only_lineup() {
   std::vector<portfolio::StrategyConfig> lineup(2);
-  lineup[0].kind = portfolio::StrategyKind::kCdcl;
-  lineup[1].kind = portfolio::StrategyKind::kCdclPresimplify;
+  for (auto& slot : lineup) slot.kind = portfolio::StrategyKind::kCdcl;
   return lineup;
 }
 

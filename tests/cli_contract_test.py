@@ -3,11 +3,11 @@
 portfolio_sweep, driven as subprocesses on a generated 3x3 King's graph.
 
 Pins what scripted users depend on: verdict exit codes, exit 2 on every
-usage error (missing flag value, unknown flag, bad --jobs, malformed
---fault-spec or MSROPM_FAULT), one "last value wins" warning per repeated
-observability flag, and metrics files written even when the input file is
-missing. Only exit codes, files and the warning substring are asserted,
-never message wording.
+usage error (missing flag value, unknown flag, bad --jobs, unknown
+--strategies name, malformed --fault-spec or MSROPM_FAULT), one "last value
+wins" warning per repeated observability flag, and metrics files written
+even when the input file is missing. Only exit codes, files and the
+warning substring are asserted, never message wording.
 
 Usage: cli_contract_test.py DIMACS_SOLVER PORTFOLIO_SWEEP OBS
 where OBS is the MSROPM_OBS setting the binaries were built with (ON/OFF).
@@ -88,6 +88,12 @@ class CliContract(unittest.TestCase):
             "sweep missing prom value": (SWEEP, ["--metrics-prom"]),
             "sweep unknown flag": (SWEEP, ["--kings", "4", "--bogus"]),
             "sweep zero jobs": (SWEEP, ["--kings", "4", "--jobs", "0"]),
+            "sweep unknown strategy sa": (
+                SWEEP, ["--kings", "4", "--strategies", "sa"]),
+            "sweep unknown strategy cdcl-pre": (
+                SWEEP, ["--kings", "4", "--strategies", "dsatur,cdcl-pre"]),
+            "sweep unknown strategy cdcl-inc": (
+                SWEEP, ["--kings", "4", "--strategies", "cdcl-inc"]),
             "sweep bad fault spec": (
                 SWEEP, ["--kings", "4", "--fault-spec", BAD_FAULT_SPEC]),
         }

@@ -47,15 +47,12 @@ std::vector<portfolio::InstanceSpec> stress_grid() {
   return instances;
 }
 
-/// Small budgets keep single runs fast; the point is scheduling churn, not
-/// search depth.
+/// The default lineup (DSATUR, CDCL, tabucol), so the complete solver's and
+/// the heuristic's cancellation polling race each other. The instances are
+/// tiny; the point is scheduling churn, not search depth.
 portfolio::PortfolioOptions stress_options(std::size_t workers,
                                            std::uint64_t seed) {
   portfolio::PortfolioOptions options;
-  for (auto& strategy : options.strategies) {
-    strategy.tabu_iterations = 2000;
-    strategy.sa_sweeps = 60;
-  }
   options.num_workers = workers;
   options.master_seed = seed;
   return options;

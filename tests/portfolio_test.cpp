@@ -11,6 +11,7 @@
 #include "msropm/graph/builders.hpp"
 #include "msropm/graph/coloring.hpp"
 #include "msropm/portfolio/sweep.hpp"
+#include "msropm/util/rng.hpp"
 
 namespace {
 
@@ -34,43 +35,48 @@ std::vector<portfolio::InstanceSpec> small_grid() {
 
 TEST(Portfolio, StrategyNamesRoundTrip) {
   for (const auto kind :
-       {StrategyKind::kDsatur, StrategyKind::kCdcl,
-        StrategyKind::kCdclPresimplify, StrategyKind::kCdclIncremental,
-        StrategyKind::kTabucol, StrategyKind::kSaPotts}) {
+       {StrategyKind::kDsatur, StrategyKind::kCdcl, StrategyKind::kTabucol,
+        StrategyKind::kMsropm}) {
     const auto parsed = portfolio::strategy_from_string(portfolio::to_string(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
   }
-  EXPECT_FALSE(portfolio::strategy_from_string("minisat").has_value());
+  for (const char* name : {"minisat", "cdcl-pre", "cdcl-inc", "sa"}) {
+    EXPECT_FALSE(portfolio::strategy_from_string(name).has_value()) << name;
+  }
 }
 
-TEST(Portfolio, IncrementalStrategyDecidesBothVerdicts) {
-  // cdcl-inc (opt-in, not in the default lineup) sweeps K incrementally:
-  // SAT instances must come back with a verified proper coloring — using
-  // the MINIMAL palette — and UNSAT instances with a proof (chromatic above
-  // the requested K: on a King's graph the 4-clique refutes K=3 from the
-  // clique bound alone).
-  PortfolioOptions options;
-  options.strategies.assign(1, portfolio::StrategyConfig{});
-  options.strategies[0].kind = StrategyKind::kCdclIncremental;
-
-  const auto g = graph::kings_graph_square(7);
-  const PortfolioResult sat_result = portfolio::solve_portfolio(g, 6, options);
-  EXPECT_EQ(sat_result.verdict, Verdict::kColored);
-  ASSERT_TRUE(sat_result.coloring.has_value());
-  // The sweep finds the chromatic number (4), not just any 6-coloring.
-  EXPECT_TRUE(graph::is_proper_coloring(g, *sat_result.coloring, 4));
-
-  const PortfolioResult unsat_result =
-      portfolio::solve_portfolio(g, 3, options);
-  EXPECT_EQ(unsat_result.verdict, Verdict::kUnsat);
-  EXPECT_FALSE(unsat_result.coloring.has_value());
-}
-
-TEST(Portfolio, DefaultLineupCoversEveryKindCheapestFirst) {
+TEST(Portfolio, DefaultLineupIsDsaturCdclTabucol) {
   const auto strategies = portfolio::default_strategies();
-  ASSERT_EQ(strategies.size(), 5u);
-  EXPECT_EQ(strategies.front().kind, StrategyKind::kDsatur);
+  ASSERT_EQ(strategies.size(), 3u);
+  EXPECT_EQ(strategies[0].kind, StrategyKind::kDsatur);
+  EXPECT_EQ(strategies[1].kind, StrategyKind::kCdcl);
+  EXPECT_EQ(strategies[2].kind, StrategyKind::kTabucol);
+}
+
+TEST(Portfolio, TabucolColorsWhatDsaturCannotAndCdclDoesNotFinish) {
+  // G(150, 0.3) at K=13: DSATUR needs 15 colors and CDCL does not finish
+  // within 1000 conflicts, but tabucol finds a proper 13-coloring. This is
+  // the case the default lineup's third slot exists for (README, "Default
+  // lineup"); without it the instance stays unknown.
+  util::Rng rng(1150);
+  const auto g = graph::erdos_renyi(150, 0.3, rng);
+  PortfolioOptions options;
+  options.budget.max_conflicts = 1000;
+  const PortfolioResult result = portfolio::solve_portfolio(g, 13, options);
+  EXPECT_EQ(result.verdict, Verdict::kColored);
+  ASSERT_GE(result.winner, 0);
+  EXPECT_EQ(options.strategies[static_cast<std::size_t>(result.winner)].kind,
+            StrategyKind::kTabucol);
+  ASSERT_TRUE(result.coloring.has_value());
+  EXPECT_TRUE(graph::is_proper_coloring(g, *result.coloring, 13));
+  EXPECT_EQ(result.outcomes[0].verdict, Verdict::kUnknown);
+  EXPECT_EQ(result.outcomes[1].limit, util::LimitReason::kConflicts);
+
+  options.strategies.pop_back();  // dsatur, cdcl only
+  const PortfolioResult without_tabucol =
+      portfolio::solve_portfolio(g, 13, options);
+  EXPECT_EQ(without_tabucol.verdict, Verdict::kUnknown);
 }
 
 TEST(Portfolio, SolvesSatisfiableInstance) {
@@ -80,12 +86,13 @@ TEST(Portfolio, SolvesSatisfiableInstance) {
   ASSERT_TRUE(result.coloring.has_value());
   EXPECT_TRUE(graph::is_proper_coloring(g, *result.coloring, 4));
   ASSERT_GE(result.winner, 0);
-  EXPECT_LT(result.winner, 5);
+  EXPECT_LT(static_cast<std::size_t>(result.winner),
+            portfolio::default_strategies().size());
 }
 
 TEST(Portfolio, ProvesUnsatInstance) {
   // King's graphs contain 4-cliques: no 3-coloring exists, and only the
-  // CDCL strategies can prove that.
+  // CDCL strategy of the default lineup can prove that.
   const auto g = graph::kings_graph_square(6);
   const PortfolioResult result = portfolio::solve_portfolio(g, 3);
   EXPECT_EQ(result.verdict, Verdict::kUnsat);
@@ -93,8 +100,7 @@ TEST(Portfolio, ProvesUnsatInstance) {
   ASSERT_GE(result.winner, 0);
   const auto winner_kind =
       portfolio::default_strategies()[static_cast<std::size_t>(result.winner)].kind;
-  EXPECT_TRUE(winner_kind == StrategyKind::kCdcl ||
-              winner_kind == StrategyKind::kCdclPresimplify);
+  EXPECT_EQ(winner_kind, StrategyKind::kCdcl);
 }
 
 TEST(Portfolio, ValidatesArguments) {
@@ -163,12 +169,9 @@ TEST(Portfolio, HeuristicOnlyLineupCannotDecideUnsat) {
   const auto g = graph::kings_graph_square(5);
   PortfolioOptions options;
   options.strategies.clear();
-  for (const auto kind :
-       {StrategyKind::kDsatur, StrategyKind::kTabucol, StrategyKind::kSaPotts}) {
+  for (const auto kind : {StrategyKind::kDsatur, StrategyKind::kTabucol}) {
     portfolio::StrategyConfig config;
     config.kind = kind;
-    config.tabu_iterations = 500;
-    config.sa_sweeps = 50;
     options.strategies.push_back(config);
   }
   const PortfolioResult result = portfolio::solve_portfolio(g, 3, options);
@@ -182,20 +185,16 @@ TEST(Portfolio, HeuristicOnlyLineupCannotDecideUnsat) {
 }
 
 TEST(Portfolio, TimeoutCancelsBudgetBoundStrategies) {
-  // Only budget-heavy heuristics on an infeasible palette: without the
-  // timeout this would grind for a very long time; with it, both strategies
-  // must come back cancelled and the verdict stays unknown.
-  const auto g = graph::kings_graph_square(32);
+  // Only heuristic slots on an infeasible palette of a 10000-node graph:
+  // tabucol's full iteration budget takes far longer than the timeout there
+  // (every 2x2 block of a King's graph keeps a conflict at K=3), so both
+  // slots must come back cancelled and the verdict stays unknown.
+  const auto g = graph::kings_graph_square(100);
   PortfolioOptions options;
-  options.strategies.clear();
-  for (const auto kind : {StrategyKind::kTabucol, StrategyKind::kSaPotts}) {
-    portfolio::StrategyConfig config;
-    config.kind = kind;
-    config.tabu_iterations = 2000000000;
-    config.sa_sweeps = 2000000000;
-    options.strategies.push_back(config);
-  }
+  options.strategies.assign(2, portfolio::StrategyConfig{});
+  for (auto& config : options.strategies) config.kind = StrategyKind::kTabucol;
   options.timeout_ms = 30;
+  options.degrade = false;
   const PortfolioResult result = portfolio::solve_portfolio(g, 3, options);
   EXPECT_EQ(result.verdict, Verdict::kUnknown);
   for (const auto& outcome : result.outcomes) {
@@ -214,7 +213,6 @@ TEST(Portfolio, DuplicatedSlotsBothRunOnUndecidableInstance) {
   for (int copy = 0; copy < 2; ++copy) {
     portfolio::StrategyConfig config;
     config.kind = StrategyKind::kTabucol;
-    config.tabu_iterations = 300;
     options.strategies.push_back(config);
   }
   const PortfolioResult result = portfolio::solve_portfolio(g, 3, options);
