@@ -19,11 +19,17 @@
 //      (small tolerance for timer jitter).
 //   2. batch-of-40 reaches >= 2x legacy serial throughput on at least one
 //      ablation-sized fabric.
+//   3. noise overhead, the batch-of-40 lock window's time with noise over
+//      its time without, is at most 1.75x on every fabric (the aim is
+//      1.3x): the per-step noise is one bulk Box-Muller pass, not a scalar
+//      normal() per oscillator. Emitted as `noise_overhead` on each
+//      lock_noiseless row.
 //
 // Results land in bench_results/bench_phase_batch.json via BenchJsonWriter.
 //
 // Usage: bench_phase_batch [--csv]
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -233,6 +239,35 @@ Measurement measure(const graph::Graph& g, const Workload& w, int reps) {
   return best;
 }
 
+// batch40 time of the lock regime with noise over without. Its own paired
+// A/B: the two windows alternate back to back, so each pair sees the same
+// host load, and the median ratio drops the pairs a load burst split.
+double noise_overhead(const graph::Graph& g, int steps) {
+  constexpr int kPairs = 9;
+  const auto lock_batch = [&](double noise, std::vector<util::Rng>& rngs) {
+    phase::PhaseBatch batch(g, tuned_params(noise), kReplicas);
+    for (std::size_t r = 0; r < kReplicas; ++r) {
+      rngs.emplace_back(r + 1);
+      batch.randomize_phases(r, rngs[r]);
+      batch.set_couplings_active(r, true);
+      batch.set_shil_active(r, true);
+    }
+    return batch;
+  };
+  std::vector<util::Rng> noisy_rngs, quiet_rngs;
+  phase::PhaseBatch noisy = lock_batch(2.0e3, noisy_rngs);
+  phase::PhaseBatch quiet = lock_batch(0.0, quiet_rngs);
+  const double duration = static_cast<double>(steps) * tuned_params(0.0).dt;
+  std::vector<double> ratios;
+  for (int k = 0; k < kPairs; ++k) {
+    const double a = seconds([&] { noisy.run(duration, noisy_rngs); });
+    const double b = seconds([&] { quiet.run(duration, quiet_rngs); });
+    ratios.push_back(a / b);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  return ratios[kPairs / 2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -249,6 +284,7 @@ int main(int argc, char** argv) {
   // Timer-jitter allowance for gate 1; the measured margin is far larger.
   constexpr double kSlowdownTolerance = 1.05;
   constexpr double kBatchSpeedupGate = 2.0;
+  constexpr double kNoiseOverheadGate = 1.75;
 
   util::TextTable table({"fabric", "regime", "steps", "legacy_ms", "batch1_ms",
                          "batch40_ms", "b1_speedup", "b40_speedup",
@@ -257,11 +293,14 @@ int main(int argc, char** argv) {
   json.meta("replicas", static_cast<double>(kReplicas));
   json.meta("gate",
             "batch1 >= legacy on every row (1.05 jitter tolerance); "
-            "batch40 >= 2x legacy on at least one fabric");
+            "batch40 >= 2x legacy on at least one fabric; "
+            "noise_overhead <= 1.75x on every fabric");
 
   bool batch1_ok = true;
   double best_b40_speedup = 0.0;
   std::string best_b40_row;
+  std::string noise_report;
+  bool noise_ok = true;
   double sink = 0.0;
 
   for (const Workload& w : workloads) {
@@ -303,6 +342,14 @@ int main(int argc, char** argv) {
     json.metric("batch1_speedup", b1_speedup);
     json.metric("batch40_speedup", b40_speedup);
     json.metric("batch40_replica_steps_per_sec", rsteps);
+    if (std::strcmp(w.regime, "lock_noiseless") == 0) {
+      const double overhead = noise_overhead(g, w.steps);
+      json.metric("noise_overhead", overhead);
+      if (overhead > kNoiseOverheadGate) noise_ok = false;
+      char buf[64];
+      std::snprintf(buf, sizeof buf, " %s %.2fx", fabric.c_str(), overhead);
+      noise_report += buf;
+    }
   }
 
   json.meta("best_batch40_speedup", best_b40_speedup);
@@ -328,8 +375,14 @@ int main(int argc, char** argv) {
                  best_b40_speedup, best_b40_row.c_str(), kBatchSpeedupGate);
     failed = true;
   }
+  if (!noise_ok) {
+    std::fprintf(stderr, "FAIL: noise overhead above %.2fx:%s\n",
+                 kNoiseOverheadGate, noise_report.c_str());
+    failed = true;
+  }
   if (failed) return 1;
-  std::printf("gates passed: batch1 never slower; batch40 %.2fx on %s\n",
-              best_b40_speedup, best_b40_row.c_str());
+  std::printf("gates passed: batch1 never slower; batch40 %.2fx on %s; "
+              "noise overhead%s\n",
+              best_b40_speedup, best_b40_row.c_str(), noise_report.c_str());
   return 0;
 }

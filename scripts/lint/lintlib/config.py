@@ -126,6 +126,9 @@ HOT_FUNCTIONS = [re.compile(p) for p in (
     r'(^|::)PhaseBatch::refresh_trig$',
     r'(^|::)PhaseBatch::step$',
     r'(^|::)PhaseBatch::step_rk4$',
+    r'(^|::)detail::sincos_array$',
+    r'(^|::)detail::normal_array$',
+    r'(^|::)Rng::uniform_array$',
     r'(^|::)VarOrderHeap::\w+$',
 )]
 

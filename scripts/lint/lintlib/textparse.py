@@ -244,6 +244,11 @@ def extract_functions(path: str, text: str) -> TranslationUnit:
                 j += 1
             if j < n and tokens[j].kind == 'id':
                 name = tokens[j].text
+                # C++17 nested namespace `namespace a::b::c {` is one scope.
+                while j + 2 < n and tokens[j + 1].text == '::' and \
+                        tokens[j + 2].kind == 'id':
+                    j += 2
+                    name += '::' + tokens[j].text
             pending_scope = name or ''
             i += 1
             continue

@@ -33,6 +33,8 @@ _CASES = {
     'det_ok.cpp': ('src/solvers/det_ok.cpp', 'determinism', False),
     'alloc_bad.cpp': ('src/sat/alloc_bad.cpp', 'hot-path-alloc', True),
     'alloc_ok.cpp': ('src/sat/alloc_ok.cpp', 'hot-path-alloc', False),
+    'alloc_nested_ns_bad.cpp': ('src/phase/alloc_nested_ns_bad.cpp',
+                                'hot-path-alloc', True),
     'atomics_bad.cpp': ('src/obs/atomics_bad.cpp', 'atomics-discipline', True),
     'atomics_ok.cpp': ('src/obs/atomics_ok.cpp', 'atomics-discipline', False),
     'suppress_bad.cpp': ('src/sat/suppress_bad.cpp', 'lint-suppression', True),

@@ -3,14 +3,14 @@
 // typically run multiple times, with the best solution among the iterations
 // being selected as the final solution"; all experiments use 40 iterations).
 //
-// Iterations are embarrassingly parallel: each gets an independent RNG
-// stream derived from the base seed. Workers claim contiguous index ranges of
-// up to `batch_size` iterations and drive each range through ONE
-// MultiStagePottsMachine::solve_batch call, so the fabric is integrated as a
-// replica batch instead of once per trajectory. Because replica r of a
-// solve_batch is bit-identical to solve() on the same stream (itself a batch
-// of one) at any width, determinism holds for a fixed (seed, iteration) pair
-// regardless of thread count AND batch size.
+// Iterations are embarrassingly parallel: iteration i runs on the stream
+// util::Rng(seed).split(i), a pure function of (seed, i). Workers claim
+// contiguous index ranges of up to `batch_size` iterations and drive each
+// range through ONE MultiStagePottsMachine::solve_batch call, so the fabric
+// is integrated as a replica batch instead of once per trajectory. Because
+// replica r of a solve_batch is bit-identical to solve() on the same stream
+// (itself a batch of one) at any width, determinism holds for a fixed
+// (seed, iteration) pair regardless of thread count AND batch size.
 
 #include <cstddef>
 #include <vector>

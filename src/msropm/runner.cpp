@@ -4,6 +4,8 @@
 #include <atomic>
 #include <thread>
 
+#include "msropm/util/rng.hpp"
+
 namespace msropm::core {
 
 std::vector<double> RunSummary::accuracy_series() const {
@@ -37,6 +39,7 @@ RunSummary run_iterations(const MultiStagePottsMachine& machine,
   // iterations always form the prefix [0, next) of the index space.
   std::atomic<std::size_t> next{0};
   std::atomic<bool> cancelled{false};
+  const util::Rng master(options.seed);
   auto work = [&]() {
     std::vector<util::Rng> rngs;
     for (;;) {
@@ -47,13 +50,12 @@ RunSummary run_iterations(const MultiStagePottsMachine& machine,
       const std::size_t begin = next.fetch_add(batch);
       if (begin >= iters) return;
       const std::size_t count = std::min(batch, iters - begin);
-      // Independent, deterministic stream per iteration: the same derivation
-      // a serial run uses, so results are invariant to batch/thread counts.
+      // Independent, deterministic stream per iteration: split(i) is a pure
+      // function of (seed, i), so results are invariant to batch/thread
+      // counts.
       rngs.clear();
       for (std::size_t k = 0; k < count; ++k) {
-        const std::size_t i = begin + k;
-        rngs.emplace_back(options.seed * 0x9e3779b97f4a7c15ull +
-                          i * 0xbf58476d1ce4e5b9ull + 1);
+        rngs.push_back(master.split(begin + k));
       }
       std::vector<MsropmResult> results = machine.solve_batch(rngs);
       for (std::size_t k = 0; k < count; ++k) {

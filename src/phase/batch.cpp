@@ -112,6 +112,7 @@ PhaseBatch::PhaseBatch(const graph::Graph& g, NetworkParams params,
   weights_dirty_.assign(r_, 1);
   sin_.assign(n_, 0.0);
   cos_.assign(n_, 0.0);
+  noise_.assign(n_, 0.0);
 }
 
 void PhaseBatch::check_replica(std::size_t r) const {
@@ -341,6 +342,10 @@ void PhaseBatch::euler_step_replica(std::size_t r, util::Rng& rng,
   const bool shil = shil_active_[r] != 0 && shil_level_[r] > 0.0;
   const bool order2 = params_.shil_order == 2;
   const double* detune = detune_.data() + r * n_;
+  // One bulk Box-Muller fill per replica-step; zero noise draws nothing.
+  const bool noisy = noise_scale > 0.0;
+  if (noisy) detail::normal_array(rng, noise_.data(), n_);
+  const double* z = noise_.data();
 
   if (!couple && !(shil && order2)) {
     // No trig snapshot needed (the generic-order SHIL path takes raw theta).
@@ -353,12 +358,12 @@ void PhaseBatch::euler_step_replica(std::size_t r, util::Rng& rng,
         double d = detune[i];
         if (enable[i]) d -= ks * std::sin(order * (theta[i] - psi[i]));
         theta[i] += d * dt;
-        if (noise_scale > 0.0) theta[i] += noise_scale * rng.normal();
+        if (noisy) theta[i] += noise_scale * z[i];
       }
     } else {
       for (std::size_t i = 0; i < n_; ++i) {
         theta[i] += detune[i] * dt;
-        if (noise_scale > 0.0) theta[i] += noise_scale * rng.normal();
+        if (noisy) theta[i] += noise_scale * z[i];
       }
     }
     return;
@@ -398,7 +403,7 @@ void PhaseBatch::euler_step_replica(std::size_t r, util::Rng& rng,
       }
     }
     theta[i] += d * dt;
-    if (noise_scale > 0.0) theta[i] += noise_scale * rng.normal();
+    if (noisy) theta[i] += noise_scale * z[i];
   }
 }
 
@@ -477,9 +482,10 @@ bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
     } else {
       rk4_step_replica(r);
       if (noise_scale > 0.0) {
+        detail::normal_array(rngs[r], noise_.data(), n_);
         double* theta = theta_.data() + r * n_;
         for (std::size_t i = 0; i < n_; ++i) {
-          theta[i] += noise_scale * rngs[r].normal();
+          theta[i] += noise_scale * noise_[i];
         }
       }
     }

@@ -20,6 +20,8 @@
 //   * One sincos pass per replica-step fills the per-node sin/cos buffers;
 //     the order-2 SHIL term reuses them through the double-angle identity
 //     (other orders fall back to std::sin).
+//   * Noise is one bulk Box-Muller fill of N normals per replica-step from
+//     rngs[r] (trig.hpp normal_array), not a scalar draw per oscillator.
 //   * Per-replica edge masks, SHIL enables/phases, levels, and detune live as
 //     SoA slices because replicas diverge after each stage readout.
 //
@@ -222,6 +224,7 @@ class PhaseBatch {
   // rewritten before each per-replica use, so no state leaks across replicas.
   mutable std::vector<double> sin_, cos_;
   mutable std::vector<double> k1_, k2_, k3_, k4_, tmp_;
+  std::vector<double> noise_;  // N: one replica-step's standard normals
 };
 
 /// Wrap an angle into [0, 2pi).

@@ -37,6 +37,10 @@ class Rng {
   /// Uniform double in [0, 1).
   [[nodiscard]] double uniform() noexcept;
 
+  /// Fill out[0, n) with n uniform() draws in stream order: the bulk form
+  /// for hot loops (one call, generator state kept in registers).
+  void uniform_array(double* out, std::size_t n) noexcept;
+
   /// Uniform double in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi) noexcept;
 
@@ -48,6 +52,9 @@ class Rng {
   [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
 
   /// Standard normal draw (Box-Muller with caching of the second value).
+  /// This is the cold scalar path (initial perturbations, per-machine
+  /// detune); the phase kernel's per-step noise draws its normals in bulk
+  /// (phase/trig.hpp normal_array), one vectorised pass per replica-step.
   [[nodiscard]] double normal() noexcept;
 
   /// Normal draw with mean/stddev.

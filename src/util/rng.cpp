@@ -44,6 +44,12 @@ double Rng::uniform() noexcept {
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
+void Rng::uniform_array(double* out, std::size_t n) noexcept {
+  Rng local = *this;
+  for (std::size_t i = 0; i < n; ++i) out[i] = local.uniform();
+  s_ = local.s_;
+}
+
 double Rng::uniform(double lo, double hi) noexcept {
   return lo + (hi - lo) * uniform();
 }

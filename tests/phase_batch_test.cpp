@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <numbers>
 #include <vector>
@@ -148,6 +149,78 @@ TEST(PhaseBatch, BatchOfThreeMatchesSerialRk4WithNoise) {
   // RK4 drift + Euler-Maruyama noise: the noise draws must still line up
   // per replica.
   expect_batch_matches_serial(3, Integrator::kRk4, 2.0e3);
+}
+
+TEST(PhaseBatch, NoiselessRunLeavesRngsUntouched) {
+  // Zero noise draws nothing: no stream advances, in either integrator.
+  const auto g = graph::kings_graph_square(4);
+  for (const Integrator integrator :
+       {Integrator::kEulerMaruyama, Integrator::kRk4}) {
+    NetworkParams params = tuned_params(0.0);
+    params.integrator = integrator;
+    PhaseBatch batch(g, params, 3);
+    util::Rng init(5);
+    std::vector<util::Rng> rngs;
+    for (std::size_t r = 0; r < 3; ++r) {
+      batch.randomize_phases(r, init);
+      batch.set_shil_active(r, true);
+      rngs.emplace_back(100 + r);
+    }
+    std::vector<std::array<std::uint64_t, 4>> before;
+    for (const util::Rng& rng : rngs) before.push_back(rng.state());
+    batch.step(rngs);
+    batch.run(30.0 * params.dt, rngs);
+    for (std::size_t r = 0; r < 3; ++r) {
+      EXPECT_EQ(rngs[r].state(), before[r]) << "replica " << r;
+    }
+  }
+}
+
+/// On a drift-free fabric (couplings, SHIL and detune off) each step moves
+/// theta by noise_scale * z alone. Pools the increments of nodes
+/// [first, n) over `steps` steps and checks mean 0 and variance
+/// noise_scale^2, each within 4 sigma of its sampling error.
+void expect_noise_increments_normal(std::size_t side, std::size_t first,
+                                    int steps) {
+  const auto g = graph::kings_graph_square(side);
+  const NetworkParams params = tuned_params(2.0e3);
+  const double scale = params.noise_stddev * std::sqrt(params.dt);
+  PhaseBatch batch(g, params, 1);
+  batch.set_couplings_active(0, false);
+  std::vector<util::Rng> rngs{util::Rng(side)};
+
+  const std::size_t n = batch.size();
+  std::vector<double> prev(n, 0.0);
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (int s = 0; s < steps; ++s) {
+    batch.step(rngs);
+    const auto theta = batch.phases(0);
+    for (std::size_t i = first; i < n; ++i) {
+      const double z = (theta[i] - prev[i]) / scale;
+      sum += z;
+      sum_sq += z * z;
+      prev[i] = theta[i];
+    }
+  }
+  const double count = static_cast<double>(n - first) * steps;
+  const double mean = sum / count;
+  const double var = sum_sq / count - mean * mean;
+  EXPECT_LT(std::fabs(mean), 4.0 / std::sqrt(count));
+  EXPECT_LT(std::fabs(var - 1.0), 4.0 * std::sqrt(2.0 / count));
+}
+
+TEST(PhaseBatch, NoiseIncrementsAreStandardNormalOddN) {
+  // 7x7 King's: N = 49, so every step ends on the odd tail's lone pair.
+  expect_noise_increments_normal(7, 0, 2000);
+  expect_noise_increments_normal(7, 48, 4000);
+}
+
+TEST(PhaseBatch, NoiseIncrementsAreStandardNormalTailLanes) {
+  // 6x6 King's: N = 36 = 4 blocks of 8 plus 4 lanes through the scalar
+  // transform.
+  expect_noise_increments_normal(6, 0, 2000);
+  expect_noise_increments_normal(6, 32, 2000);
 }
 
 TEST(PhaseBatch, DerivativeIsNegativeEnergyGradient) {

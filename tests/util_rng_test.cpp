@@ -30,6 +30,15 @@ TEST(Rng, DeterministicForSameSeed) {
   }
 }
 
+TEST(Rng, UniformArrayMatchesScalarDraws) {
+  Rng bulk(42);
+  Rng scalar(42);
+  std::vector<double> u(37);
+  bulk.uniform_array(u.data(), u.size());
+  for (const double x : u) ASSERT_EQ(x, scalar.uniform());
+  EXPECT_EQ(bulk.state(), scalar.state());
+}
+
 TEST(Rng, DifferentSeedsDiverge) {
   Rng a(1);
   Rng b(2);
