@@ -35,6 +35,8 @@ _CASES = {
     'alloc_ok.cpp': ('src/sat/alloc_ok.cpp', 'hot-path-alloc', False),
     'alloc_nested_ns_bad.cpp': ('src/phase/alloc_nested_ns_bad.cpp',
                                 'hot-path-alloc', True),
+    'alloc_lane_kernel_bad.cpp': ('src/phase/alloc_lane_kernel_bad.hpp',
+                                  'hot-path-alloc', True),
     'atomics_bad.cpp': ('src/obs/atomics_bad.cpp', 'atomics-discipline', True),
     'atomics_ok.cpp': ('src/obs/atomics_ok.cpp', 'atomics-discipline', False),
     'suppress_bad.cpp': ('src/sat/suppress_bad.cpp', 'lint-suppression', True),

@@ -56,7 +56,10 @@ struct RunnerOptions {
   std::size_t num_threads = 0;    ///< 0 = hardware concurrency
   /// Replicas per solve_batch call (clamped to >= 1). Results are invariant
   /// to this knob; it only trades scheduling granularity against the batch
-  /// engine's shared-traversal throughput.
+  /// engine's throughput, which grows with whole multiples of the SIMD lane
+  /// width (8 on AVX-512 hosts, 4 with AVX2; see phase/batch.hpp): a batch
+  /// of 8 steps as one lane group, while the remainder of a batch steps
+  /// replica by replica.
   std::size_t batch_size = 8;
   /// Cooperative cancellation, polled between batches (a started batch runs
   /// to completion). Default token is inert.

@@ -16,17 +16,6 @@ namespace {
 
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
-// One fused argument reduction for both outputs (cold paths only -- the hot
-// per-step refresh goes through detail::sincos_array, which vectorizes).
-inline void sin_cos(double x, double& s, double& c) {
-#if defined(__GLIBC__)
-  ::sincos(x, &s, &c);
-#else
-  s = std::sin(x);
-  c = std::cos(x);
-#endif
-}
-
 // Batched-stepping observability: one span per run() window plus replica
 // throughput heartbeat gauges. All write-only behind obs::gate() -- the
 // trajectory math never reads any of it (no-perturbation contract, pinned by
@@ -97,11 +86,19 @@ PhaseBatch::PhaseBatch(const graph::Graph& g, NetworkParams params,
     csr_edge_[cursor[v]++] = static_cast<std::uint32_t>(e);
   }
 
+  // Lane groups only pay from two lanes up; with L = 1 every replica is a
+  // single.
+  simd_ = &detail::simd(detail::simd_width());
+  lanes_ = simd_->width;
+  groups_ = lanes_ > 1 ? r_ / lanes_ : 0;
+  const std::size_t scratch = n_ * lanes_;
+
   theta_.assign(r_ * n_, 0.0);
   j_.assign(r_ * m_, -1.0);  // B2B inverters: anti-ferromagnetic
   edge_mask_.assign(r_ * m_, 1);
-  shil_enable_.assign(r_ * n_, 1);
   shil_phase_.assign(r_ * n_, 0.0);
+  lanes_theta_.assign(groups_ * n_ * lanes_, 0.0);
+  shil_enable_.assign(r_ * n_, 1);
   shil_sin_.assign(r_ * n_, 0.0);
   shil_cos_.assign(r_ * n_, 1.0);
   detune_.assign(r_ * n_, 0.0);
@@ -110,9 +107,27 @@ PhaseBatch::PhaseBatch(const graph::Graph& g, NetworkParams params,
   shil_level_.assign(r_, 1.0);
   weights_.assign(r_ * 2 * m_, 0.0);
   weights_dirty_.assign(r_, 1);
-  sin_.assign(n_, 0.0);
-  cos_.assign(n_, 0.0);
-  noise_.assign(n_, 0.0);
+  sin_.assign(scratch, 0.0);
+  cos_.assign(scratch, 0.0);
+  if (params_.shil_order != 2) {
+    gsin_.assign(scratch, 0.0);
+    gcos_.assign(scratch, 0.0);
+  }
+  // Noise scratch: one chunk of the Euler kernel, or a whole replica-step
+  // of RK4 noise.
+  const std::size_t noise =
+      std::max(detail::kNoiseChunk / 2 * lanes_, (n_ + 1) / 2);
+  zc_.assign(noise, 0.0);
+  zs_.assign(noise, 0.0);
+}
+
+PhaseBatch::Slice PhaseBatch::slice(std::size_t r,
+                                    std::size_t per_replica) const noexcept {
+  const std::size_t grouped = groups_ * lanes_;
+  if (r < grouped) {
+    return {(r / lanes_) * per_replica * lanes_ + r % lanes_, lanes_};
+  }
+  return {grouped * per_replica + (r - grouped) * per_replica, 1};
 }
 
 void PhaseBatch::check_replica(std::size_t r) const {
@@ -190,21 +205,27 @@ void PhaseBatch::set_shil_enable(std::size_t r,
   if (per_osc.size() != n_) {
     throw std::invalid_argument("PhaseBatch::set_shil_enable: size mismatch");
   }
-  std::copy(per_osc.begin(), per_osc.end(), shil_enable_.begin() + r * n_);
+  const Slice at = slice(r, n_);
+  for (std::size_t i = 0; i < n_; ++i) shil_enable_[at.at(i)] = per_osc[i];
 }
 
 void PhaseBatch::enable_all_shil(std::size_t r) {
   check_replica(r);
-  std::fill_n(shil_enable_.begin() + r * n_, n_, std::uint8_t{1});
+  const Slice at = slice(r, n_);
+  for (std::size_t i = 0; i < n_; ++i) shil_enable_[at.at(i)] = 1;
 }
 
 void PhaseBatch::refresh_shil_trig(std::size_t r) {
+  // Through the W-wide pass like every other transcendental, staged in the
+  // step scratch (rewritten before each use).
   const double order = static_cast<double>(params_.shil_order);
   const double* psi = shil_phase_.data() + r * n_;
-  double* s = shil_sin_.data() + r * n_;
-  double* c = shil_cos_.data() + r * n_;
+  for (std::size_t i = 0; i < n_; ++i) sin_[i] = order * psi[i];
+  simd_->sincos(sin_.data(), sin_.data(), cos_.data(), n_);
+  const Slice at = slice(r, n_);
   for (std::size_t i = 0; i < n_; ++i) {
-    sin_cos(order * psi[i], s[i], c[i]);
+    shil_sin_[at.at(i)] = sin_[i];
+    shil_cos_[at.at(i)] = cos_[i];
   }
 }
 
@@ -233,13 +254,14 @@ void PhaseBatch::set_detune(std::size_t r,
   if (detune_rad_per_s.size() != n_) {
     throw std::invalid_argument("PhaseBatch::set_detune: size mismatch");
   }
-  std::copy(detune_rad_per_s.begin(), detune_rad_per_s.end(),
-            detune_.begin() + r * n_);
+  const Slice at = slice(r, n_);
+  for (std::size_t i = 0; i < n_; ++i) detune_[at.at(i)] = detune_rad_per_s[i];
 }
 
 void PhaseBatch::clear_detune(std::size_t r) {
   check_replica(r);
-  std::fill_n(detune_.begin() + r * n_, n_, 0.0);
+  const Slice at = slice(r, n_);
+  for (std::size_t i = 0; i < n_; ++i) detune_[at.at(i)] = 0.0;
 }
 
 void PhaseBatch::rebuild_weights(std::size_t r) const {
@@ -248,19 +270,19 @@ void PhaseBatch::rebuild_weights(std::size_t r) const {
   const double kc = params_.coupling_gain;
   const double* j = j_.data() + r * m_;
   const std::uint8_t* mask = edge_mask_.data() + r * m_;
-  double* w = weights_.data() + r * 2 * m_;
   const std::size_t nnz = 2 * m_;
+  const Slice at = slice(r, nnz);
   for (std::size_t k = 0; k < nnz; ++k) {
     const std::uint32_t e = csr_edge_[k];
-    w[k] = mask[e] ? kc * j[e] : 0.0;
+    weights_[at.at(k)] = mask[e] ? kc * j[e] : 0.0;
   }
   weights_dirty_[r] = 0;
 }
 
 void PhaseBatch::refresh_trig(const double* theta) const {
-  // The per-step hot spot on ablation-sized fabrics: one bulk sincos pass,
-  // SIMD-dispatched (see trig.hpp for the determinism contract).
-  detail::sincos_array(theta, sin_.data(), cos_.data(), n_);
+  // One bulk sincos pass at the batch's vector width (see trig.hpp for the
+  // determinism contract).
+  simd_->sincos(theta, sin_.data(), cos_.data(), n_);
 }
 
 void PhaseBatch::derivative_into(std::size_t r, const double* theta,
@@ -268,26 +290,25 @@ void PhaseBatch::derivative_into(std::size_t r, const double* theta,
   const bool couple = couplings_active_[r] != 0;
   const bool shil = shil_active_[r] != 0 && shil_level_[r] > 0.0;
   const bool order2 = params_.shil_order == 2;
+  const Slice node = slice(r, n_);
 
-  const double* detune = detune_.data() + r * n_;
-  for (std::size_t i = 0; i < n_; ++i) dtheta[i] = detune[i];
+  for (std::size_t i = 0; i < n_; ++i) dtheta[i] = detune_[node.at(i)];
 
   if (couple || (shil && order2)) refresh_trig(theta);
 
   if (couple) {
     if (weights_dirty_[r]) rebuild_weights(r);
-    const double* w = weights_.data() + r * 2 * m_;
+    const Slice entry = slice(r, 2 * m_);
     // Node-major gather: sum_j w_ij sin(theta_i - theta_j)
     //   = sin_i * sum_j w_ij cos_j - cos_i * sum_j w_ij sin_j.
     for (std::size_t i = 0; i < n_; ++i) {
-      const std::uint32_t begin = csr_offsets_[i];
-      const std::uint32_t end = csr_offsets_[i + 1];
       double acc_cos = 0.0;
       double acc_sin = 0.0;
-      for (std::uint32_t k = begin; k < end; ++k) {
+      for (std::uint32_t k = csr_offsets_[i]; k < csr_offsets_[i + 1]; ++k) {
+        const double w = weights_[entry.at(k)];
         const std::uint32_t j = csr_neighbor_[k];
-        acc_cos += w[k] * cos_[j];
-        acc_sin += w[k] * sin_[j];
+        acc_cos += w * cos_[j];
+        acc_sin += w * sin_[j];
       }
       dtheta[i] -= sin_[i] * acc_cos - cos_[i] * acc_sin;
     }
@@ -295,25 +316,26 @@ void PhaseBatch::derivative_into(std::size_t r, const double* theta,
 
   if (shil) {
     const double ks = params_.shil_gain * shil_level_[r];
-    const std::uint8_t* enable = shil_enable_.data() + r * n_;
     if (order2) {
       // sin(2(theta - psi)) = sin(2 theta) cos(2 psi) - cos(2 theta) sin(2 psi)
       // with sin(2 theta) = 2 sin cos and cos(2 theta) = cos^2 - sin^2 from
       // the per-node pass above; sin/cos(2 psi) are cached per replica.
-      const double* ps = shil_sin_.data() + r * n_;
-      const double* pc = shil_cos_.data() + r * n_;
       for (std::size_t i = 0; i < n_; ++i) {
-        if (!enable[i]) continue;
+        if (!shil_enable_[node.at(i)]) continue;
         const double s2 = 2.0 * sin_[i] * cos_[i];
         const double c2 = cos_[i] * cos_[i] - sin_[i] * sin_[i];
-        dtheta[i] -= ks * (s2 * pc[i] - c2 * ps[i]);
+        dtheta[i] -= ks * (s2 * shil_cos_[node.at(i)] -
+                           c2 * shil_sin_[node.at(i)]);
       }
     } else {
       const double order = static_cast<double>(params_.shil_order);
       const double* psi = shil_phase_.data() + r * n_;
       for (std::size_t i = 0; i < n_; ++i) {
-        if (!enable[i]) continue;
-        dtheta[i] -= ks * std::sin(order * (theta[i] - psi[i]));
+        gsin_[i] = order * (theta[i] - psi[i]);
+      }
+      simd_->sincos(gsin_.data(), gsin_.data(), gcos_.data(), n_);
+      for (std::size_t i = 0; i < n_; ++i) {
+        if (shil_enable_[node.at(i)]) dtheta[i] -= ks * gsin_[i];
       }
     }
   }
@@ -328,83 +350,50 @@ void PhaseBatch::derivative(std::size_t r, std::span<const double> theta,
   derivative_into(r, theta.data(), dtheta.data());
 }
 
-void PhaseBatch::euler_step_replica(std::size_t r, util::Rng& rng,
-                                    double noise_scale) {
-  // Fused Euler-Maruyama update: the gather reads only the pre-step sin/cos
-  // snapshot (never theta itself), so theta can be advanced in place without
-  // materializing the k1 derivative buffer. Term order matches
-  // derivative_into exactly -- the facade and the RK4 path share those
-  // kernels, and bit-identity across batch widths requires identical
-  // per-replica FP sequences, not identical buffers.
-  double* theta = theta_.data() + r * n_;
-  const double dt = params_.dt;
-  const bool couple = couplings_active_[r] != 0;
-  const bool shil = shil_active_[r] != 0 && shil_level_[r] > 0.0;
-  const bool order2 = params_.shil_order == 2;
-  const double* detune = detune_.data() + r * n_;
-  // One bulk Box-Muller fill per replica-step; zero noise draws nothing.
+void PhaseBatch::euler_step_lanes(std::size_t first, std::size_t lanes,
+                                  double* x, util::Rng* rngs,
+                                  double noise_scale) {
+  // One kernel template on the lane count serves groups and singles alike
+  // (simd_kernels.hpp); here only the raw views and per-lane flags are set.
+  detail::LaneStep step;
+  step.trig = simd_;
+  step.n = n_;
+  step.csr_offsets = csr_offsets_.data();
+  step.csr_neighbor = csr_neighbor_.data();
+  step.x = x;
+  const Slice node = slice(first, n_);
+  step.w = weights_.data() + slice(first, 2 * m_).base;
+  step.detune = detune_.data() + node.base;
+  step.shil_sin = shil_sin_.data() + node.base;
+  step.shil_cos = shil_cos_.data() + node.base;
+  step.shil_enable = shil_enable_.data() + node.base;
+  step.sin = sin_.data();
+  step.cos = cos_.data();
+  step.gsin = gsin_.data();
+  step.gcos = gcos_.data();
+  step.dt = params_.dt;
+  step.noise_scale = noise_scale;
+  step.shil_order = params_.shil_order;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const std::size_t r = first + l;
+    if (weights_dirty_[r]) rebuild_weights(r);
+    step.couple[l] = couplings_active_[r] != 0;
+    step.shil[l] = shil_active_[r] != 0 && shil_level_[r] > 0.0;
+    step.ks[l] = step.shil[l] ? params_.shil_gain * shil_level_[r] : 0.0;
+    step.psi[l] = shil_phase_.data() + r * n_;
+  }
+  // The kernel draws the noise chunk by chunk from the lanes' own streams;
+  // zero noise draws nothing.
+  std::uint64_t state[4 * detail::kMaxLanes] = {};
   const bool noisy = noise_scale > 0.0;
-  if (noisy) detail::normal_array(rng, noise_.data(), n_);
-  const double* z = noise_.data();
-
-  if (!couple && !(shil && order2)) {
-    // No trig snapshot needed (the generic-order SHIL path takes raw theta).
-    if (shil) {
-      const double ks = params_.shil_gain * shil_level_[r];
-      const double order = static_cast<double>(params_.shil_order);
-      const std::uint8_t* enable = shil_enable_.data() + r * n_;
-      const double* psi = shil_phase_.data() + r * n_;
-      for (std::size_t i = 0; i < n_; ++i) {
-        double d = detune[i];
-        if (enable[i]) d -= ks * std::sin(order * (theta[i] - psi[i]));
-        theta[i] += d * dt;
-        if (noisy) theta[i] += noise_scale * z[i];
-      }
-    } else {
-      for (std::size_t i = 0; i < n_; ++i) {
-        theta[i] += detune[i] * dt;
-        if (noisy) theta[i] += noise_scale * z[i];
-      }
-    }
-    return;
+  if (noisy) {
+    detail::pack_states({rngs, lanes}, state);
+    step.rng_state = state;
+    step.zc = zc_.data();
+    step.zs = zs_.data();
   }
-
-  refresh_trig(theta);
-  if (couple && weights_dirty_[r]) rebuild_weights(r);
-  const double* w = weights_.data() + r * 2 * m_;
-  const double ks = shil ? params_.shil_gain * shil_level_[r] : 0.0;
-  const std::uint8_t* enable = shil_enable_.data() + r * n_;
-  const double* ps = shil_sin_.data() + r * n_;
-  const double* pc = shil_cos_.data() + r * n_;
-  const double* psi = shil_phase_.data() + r * n_;
-  const double order = static_cast<double>(params_.shil_order);
-
-  for (std::size_t i = 0; i < n_; ++i) {
-    double d = detune[i];
-    if (couple) {
-      const std::uint32_t begin = csr_offsets_[i];
-      const std::uint32_t end = csr_offsets_[i + 1];
-      double acc_cos = 0.0;
-      double acc_sin = 0.0;
-      for (std::uint32_t k = begin; k < end; ++k) {
-        const std::uint32_t j = csr_neighbor_[k];
-        acc_cos += w[k] * cos_[j];
-        acc_sin += w[k] * sin_[j];
-      }
-      d -= sin_[i] * acc_cos - cos_[i] * acc_sin;
-    }
-    if (shil && enable[i]) {
-      if (order2) {
-        const double s2 = 2.0 * sin_[i] * cos_[i];
-        const double c2 = cos_[i] * cos_[i] - sin_[i] * sin_[i];
-        d -= ks * (s2 * pc[i] - c2 * ps[i]);
-      } else {
-        d -= ks * std::sin(order * (theta[i] - psi[i]));
-      }
-    }
-    theta[i] += d * dt;
-    if (noisy) theta[i] += noise_scale * z[i];
-  }
+  (lanes == 1 ? detail::simd(1) : *simd_).euler_step(step);
+  if (noisy) detail::unpack_states(state, {rngs, lanes});
 }
 
 void PhaseBatch::rk4_step_replica(std::size_t r) {
@@ -427,12 +416,37 @@ void PhaseBatch::rk4_step_replica(std::size_t r) {
   }
 }
 
+void PhaseBatch::pack_lanes() {
+  for (std::size_t r = 0; r < groups_ * lanes_; ++r) {
+    const double* theta = theta_.data() + r * n_;
+    const Slice at = slice(r, n_);
+    for (std::size_t i = 0; i < n_; ++i) lanes_theta_[at.at(i)] = theta[i];
+  }
+}
+
+void PhaseBatch::unpack_lanes() {
+  for (std::size_t r = 0; r < groups_ * lanes_; ++r) {
+    double* theta = theta_.data() + r * n_;
+    const Slice at = slice(r, n_);
+    for (std::size_t i = 0; i < n_; ++i) theta[i] = lanes_theta_[at.at(i)];
+  }
+}
+
 void PhaseBatch::step(std::span<util::Rng> rngs) {
   if (rngs.size() != r_) {
     throw std::invalid_argument("PhaseBatch::step: one Rng per replica");
   }
   const double noise_scale = params_.noise_stddev * std::sqrt(params_.dt);
-  for (std::size_t r = 0; r < r_; ++r) euler_step_replica(r, rngs[r], noise_scale);
+  pack_lanes();
+  for (std::size_t g = 0; g < groups_; ++g) {
+    euler_step_lanes(g * lanes_, lanes_, lanes_theta_.data() + g * n_ * lanes_,
+                     rngs.data() + g * lanes_, noise_scale);
+  }
+  for (std::size_t r = groups_ * lanes_; r < r_; ++r) {
+    euler_step_lanes(r, 1, theta_.data() + r * n_, rngs.data() + r,
+                     noise_scale);
+  }
+  unpack_lanes();
 }
 
 void PhaseBatch::step_rk4() {
@@ -453,6 +467,13 @@ bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
   auto steps = static_cast<std::size_t>(std::ceil(duration / dt - 1e-9));
   if (steps == 0) steps = 1;
 
+  // Units of work: with Euler the lane groups, then the single-lane rest;
+  // RK4 steps replica by replica.
+  const bool euler = params_.integrator == Integrator::kEulerMaruyama;
+  const std::size_t groups = euler ? groups_ : 0;
+  const std::size_t grouped = groups * lanes_;
+  const std::size_t units = groups + (r_ - grouped);
+
   // Window span + throughput heartbeat: write-only observability, gated so a
   // disabled build/run never touches a clock.
   const std::uint32_t obs_gate = obs::gate();
@@ -463,30 +484,38 @@ bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
     span.arg("replicas", static_cast<std::uint64_t>(r_));
     span.arg("steps", static_cast<std::uint64_t>(steps));
     span.arg("oscillators", static_cast<std::uint64_t>(n_));
+    span.arg("lanes", static_cast<std::uint64_t>(lanes_));
+    span.arg("lane_groups", static_cast<std::uint64_t>(groups));
     obs_t0 = std::chrono::steady_clock::now();
   }
 
-  const bool euler = params_.integrator == Integrator::kEulerMaruyama;
   const double noise_scale = params_.noise_stddev * std::sqrt(dt);
   std::vector<double> saved_level;
   if (shil_ramp != nullptr) {
     saved_level.assign(shil_level_.begin(), shil_level_.end());
   }
-  const auto step_one = [&](std::size_t r, std::size_t s) {
+  const auto step_one = [&](std::size_t u, std::size_t s) {
+    const std::size_t first = u < groups ? u * lanes_ : grouped + (u - groups);
+    const std::size_t lanes = u < groups ? lanes_ : 1;
     if (shil_ramp != nullptr) {
       const double frac = static_cast<double>(s) / static_cast<double>(steps);
-      set_shil_level(r, saved_level[r] * shil_ramp->value(frac));
+      for (std::size_t r = first; r < first + lanes; ++r) {
+        set_shil_level(r, saved_level[r] * shil_ramp->value(frac));
+      }
     }
     if (euler) {
-      euler_step_replica(r, rngs[r], noise_scale);
-    } else {
-      rk4_step_replica(r);
-      if (noise_scale > 0.0) {
-        detail::normal_array(rngs[r], noise_.data(), n_);
-        double* theta = theta_.data() + r * n_;
-        for (std::size_t i = 0; i < n_; ++i) {
-          theta[i] += noise_scale * noise_[i];
-        }
+      double* x = u < groups ? lanes_theta_.data() + u * n_ * lanes_
+                             : theta_.data() + first * n_;
+      euler_step_lanes(first, lanes, x, rngs.data() + first, noise_scale);
+      return;
+    }
+    rk4_step_replica(first);
+    if (noise_scale > 0.0) {
+      detail::normal_lanes(*simd_, rngs.subspan(first, 1), zc_.data(),
+                           zs_.data(), n_);
+      double* theta = theta_.data() + first * n_;
+      for (std::size_t i = 0; i < n_; ++i) {
+        theta[i] += noise_scale * ((i & 1) != 0 ? zs_ : zc_)[i >> 1];
       }
     }
   };
@@ -499,33 +528,36 @@ bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
     if (stop != nullptr && stop->stop_requested()) return true;
     return util::fault::fire(util::FaultSite::kBatchStep);
   };
+  if (groups > 0) pack_lanes();
   if (observer) {
     // Observer sees the whole batch after each step, so steps must advance in
-    // lockstep across replicas.
+    // lockstep across units, and the groups unpack after every step.
     for (std::size_t s = 0; s < steps; ++s) {
       if (should_break(s)) {
         interrupted = true;
         break;
       }
-      for (std::size_t r = 0; r < r_; ++r) step_one(r, s);
+      for (std::size_t u = 0; u < units; ++u) step_one(u, s);
+      if (groups > 0) unpack_lanes();
       observer(static_cast<double>(s + 1) * dt, *this);
     }
   } else {
-    // Replica-major: replica r's whole window runs back-to-back, keeping its
-    // state and fused weights cache-hot across steps. Replica r only ever
-    // touches replica-r state and rngs[r], so the trajectories are
-    // bit-identical to the lockstep order (the equivalence gate covers both:
-    // solve_batch windows take this path, its stage observers the other).
-    for (std::size_t r = 0; r < r_ && !interrupted; ++r) {
+    // Unit-major: a group's (or single's) whole window runs back-to-back,
+    // keeping its state and fused weights cache-hot across steps. A lane
+    // only ever touches its replica's state and rngs[r], so the trajectories
+    // are bit-identical to the lockstep order (pinned by phase_batch_test's
+    // LockstepObserverPathMatchesReplicaMajor).
+    for (std::size_t u = 0; u < units && !interrupted; ++u) {
       for (std::size_t s = 0; s < steps; ++s) {
         if (should_break(s)) {
           interrupted = true;
           break;
         }
-        step_one(r, s);
+        step_one(u, s);
       }
     }
   }
+  if (groups > 0) unpack_lanes();
   if (shil_ramp != nullptr) {
     std::copy(saved_level.begin(), saved_level.end(), shil_level_.begin());
   }
@@ -572,24 +604,22 @@ double PhaseBatch::shil_energy(std::size_t r) const {
   const double ks = params_.shil_gain * shil_level_[r];
   const double order = static_cast<double>(params_.shil_order);
   const double* theta = theta_.data() + r * n_;
-  const std::uint8_t* enable = shil_enable_.data() + r * n_;
+  const Slice node = slice(r, n_);
   double e = 0.0;
   if (params_.shil_order == 2) {
     // cos(2(theta - psi)) = cos(2 theta) cos(2 psi) + sin(2 theta) sin(2 psi)
     // from the shared per-node sincos pass (see coupling_energy).
     refresh_trig(theta);
-    const double* ps = shil_sin_.data() + r * n_;
-    const double* pc = shil_cos_.data() + r * n_;
     for (std::size_t i = 0; i < n_; ++i) {
-      if (!enable[i]) continue;
+      if (!shil_enable_[node.at(i)]) continue;
       const double s2 = 2.0 * sin_[i] * cos_[i];
       const double c2 = cos_[i] * cos_[i] - sin_[i] * sin_[i];
-      e -= ks / order * (c2 * pc[i] + s2 * ps[i]);
+      e -= ks / order * (c2 * shil_cos_[node.at(i)] + s2 * shil_sin_[node.at(i)]);
     }
   } else {
     const double* psi = shil_phase_.data() + r * n_;
     for (std::size_t i = 0; i < n_; ++i) {
-      if (!enable[i]) continue;
+      if (!shil_enable_[node.at(i)]) continue;
       e -= ks / order * std::cos(order * (theta[i] - psi[i]));
     }
   }

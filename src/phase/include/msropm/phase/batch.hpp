@@ -4,9 +4,8 @@
 // The paper's headline experiments are best-of-40 Monte-Carlo sweeps over the
 // SAME graph: every iteration re-integrates the identical coupling network
 // with nothing but a different RNG stream. PhaseBatch owns R replicas x N
-// oscillators in flat contiguous arrays (`theta[r*N + i]`) and steps ALL
-// replicas per call, so the graph is traversed once per batch instead of once
-// per trajectory:
+// oscillators and steps ALL replicas per call, so the graph is traversed once
+// per lane group instead of once per trajectory:
 //
 //   * The graph is converted ONCE into a CSR neighbor structure (per-node
 //     adjacency with the edge id of each entry). The derivative is a gather /
@@ -17,20 +16,32 @@
 //
 //     with fused per-replica weights w_ij = Kc * J_ij * m_ij rebuilt lazily
 //     when a replica's couplings or mask change (once per MSROPM stage).
-//   * One sincos pass per replica-step fills the per-node sin/cos buffers;
-//     the order-2 SHIL term reuses them through the double-angle identity
-//     (other orders fall back to std::sin).
-//   * Noise is one bulk Box-Muller fill of N normals per replica-step from
-//     rngs[r] (trig.hpp normal_array), not a scalar draw per oscillator.
-//   * Per-replica edge masks, SHIL enables/phases, levels, and detune live as
-//     SoA slices because replicas diverge after each stage readout.
+//   * Replica lanes. The replicas run as floor(R/L) interleaved lane groups
+//     of L plus R mod L single-lane replicas, where L is the SIMD width
+//     fixed once per process (8 with AVX-512F+DQ, 4 with AVX2, else 1; see
+//     src/phase/trig.hpp). A group's per-node state is laid out node-major
+//     with the lanes innermost (`x[i*L + lane]`), so the gather does one
+//     L-wide load per CSR neighbour and per weight, the sin/cos pass runs
+//     over N*L contiguous values, and the noise comes from an L-lane
+//     xoshiro256** whose lane l is exactly rngs[l]'s stream. One kernel
+//     template on L serves both the groups and the single-lane replicas.
+//   * The order-2 SHIL term reuses the sin/cos pass through the double-angle
+//     identity; per-replica edge masks, SHIL enables/phases, levels and
+//     detune are per-lane state because replicas diverge after each readout.
 //
-// Determinism contract: replica r of a batch only ever reads replica-r state
-// and rngs[r], with the identical per-replica instruction sequence at every
-// batch width -- so a batch-of-R run is bit-identical to R batch-of-1 runs
-// (hard-gated by tests/core_batch_equivalence_test.cpp). PhaseNetwork
-// (network.hpp) is a thin facade over a PhaseBatch of one replica, so "serial"
-// and "batched" share this single implementation.
+// The lane layout is internal working state: phases(r) and theta_flat() stay
+// replica-major (`theta[r*N + i]`). run() and step() pack the groups' phases
+// on entry and unpack them on exit, and after every step when an observer
+// watches the window.
+//
+// Determinism contract: a lane computes exactly what a lone replica computes
+// -- every transcendental runs at the process's one vector width on padded
+// blocks, terms a lane has switched off are blended out rather than added as
+// zero, and FP contraction is off -- and replica r only ever reads replica-r
+// state and rngs[r]. So a batch-of-R run is bit-identical to R batch-of-1
+// runs (hard-gated by tests/core_batch_equivalence_test.cpp). PhaseNetwork
+// (network.hpp) is a thin facade over a PhaseBatch of one replica, so
+// "serial" and "batched" share this single implementation.
 
 #include <cstdint>
 #include <functional>
@@ -42,6 +53,10 @@
 #include "msropm/util/stop_token.hpp"
 
 namespace msropm::phase {
+
+namespace detail {
+struct SimdKernels;
+}
 
 /// Integration scheme used by run(). Euler-Maruyama is the paper's default;
 /// RK4 integrates the drift with a 4th-order step (noise, when enabled, is
@@ -179,20 +194,40 @@ class PhaseBatch {
   }
 
  private:
+  /// Where replica r's slice of a lane-layout array lives: element i at
+  /// base + i * stride (stride L inside a lane group, 1 for a single).
+  struct Slice {
+    std::size_t base;
+    std::size_t stride;
+    [[nodiscard]] std::size_t at(std::size_t i) const noexcept {
+      return base + i * stride;
+    }
+  };
+  /// Slice of an array with `per_replica` elements per replica.
+  [[nodiscard]] Slice slice(std::size_t r, std::size_t per_replica) const noexcept;
+
   void check_replica(std::size_t r) const;
   void rebuild_weights(std::size_t r) const;
   void refresh_trig(const double* theta) const;
   void refresh_shil_trig(std::size_t r);
   /// The per-replica derivative kernel; theta/dtheta point at n_ doubles.
   void derivative_into(std::size_t r, const double* theta, double* dtheta) const;
-  void euler_step_replica(std::size_t r, util::Rng& rng, double noise_scale);
+  /// One Euler-Maruyama step of replicas [first, first + lanes), lanes 1 or
+  /// lanes_, whose phases are x in lane layout.
+  void euler_step_lanes(std::size_t first, std::size_t lanes, double* x,
+                        util::Rng* rngs, double noise_scale);
   void rk4_step_replica(std::size_t r);
+  void pack_lanes();
+  void unpack_lanes();
 
   const graph::Graph* graph_;
   NetworkParams params_;
   std::size_t n_ = 0;  ///< oscillators per replica
   std::size_t m_ = 0;  ///< edges
   std::size_t r_ = 0;  ///< replicas
+  const detail::SimdKernels* simd_;  ///< W-wide kernels, fixed at construction
+  std::size_t lanes_ = 1;   ///< L: lanes per group (the SIMD width W)
+  std::size_t groups_ = 0;  ///< lane groups; replicas [0, groups_*L) are grouped
 
   // CSR neighbor structure: structural, shared by all replicas. Entry k in
   // [csr_offsets_[i], csr_offsets_[i+1]) is neighbor csr_neighbor_[k] via
@@ -201,13 +236,17 @@ class PhaseBatch {
   std::vector<std::uint32_t> csr_neighbor_;  // 2m
   std::vector<std::uint32_t> csr_edge_;      // 2m
 
-  // Per-replica SoA state. Slice r of an N-array is [r*n_, (r+1)*n_), of an
-  // M-array [r*m_, (r+1)*m_).
+  // Replica-major state behind the span API: slice r of an N-array is
+  // [r*n_, (r+1)*n_), of an M-array [r*m_, (r+1)*m_).
   std::vector<double> theta_;              // R*N
   std::vector<double> j_;                  // R*M
   std::vector<std::uint8_t> edge_mask_;    // R*M
-  std::vector<std::uint8_t> shil_enable_;  // R*N
   std::vector<double> shil_phase_;         // R*N
+  // Kernel-side per-node state in lane layout (see slice()): group g holds
+  // [g*N*L, (g+1)*N*L) node-major with lanes innermost, then the singles
+  // follow replica-major.
+  std::vector<double> lanes_theta_;        // groups*N*L: packed theta mirror
+  std::vector<std::uint8_t> shil_enable_;  // R*N
   std::vector<double> shil_sin_;           // R*N: sin(order * psi)
   std::vector<double> shil_cos_;           // R*N: cos(order * psi)
   std::vector<double> detune_;             // R*N
@@ -215,16 +254,19 @@ class PhaseBatch {
   std::vector<std::uint8_t> shil_active_;       // R
   std::vector<double> shil_level_;              // R
 
-  // Fused CSR weights w[r*2M + k] = Kc * J * mask, rebuilt lazily (mutable:
-  // derivative() is logically const and rebuilds on first use).
+  // Fused CSR weights Kc * J * mask in lane layout (R*2M, entry k of a
+  // group lane at k*L + lane), rebuilt lazily (mutable: derivative() is
+  // logically const and rebuilds on first use).
   mutable std::vector<double> weights_;
   mutable std::vector<std::uint8_t> weights_dirty_;  // R
 
-  // Per-node scratch (mutable: derivative() is logically const). Fully
-  // rewritten before each per-replica use, so no state leaks across replicas.
-  mutable std::vector<double> sin_, cos_;
-  mutable std::vector<double> k1_, k2_, k3_, k4_, tmp_;
-  std::vector<double> noise_;  // N: one replica-step's standard normals
+  // Scratch (mutable: derivative() is logically const), fully rewritten
+  // before each use, so no state leaks across replicas or groups.
+  mutable std::vector<double> sin_, cos_;  // N*L: the per-step snapshot
+  mutable std::vector<double> gsin_, gcos_;  // N*L: SHIL orders other than 2
+  mutable std::vector<double> k1_, k2_, k3_, k4_, tmp_;  // N: RK4 stages
+  // Standard normals: one noise chunk of a lane group, or one RK4 step's.
+  std::vector<double> zc_, zs_;
 };
 
 /// Wrap an angle into [0, 2pi).

@@ -54,7 +54,7 @@ class Rng {
   /// Standard normal draw (Box-Muller with caching of the second value).
   /// This is the cold scalar path (initial perturbations, per-machine
   /// detune); the phase kernel's per-step noise draws its normals in bulk
-  /// (phase/trig.hpp normal_array), one vectorised pass per replica-step.
+  /// (phase/trig.hpp normal_lanes), one vectorised pass per lane group-step.
   [[nodiscard]] double normal() noexcept;
 
   /// Normal draw with mean/stddev.
@@ -88,6 +88,9 @@ class Rng {
 
   /// Expose state for checkpoint tests.
   [[nodiscard]] std::array<std::uint64_t, 4> state() const noexcept { return s_; }
+  /// Restore a state() snapshot (the phase kernel's lane-vectorised draws
+  /// hand each stream back this way). Leaves the cached normal untouched.
+  void set_state(const std::array<std::uint64_t, 4>& s) noexcept { s_ = s; }
 
  private:
   std::array<std::uint64_t, 4> s_{};

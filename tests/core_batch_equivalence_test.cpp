@@ -3,7 +3,9 @@
 // single-network implementation (reference_solve below) consuming the same
 // per-replica RNG streams -- final colorings, per-stage bits/cuts/residuals,
 // AND the full phase vectors at every stage boundary. Exercised across R in
-// {1, 3, 40}, with and without jitter/mismatch, and for both integrators.
+// {1, 3, 40}, at the SIMD lane-group boundaries R in {7, 8, 9, 16, 17} and
+// at every dispatched width, with and without jitter/mismatch, and for both
+// integrators.
 // Also gates core::run_iterations: summaries are invariant to batch_size and
 // thread count, and the stop token truncates to a clean completed prefix.
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "../src/phase/trig.hpp"
 #include "msropm/core/machine.hpp"
 #include "msropm/core/runner.hpp"
 #include "msropm/core/shil_plan.hpp"
@@ -246,6 +249,27 @@ TEST(BatchEquivalence, BatchOfThreeNoiseEuler) {
 TEST(BatchEquivalence, BatchOfFortyNoiseEuler) {
   expect_batch_equals_serial(40, 2.0e3, 0.0, phase::Integrator::kEulerMaruyama,
                              303);
+}
+
+TEST(BatchEquivalence, LaneGroupBoundariesNoiseEuler) {
+  // floor(R/8) groups of 8 plus R mod 8 singles (or the same around 4 on an
+  // AVX2 host) on the 49-node fabric, whose N leaves a tail in every pass.
+  for (const std::size_t replicas : {7, 8, 9, 16, 17}) {
+    SCOPED_TRACE(replicas);
+    expect_batch_equals_serial(replicas, 2.0e3, 2.0e6,
+                               phase::Integrator::kEulerMaruyama,
+                               900 + replicas);
+  }
+}
+
+TEST(BatchEquivalence, EveryDispatchedWidthNoiseEuler) {
+  for (const std::size_t width : {8, 4, 1}) {
+    if (width > phase::detail::simd_width()) continue;
+    SCOPED_TRACE(width);
+    const phase::detail::ScopedSimdWidth scope(width);
+    expect_batch_equals_serial(width + 1, 2.0e3, 0.0,
+                               phase::Integrator::kEulerMaruyama, 950 + width);
+  }
 }
 
 TEST(BatchEquivalence, BatchOfThreeNoiselessEuler) {

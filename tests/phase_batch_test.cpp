@@ -1,16 +1,20 @@
 // Tests for the batched SoA phase engine: replica isolation, bit-identity
-// against the batch-of-one facade (PhaseNetwork), CSR derivative correctness,
-// energy identities, and argument validation. The full machine-level
-// equivalence gate lives in core_batch_equivalence_test.cpp.
+// against the batch-of-one facade (PhaseNetwork) at every lane-group
+// boundary and every dispatched SIMD width, the lane-vectorised xoshiro, CSR
+// derivative correctness, energy identities, and argument validation. The
+// full machine-level equivalence gate lives in
+// core_batch_equivalence_test.cpp.
 #include "msropm/phase/batch.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <numbers>
 #include <vector>
 
+#include "../src/phase/trig.hpp"
 #include "msropm/graph/builders.hpp"
 #include "msropm/phase/network.hpp"
 #include "msropm/util/rng.hpp"
@@ -78,8 +82,9 @@ void configure_replica(PhaseBatch& batch, std::size_t r, PhaseNetwork& net,
 /// networks consuming the same per-replica RNG streams — for Euler (with
 /// noise), for RK4, and through a ramped run() window.
 void expect_batch_matches_serial(std::size_t replicas, Integrator integrator,
-                                 double noise) {
-  const auto g = graph::kings_graph_square(5);
+                                 double noise, std::size_t side = 5,
+                                 int raw_steps = 25, int run_steps = 40) {
+  const auto g = graph::kings_graph_square(side);
   NetworkParams params = tuned_params(noise);
   params.integrator = integrator;
 
@@ -99,7 +104,7 @@ void expect_batch_matches_serial(std::size_t replicas, Integrator integrator,
   }
 
   // Raw steps.
-  for (int s = 0; s < 25; ++s) {
+  for (int s = 0; s < raw_steps; ++s) {
     batch.step(batch_rngs);
     for (std::size_t r = 0; r < replicas; ++r) serial[r].step(serial_rngs[r]);
   }
@@ -113,7 +118,7 @@ void expect_batch_matches_serial(std::size_t replicas, Integrator integrator,
 
   // A ramped run() window (exercises the integrator dispatch + SHIL ramp).
   const GainRamp ramp{0.0, 0.5};
-  const double duration = 40.0 * params.dt;
+  const double duration = static_cast<double>(run_steps) * params.dt;
   batch.run(duration, batch_rngs, &ramp);
   for (std::size_t r = 0; r < replicas; ++r) {
     serial[r].run(duration, serial_rngs[r], &ramp);
@@ -149,6 +154,203 @@ TEST(PhaseBatch, BatchOfThreeMatchesSerialRk4WithNoise) {
   // RK4 drift + Euler-Maruyama noise: the noise draws must still line up
   // per replica.
   expect_batch_matches_serial(3, Integrator::kRk4, 2.0e3);
+}
+
+// --- lane groups --------------------------------------------------------------
+//
+// A batch of R runs floor(R/L) lane groups plus R mod L single-lane
+// replicas. Widths around the group boundaries of L = 8 and L = 4 must stay
+// bit-identical to batch-of-1 runs, on an odd N (7x7 = 49) and on an N that
+// is not a multiple of 8 (46x46 = 2116, N mod 8 = 4).
+
+constexpr std::size_t kBoundaryWidths[] = {1, 7, 8, 9, 16, 17, 40};
+
+TEST(PhaseBatch, LaneGroupBoundariesMatchSerialOddN) {
+  for (const std::size_t replicas : kBoundaryWidths) {
+    SCOPED_TRACE(replicas);
+    expect_batch_matches_serial(replicas, Integrator::kEulerMaruyama, 2.0e3, 7);
+  }
+}
+
+TEST(PhaseBatch, LaneGroupBoundariesMatchSerialKings46) {
+  for (const std::size_t replicas : kBoundaryWidths) {
+    SCOPED_TRACE(replicas);
+    expect_batch_matches_serial(replicas, Integrator::kEulerMaruyama, 2.0e3,
+                                46, 3, 6);
+  }
+}
+
+TEST(PhaseBatch, EveryDispatchedWidthMatchesSerial) {
+  // The test seam forces each width this host can run, not only the one the
+  // CPU dispatch picks; N = 49 leaves a tail in every transcendental pass.
+  for (const std::size_t width : {std::size_t{8}, std::size_t{4}, std::size_t{1}}) {
+    if (width > phase::detail::simd_width()) continue;
+    SCOPED_TRACE(width);
+    const phase::detail::ScopedSimdWidth scope(width);
+    ASSERT_EQ(phase::detail::simd_width(), width);
+    for (const std::size_t replicas : {width + 1, 2 * width + 1}) {
+      SCOPED_TRACE(replicas);
+      expect_batch_matches_serial(replicas, Integrator::kEulerMaruyama, 2.0e3, 7);
+    }
+    expect_batch_matches_serial(width + 1, Integrator::kRk4, 2.0e3, 7);
+  }
+}
+
+/// Configures `slot` of `batch` as lane r of a mixed lane group: every
+/// per-lane switch the kernel blends, keyed off r, so a batch-of-1 gets the
+/// identical setup with slot 0.
+void configure_mixed(PhaseBatch& batch, std::size_t slot, std::size_t r) {
+  const std::size_t n = batch.size();
+  const std::size_t m = batch.graph().num_edges();
+  util::Rng init(500 + r);
+  batch.randomize_phases(slot, init);
+  std::vector<std::uint8_t> mask(m, 1);
+  for (std::size_t e = r % 4; e < m; e += 4 + r % 3) mask[e] = 0;
+  batch.set_edge_mask(slot, mask);
+  batch.set_uniform_coupling(slot, r % 2 == 0 ? -1.0 : -0.75);
+  std::vector<std::uint8_t> enable(n, 1);
+  for (std::size_t i = r % 5; i < n; i += 3 + r % 4) enable[i] = 0;
+  batch.set_shil_enable(slot, enable);
+  batch.set_uniform_shil_phase(slot, 0.2 * static_cast<double>(r));
+  batch.set_couplings_active(slot, r != 1);      // lane 1: couplings off
+  batch.set_shil_active(slot, r != 4);           // lane 4: SHIL off
+  batch.set_shil_level(slot, r == 2 ? 0.3 : 1.0);  // lane 2: level 0.3
+  if (r == 5) batch.set_shil_level(slot, 0.0);   // lane 5: active at level 0
+  if (r == 3) {                                  // lane 3: detune
+    std::vector<double> detune(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      detune[i] = 2.0e6 * static_cast<double>(i % 7) - 5.0e6;
+    }
+    batch.set_detune(slot, detune);
+  }
+}
+
+TEST(PhaseBatch, MixedLaneGroupMatchesSoloRuns) {
+  const auto g = graph::kings_graph_square(7);
+  const NetworkParams params = tuned_params(2.0e3);
+  const std::size_t replicas = 8;  // one full group at L = 8, two at L = 4
+
+  PhaseBatch batch(g, params, replicas);
+  std::vector<PhaseBatch> solo;
+  std::vector<util::Rng> batch_rngs, solo_rngs;
+  for (std::size_t r = 0; r < replicas; ++r) {
+    solo.emplace_back(g, params, 1);
+    configure_mixed(batch, r, r);
+    configure_mixed(solo[r], 0, r);
+    batch_rngs.emplace_back(900 + r);
+    solo_rngs.emplace_back(900 + r);
+  }
+
+  const GainRamp ramp{0.1, 0.6};
+  batch.run(60.0 * params.dt, batch_rngs, &ramp);
+  batch.step(batch_rngs);
+  for (std::size_t r = 0; r < replicas; ++r) {
+    solo[r].run(60.0 * params.dt, {&solo_rngs[r], 1}, &ramp);
+    solo[r].step({&solo_rngs[r], 1});
+    const auto theta = batch.phases(r);
+    const auto ref = solo[r].phases(0);
+    for (std::size_t i = 0; i < theta.size(); ++i) {
+      ASSERT_EQ(theta[i], ref[i]) << "lane " << r << " node " << i;
+    }
+    ASSERT_EQ(batch_rngs[r].state(), solo_rngs[r].state()) << "lane " << r;
+    ASSERT_EQ(batch.coupling_energy(r), solo[r].coupling_energy(0));
+    ASSERT_EQ(batch.shil_energy(r), solo[r].shil_energy(0));
+  }
+}
+
+TEST(PhaseBatch, LockstepObserverPathMatchesReplicaMajor) {
+  // 17 replicas: two full groups of 8 (or four of 4) plus singles. The
+  // observer path unpacks the groups after every step; both orders must
+  // land on identical phases, and the observer must see unpacked state.
+  const auto g = graph::kings_graph_square(7);
+  const NetworkParams params = tuned_params(2.0e3);
+  const std::size_t replicas = 17;
+  PhaseBatch plain(g, params, replicas);
+  PhaseBatch watched(g, params, replicas);
+  std::vector<util::Rng> plain_rngs, watched_rngs;
+  for (std::size_t r = 0; r < replicas; ++r) {
+    configure_mixed(plain, r, r);
+    configure_mixed(watched, r, r);
+    plain_rngs.emplace_back(70 + r);
+    watched_rngs.emplace_back(70 + r);
+  }
+  const GainRamp ramp{0.0, 0.5};
+  const double duration = 50.0 * params.dt;
+  plain.run(duration, plain_rngs, &ramp);
+  std::size_t calls = 0;
+  std::vector<double> last_seen;
+  watched.run(duration, watched_rngs, &ramp,
+              [&](double, const PhaseBatch& b) {
+                ++calls;
+                last_seen = b.theta_flat();
+              });
+  EXPECT_EQ(calls, 50u);
+  ASSERT_EQ(plain.theta_flat().size(), watched.theta_flat().size());
+  for (std::size_t k = 0; k < plain.theta_flat().size(); ++k) {
+    ASSERT_EQ(plain.theta_flat()[k], watched.theta_flat()[k]) << "entry " << k;
+    ASSERT_EQ(last_seen[k], watched.theta_flat()[k]) << "entry " << k;
+  }
+}
+
+TEST(PhaseBatch, LaneXoshiroMatchesScalarStreams) {
+  // Lane l of the vector generator is exactly stream l: the same draws in
+  // uniform_array order, pair p = draws (2p, 2p+1), and the same end state.
+  for (const std::size_t lanes : {std::size_t{8}, std::size_t{4}, std::size_t{1}}) {
+    if (lanes > phase::detail::simd_width()) continue;
+    SCOPED_TRACE(lanes);
+    constexpr std::size_t kPairs = 37;
+    std::vector<util::Rng> rngs, refs;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      rngs.emplace_back(1234 + 101 * l);
+      refs.emplace_back(1234 + 101 * l);
+      // Start mid-stream so the state hand-off, not just seeding, is tested.
+      (void)rngs.back().uniform();
+      (void)refs.back().uniform();
+    }
+    std::vector<double> u(kPairs * lanes), v(kPairs * lanes);
+    phase::detail::uniform_lanes(rngs, u.data(), v.data(), kPairs);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      std::vector<double> draws(2 * kPairs);
+      refs[l].uniform_array(draws.data(), draws.size());
+      for (std::size_t p = 0; p < kPairs; ++p) {
+        ASSERT_EQ(u[p * lanes + l], draws[2 * p]) << "lane " << l << " pair " << p;
+        ASSERT_EQ(v[p * lanes + l], draws[2 * p + 1]) << "lane " << l << " pair " << p;
+      }
+      EXPECT_EQ(rngs[l].state(), refs[l].state()) << "lane " << l;
+      EXPECT_EQ(rngs[l](), refs[l]()) << "lane " << l;
+    }
+  }
+}
+
+TEST(PhaseBatch, BoxMullerMatchesLibmAtEveryWidth) {
+  // The pass's sin/cos(2 pi v) is its own exact-reduction polynomial and its
+  // log libmvec's: both must agree with libm's Box-Muller to a few ulps over
+  // the whole (u, v) range, tails included (n = 1001 is no multiple of 8).
+  constexpr std::size_t kPairs = 1001;
+  for (const std::size_t width : {std::size_t{8}, std::size_t{4}, std::size_t{1}}) {
+    if (width > phase::detail::simd_width()) continue;
+    SCOPED_TRACE(width);
+    util::Rng rng(77);
+    std::vector<double> u(kPairs), v(kPairs);
+    rng.uniform_array(u.data(), kPairs);
+    rng.uniform_array(v.data(), kPairs);
+    v[0] = 0.0;    // quarter-turn boundaries
+    v[1] = 0.25;
+    v[2] = 0.5;
+    v[3] = 0.875;
+    u[4] = 0.0;    // r = 0
+    std::vector<double> zc = u, zs = v;
+    phase::detail::simd(width).box_muller(zc.data(), zs.data(), kPairs);
+    for (std::size_t p = 0; p < kPairs; ++p) {
+      const double r = std::sqrt(-2.0 * std::log(1.0 - u[p]));
+      const double a = 2.0 * kPi * v[p];
+      // 8 ulps of r: the polynomial (2 ulp) and libmvec's log (4 ulp) plus
+      // rounding of r * cos/sin; an absolute bound, since cos/sin may be ~0.
+      const double tol = 8.0 * 0x1.0p-52 * std::max(r, 1.0);
+      ASSERT_NEAR(zc[p], r * std::cos(a), tol) << "pair " << p;
+      ASSERT_NEAR(zs[p], r * std::sin(a), tol) << "pair " << p;
+    }
+  }
 }
 
 TEST(PhaseBatch, NoiselessRunLeavesRngsUntouched) {
@@ -217,8 +419,8 @@ TEST(PhaseBatch, NoiseIncrementsAreStandardNormalOddN) {
 }
 
 TEST(PhaseBatch, NoiseIncrementsAreStandardNormalTailLanes) {
-  // 6x6 King's: N = 36 = 4 blocks of 8 plus 4 lanes through the scalar
-  // transform.
+  // 6x6 King's: N = 36, 18 pairs: two full blocks of 8 plus a zero-padded
+  // tail block in the Box-Muller pass.
   expect_noise_increments_normal(6, 0, 2000);
   expect_noise_increments_normal(6, 32, 2000);
 }
