@@ -17,7 +17,6 @@
 #include "msropm/core/runner.hpp"
 #include "msropm/graph/builders.hpp"
 #include "msropm/phase/lock.hpp"
-#include "msropm/phase/network.hpp"
 #include "msropm/util/table.hpp"
 
 using namespace msropm;

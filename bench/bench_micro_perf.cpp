@@ -15,7 +15,7 @@
 #include "msropm/circuit/fabric.hpp"
 #include "msropm/core/machine.hpp"
 #include "msropm/graph/builders.hpp"
-#include "msropm/phase/network.hpp"
+#include "msropm/phase/batch.hpp"
 #include "msropm/sat/coloring_encoder.hpp"
 #include "msropm/sat/solver.hpp"
 #include "msropm/solvers/maxcut_sa.hpp"
@@ -29,13 +29,13 @@ namespace {
 void BM_PhaseEngineStep(benchmark::State& state) {
   const auto side = static_cast<std::size_t>(state.range(0));
   const auto g = graph::kings_graph_square(side);
-  phase::PhaseNetwork net(g, analysis::default_machine_config().network);
-  net.set_couplings_active(true);
+  phase::PhaseBatch net(g, analysis::default_machine_config().network, 1);
+  net.set_couplings_active(0, true);
   util::Rng rng(1);
-  net.randomize_phases(rng);
+  net.randomize_phases(0, rng);
   for (auto _ : state) {
-    net.step(rng);
-    benchmark::DoNotOptimize(net.phases().data());
+    net.step({&rng, 1});
+    benchmark::DoNotOptimize(net.phases(0).data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(g.num_nodes()));

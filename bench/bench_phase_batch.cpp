@@ -9,8 +9,8 @@
 //              derivative, per-edge mask branch, separate per-node
 //              sin/cos/SHIL-sin calls), embedded below verbatim so the
 //              baseline cannot silently drift as the live engine evolves.
-//   batch1  -- 40 independent PhaseBatch(R=1) instances: what the
-//              PhaseNetwork facade runs today.
+//   batch1  -- 40 independent PhaseBatch(R=1) instances: how a single
+//              trajectory runs today.
 //   batch40 -- one PhaseBatch(R=40) driven through run(), i.e. the
 //              lane-group path used by solve_batch: 5 groups of 8 lanes on
 //              an AVX-512 host, 10 of 4 with AVX2.

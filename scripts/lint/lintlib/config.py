@@ -123,11 +123,8 @@ HOT_FUNCTIONS = [re.compile(p) for p in (
     r'(^|::)PhaseBatch::euler_step_lanes$',
     r'(^|::)PhaseBatch::pack_lanes$',
     r'(^|::)PhaseBatch::unpack_lanes$',
-    r'(^|::)PhaseBatch::rk4_step_replica$',
-    r'(^|::)PhaseBatch::derivative_into$',
     r'(^|::)PhaseBatch::refresh_trig$',
     r'(^|::)PhaseBatch::step$',
-    r'(^|::)PhaseBatch::step_rk4$',
     # The lane kernel templates (src/phase/simd_kernels.hpp, internal
     # linkage, so matched by bare name) and their trig.cpp entry points.
     r'(^|::)euler_step_l$',
@@ -135,7 +132,6 @@ HOT_FUNCTIONS = [re.compile(p) for p in (
     r'(^|::)sincos_w$',
     r'(^|::)box_muller_w$',
     r'(^|::)detail::uniform_lanes$',
-    r'(^|::)detail::normal_lanes$',
     r'(^|::)Rng::uniform_array$',
     r'(^|::)VarOrderHeap::\w+$',
 )]

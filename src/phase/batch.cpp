@@ -113,12 +113,9 @@ PhaseBatch::PhaseBatch(const graph::Graph& g, NetworkParams params,
     gsin_.assign(scratch, 0.0);
     gcos_.assign(scratch, 0.0);
   }
-  // Noise scratch: one chunk of the Euler kernel, or a whole replica-step
-  // of RK4 noise.
-  const std::size_t noise =
-      std::max(detail::kNoiseChunk / 2 * lanes_, (n_ + 1) / 2);
-  zc_.assign(noise, 0.0);
-  zs_.assign(noise, 0.0);
+  // Noise scratch: one chunk of the Euler kernel.
+  zc_.assign(detail::kNoiseChunk / 2 * lanes_, 0.0);
+  zs_.assign(detail::kNoiseChunk / 2 * lanes_, 0.0);
 }
 
 PhaseBatch::Slice PhaseBatch::slice(std::size_t r,
@@ -244,7 +241,8 @@ void PhaseBatch::set_uniform_shil_phase(std::size_t r, double psi) {
   refresh_shil_trig(r);
 }
 
-void PhaseBatch::set_shil_level(std::size_t r, double level) noexcept {
+void PhaseBatch::set_shil_level(std::size_t r, double level) {
+  check_replica(r);
   shil_level_[r] = std::clamp(level, 0.0, 1.0);
 }
 
@@ -264,7 +262,7 @@ void PhaseBatch::clear_detune(std::size_t r) {
   for (std::size_t i = 0; i < n_; ++i) detune_[at.at(i)] = 0.0;
 }
 
-void PhaseBatch::rebuild_weights(std::size_t r) const {
+void PhaseBatch::rebuild_weights(std::size_t r) {
   // Fused CSR weights: Kc * J_e * mask_e per directed entry. Masked-off edges
   // become exact 0.0 multiplicands, so the step loop carries no mask branch.
   const double kc = params_.coupling_gain;
@@ -283,71 +281,6 @@ void PhaseBatch::refresh_trig(const double* theta) const {
   // One bulk sincos pass at the batch's vector width (see trig.hpp for the
   // determinism contract).
   simd_->sincos(theta, sin_.data(), cos_.data(), n_);
-}
-
-void PhaseBatch::derivative_into(std::size_t r, const double* theta,
-                                 double* dtheta) const {
-  const bool couple = couplings_active_[r] != 0;
-  const bool shil = shil_active_[r] != 0 && shil_level_[r] > 0.0;
-  const bool order2 = params_.shil_order == 2;
-  const Slice node = slice(r, n_);
-
-  for (std::size_t i = 0; i < n_; ++i) dtheta[i] = detune_[node.at(i)];
-
-  if (couple || (shil && order2)) refresh_trig(theta);
-
-  if (couple) {
-    if (weights_dirty_[r]) rebuild_weights(r);
-    const Slice entry = slice(r, 2 * m_);
-    // Node-major gather: sum_j w_ij sin(theta_i - theta_j)
-    //   = sin_i * sum_j w_ij cos_j - cos_i * sum_j w_ij sin_j.
-    for (std::size_t i = 0; i < n_; ++i) {
-      double acc_cos = 0.0;
-      double acc_sin = 0.0;
-      for (std::uint32_t k = csr_offsets_[i]; k < csr_offsets_[i + 1]; ++k) {
-        const double w = weights_[entry.at(k)];
-        const std::uint32_t j = csr_neighbor_[k];
-        acc_cos += w * cos_[j];
-        acc_sin += w * sin_[j];
-      }
-      dtheta[i] -= sin_[i] * acc_cos - cos_[i] * acc_sin;
-    }
-  }
-
-  if (shil) {
-    const double ks = params_.shil_gain * shil_level_[r];
-    if (order2) {
-      // sin(2(theta - psi)) = sin(2 theta) cos(2 psi) - cos(2 theta) sin(2 psi)
-      // with sin(2 theta) = 2 sin cos and cos(2 theta) = cos^2 - sin^2 from
-      // the per-node pass above; sin/cos(2 psi) are cached per replica.
-      for (std::size_t i = 0; i < n_; ++i) {
-        if (!shil_enable_[node.at(i)]) continue;
-        const double s2 = 2.0 * sin_[i] * cos_[i];
-        const double c2 = cos_[i] * cos_[i] - sin_[i] * sin_[i];
-        dtheta[i] -= ks * (s2 * shil_cos_[node.at(i)] -
-                           c2 * shil_sin_[node.at(i)]);
-      }
-    } else {
-      const double order = static_cast<double>(params_.shil_order);
-      const double* psi = shil_phase_.data() + r * n_;
-      for (std::size_t i = 0; i < n_; ++i) {
-        gsin_[i] = order * (theta[i] - psi[i]);
-      }
-      simd_->sincos(gsin_.data(), gsin_.data(), gcos_.data(), n_);
-      for (std::size_t i = 0; i < n_; ++i) {
-        if (shil_enable_[node.at(i)]) dtheta[i] -= ks * gsin_[i];
-      }
-    }
-  }
-}
-
-void PhaseBatch::derivative(std::size_t r, std::span<const double> theta,
-                            std::span<double> dtheta) const {
-  check_replica(r);
-  if (theta.size() != n_ || dtheta.size() != n_) {
-    throw std::invalid_argument("PhaseBatch::derivative: size mismatch");
-  }
-  derivative_into(r, theta.data(), dtheta.data());
 }
 
 void PhaseBatch::euler_step_lanes(std::size_t first, std::size_t lanes,
@@ -396,26 +329,6 @@ void PhaseBatch::euler_step_lanes(std::size_t first, std::size_t lanes,
   if (noisy) detail::unpack_states(state, {rngs, lanes});
 }
 
-void PhaseBatch::rk4_step_replica(std::size_t r) {
-  double* theta = theta_.data() + r * n_;
-  const double dt = params_.dt;
-  k1_.resize(n_);
-  k2_.resize(n_);
-  k3_.resize(n_);
-  k4_.resize(n_);
-  tmp_.resize(n_);
-  derivative_into(r, theta, k1_.data());
-  for (std::size_t i = 0; i < n_; ++i) tmp_[i] = theta[i] + 0.5 * dt * k1_[i];
-  derivative_into(r, tmp_.data(), k2_.data());
-  for (std::size_t i = 0; i < n_; ++i) tmp_[i] = theta[i] + 0.5 * dt * k2_[i];
-  derivative_into(r, tmp_.data(), k3_.data());
-  for (std::size_t i = 0; i < n_; ++i) tmp_[i] = theta[i] + dt * k3_[i];
-  derivative_into(r, tmp_.data(), k4_.data());
-  for (std::size_t i = 0; i < n_; ++i) {
-    theta[i] += dt / 6.0 * (k1_[i] + 2.0 * k2_[i] + 2.0 * k3_[i] + k4_[i]);
-  }
-}
-
 void PhaseBatch::pack_lanes() {
   for (std::size_t r = 0; r < groups_ * lanes_; ++r) {
     const double* theta = theta_.data() + r * n_;
@@ -449,10 +362,6 @@ void PhaseBatch::step(std::span<util::Rng> rngs) {
   unpack_lanes();
 }
 
-void PhaseBatch::step_rk4() {
-  for (std::size_t r = 0; r < r_; ++r) rk4_step_replica(r);
-}
-
 bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
                      const GainRamp* shil_ramp,
                      const std::function<void(double, const PhaseBatch&)>& observer,
@@ -467,12 +376,9 @@ bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
   auto steps = static_cast<std::size_t>(std::ceil(duration / dt - 1e-9));
   if (steps == 0) steps = 1;
 
-  // Units of work: with Euler the lane groups, then the single-lane rest;
-  // RK4 steps replica by replica.
-  const bool euler = params_.integrator == Integrator::kEulerMaruyama;
-  const std::size_t groups = euler ? groups_ : 0;
-  const std::size_t grouped = groups * lanes_;
-  const std::size_t units = groups + (r_ - grouped);
+  // Units of work: the lane groups, then the single-lane rest.
+  const std::size_t grouped = groups_ * lanes_;
+  const std::size_t units = groups_ + (r_ - grouped);
 
   // Window span + throughput heartbeat: write-only observability, gated so a
   // disabled build/run never touches a clock.
@@ -485,7 +391,7 @@ bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
     span.arg("steps", static_cast<std::uint64_t>(steps));
     span.arg("oscillators", static_cast<std::uint64_t>(n_));
     span.arg("lanes", static_cast<std::uint64_t>(lanes_));
-    span.arg("lane_groups", static_cast<std::uint64_t>(groups));
+    span.arg("lane_groups", static_cast<std::uint64_t>(groups_));
     obs_t0 = std::chrono::steady_clock::now();
   }
 
@@ -495,29 +401,18 @@ bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
     saved_level.assign(shil_level_.begin(), shil_level_.end());
   }
   const auto step_one = [&](std::size_t u, std::size_t s) {
-    const std::size_t first = u < groups ? u * lanes_ : grouped + (u - groups);
-    const std::size_t lanes = u < groups ? lanes_ : 1;
+    const std::size_t first = u < groups_ ? u * lanes_ : grouped + (u - groups_);
+    const std::size_t lanes = u < groups_ ? lanes_ : 1;
     if (shil_ramp != nullptr) {
       const double frac = static_cast<double>(s) / static_cast<double>(steps);
       for (std::size_t r = first; r < first + lanes; ++r) {
-        set_shil_level(r, saved_level[r] * shil_ramp->value(frac));
+        shil_level_[r] =
+            std::clamp(saved_level[r] * shil_ramp->value(frac), 0.0, 1.0);
       }
     }
-    if (euler) {
-      double* x = u < groups ? lanes_theta_.data() + u * n_ * lanes_
-                             : theta_.data() + first * n_;
-      euler_step_lanes(first, lanes, x, rngs.data() + first, noise_scale);
-      return;
-    }
-    rk4_step_replica(first);
-    if (noise_scale > 0.0) {
-      detail::normal_lanes(*simd_, rngs.subspan(first, 1), zc_.data(),
-                           zs_.data(), n_);
-      double* theta = theta_.data() + first * n_;
-      for (std::size_t i = 0; i < n_; ++i) {
-        theta[i] += noise_scale * ((i & 1) != 0 ? zs_ : zc_)[i >> 1];
-      }
-    }
+    double* x = u < groups_ ? lanes_theta_.data() + u * n_ * lanes_
+                            : theta_.data() + first * n_;
+    euler_step_lanes(first, lanes, x, rngs.data() + first, noise_scale);
   };
   // Stop/fault poll, every 32 steps so the gate cost is off the step path.
   // With no token and no armed injector this is a counter test + two
@@ -528,7 +423,7 @@ bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
     if (stop != nullptr && stop->stop_requested()) return true;
     return util::fault::fire(util::FaultSite::kBatchStep);
   };
-  if (groups > 0) pack_lanes();
+  if (groups_ > 0) pack_lanes();
   if (observer) {
     // Observer sees the whole batch after each step, so steps must advance in
     // lockstep across units, and the groups unpack after every step.
@@ -538,7 +433,7 @@ bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
         break;
       }
       for (std::size_t u = 0; u < units; ++u) step_one(u, s);
-      if (groups > 0) unpack_lanes();
+      if (groups_ > 0) unpack_lanes();
       observer(static_cast<double>(s + 1) * dt, *this);
     }
   } else {
@@ -557,7 +452,7 @@ bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
       }
     }
   }
-  if (groups > 0) unpack_lanes();
+  if (groups_ > 0) unpack_lanes();
   if (shil_ramp != nullptr) {
     std::copy(saved_level.begin(), saved_level.end(), shil_level_.begin());
   }
@@ -582,7 +477,7 @@ bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
 double PhaseBatch::coupling_energy(std::size_t r) const {
   check_replica(r);
   // One sincos pass per node, then cos(theta_u - theta_v) via the angle-
-  // addition identity -- no per-edge std::cos (mirrors derivative_into).
+  // addition identity -- no per-edge std::cos (mirrors the step's gather).
   const double* theta = theta_.data() + r * n_;
   refresh_trig(theta);
   const double* j = j_.data() + r * m_;

@@ -1,14 +1,44 @@
 #pragma once
-// Batched structure-of-arrays phase-integration core.
+// Phase-domain model of the coupled-ROSC fabric, and its one integration
+// engine.
+//
+// Each ring oscillator reduces (Adler / Kuramoto reduction, the standard
+// model of the OIM literature the paper builds on [6], [24]) to a single
+// phase theta_i in the frame rotating at the free-running frequency
+// f0 = 1.3 GHz:
+//
+//   dtheta_i/dt = d_i
+//                 - Kc * sum_j J_ij * m_ij * sin(theta_i - theta_j)
+//                 - Ks(t) * e_i * sin(order * (theta_i - psi_i))
+//                 + sigma * xi_i(t)
+//
+//   d_i    : frequency detune (0 for matched oscillators)
+//   J_ij   : per-edge coupling sign/weight; B2B inverters give J = -1
+//   m_ij   : P_EN edge mask (1 = coupling on)
+//   Kc     : coupling gain [rad/s]
+//   Ks(t)  : SHIL injection gain [rad/s], possibly ramped
+//   e_i    : per-oscillator SHIL enable (SHIL_EN & MUX)
+//   psi_i  : per-oscillator SHIL phase offset (SHIL_SEL); order-2 SHIL locks
+//            theta_i at {psi_i, psi_i + pi}
+//   order  : sub-harmonic order (2 for the MSROPM; the ICCAD'24 ROPM [14]
+//            uses order N directly)
+//   xi     : unit white noise modeling oscillator jitter
+//
+// This is gradient flow on
+//   E = - sum_ij J_ij m_ij cos(theta_i - theta_j)
+//       - (Ks/order) sum_i e_i cos(order (theta_i - psi_i))
+// scaled by Kc, so trajectories descend the (vector Potts) energy landscape.
+// It is stepped by Euler-Maruyama.
 //
 // The paper's headline experiments are best-of-40 Monte-Carlo sweeps over the
 // SAME graph: every iteration re-integrates the identical coupling network
 // with nothing but a different RNG stream. PhaseBatch owns R replicas x N
 // oscillators and steps ALL replicas per call, so the graph is traversed once
-// per lane group instead of once per trajectory:
+// per lane group instead of once per trajectory; a single trajectory is a
+// batch of one (replica 0):
 //
 //   * The graph is converted ONCE into a CSR neighbor structure (per-node
-//     adjacency with the edge id of each entry). The derivative is a gather /
+//     adjacency with the edge id of each entry). The drift is a gather /
 //     accumulate per node -- no edge-list scatter, no per-edge mask branch:
 //
 //       sum_j J_ij m_ij sin(theta_i - theta_j)
@@ -39,9 +69,8 @@
 // blocks, terms a lane has switched off are blended out rather than added as
 // zero, and FP contraction is off -- and replica r only ever reads replica-r
 // state and rngs[r]. So a batch-of-R run is bit-identical to R batch-of-1
-// runs (hard-gated by tests/core_batch_equivalence_test.cpp). PhaseNetwork
-// (network.hpp) is a thin facade over a PhaseBatch of one replica, so
-// "serial" and "batched" share this single implementation.
+// runs (hard-gated by tests/core_batch_equivalence_test.cpp), and "serial"
+// and "batched" share this single implementation.
 
 #include <cstdint>
 #include <functional>
@@ -58,11 +87,6 @@ namespace detail {
 struct SimdKernels;
 }
 
-/// Integration scheme used by run(). Euler-Maruyama is the paper's default;
-/// RK4 integrates the drift with a 4th-order step (noise, when enabled, is
-/// still added Euler-Maruyama style after the deterministic substep).
-enum class Integrator : std::uint8_t { kEulerMaruyama, kRk4 };
-
 /// Static parameters of a phase-domain simulation.
 struct NetworkParams {
   double natural_frequency_hz = 1.3e9;  ///< paper Sec. 3.3 (reporting only)
@@ -75,7 +99,6 @@ struct NetworkParams {
   /// matched oscillators, the paper's nominal simulation).
   double frequency_mismatch_stddev_hz = 0.0;
   double dt = 1.0e-11;                  ///< integration step [s]
-  Integrator integrator = Integrator::kEulerMaruyama;
 };
 
 /// Piecewise-linear gain envelope for SHIL ramp-in during a window.
@@ -97,6 +120,7 @@ class PhaseBatch {
 
   // --- state (replica r) -------------------------------------------------
   [[nodiscard]] std::span<const double> phases(std::size_t r) const {
+    check_replica(r);
     return {theta_.data() + r * n_, n_};
   }
   void set_phases(std::size_t r, std::span<const double> phases);
@@ -114,21 +138,26 @@ class PhaseBatch {
   void enable_all_edges(std::size_t r);
   void disable_all_edges(std::size_t r);
   [[nodiscard]] std::span<const std::uint8_t> edge_mask(std::size_t r) const {
+    check_replica(r);
     return {edge_mask_.data() + r * m_, m_};
   }
   /// Global coupling enable (G_EN for B2B blocks).
-  void set_couplings_active(std::size_t r, bool active) noexcept {
+  void set_couplings_active(std::size_t r, bool active) {
+    check_replica(r);
     couplings_active_[r] = active ? 1 : 0;
   }
-  [[nodiscard]] bool couplings_active(std::size_t r) const noexcept {
+  [[nodiscard]] bool couplings_active(std::size_t r) const {
+    check_replica(r);
     return couplings_active_[r] != 0;
   }
 
   // --- SHIL (SHIL_EN / SHIL_SEL) ------------------------------------------
-  void set_shil_active(std::size_t r, bool active) noexcept {
+  void set_shil_active(std::size_t r, bool active) {
+    check_replica(r);
     shil_active_[r] = active ? 1 : 0;
   }
-  [[nodiscard]] bool shil_active(std::size_t r) const noexcept {
+  [[nodiscard]] bool shil_active(std::size_t r) const {
+    check_replica(r);
     return shil_active_[r] != 0;
   }
   void set_shil_enable(std::size_t r, std::span<const std::uint8_t> per_osc);
@@ -136,11 +165,13 @@ class PhaseBatch {
   void set_shil_phases(std::size_t r, std::span<const double> psi);
   void set_uniform_shil_phase(std::size_t r, double psi);
   [[nodiscard]] std::span<const double> shil_phases(std::size_t r) const {
+    check_replica(r);
     return {shil_phase_.data() + r * n_, n_};
   }
   /// Instantaneous SHIL gain multiplier in [0,1] (ramp support).
-  void set_shil_level(std::size_t r, double level) noexcept;
-  [[nodiscard]] double shil_level(std::size_t r) const noexcept {
+  void set_shil_level(std::size_t r, double level);
+  [[nodiscard]] double shil_level(std::size_t r) const {
+    check_replica(r);
     return shil_level_[r];
   }
 
@@ -149,18 +180,11 @@ class PhaseBatch {
   void clear_detune(std::size_t r);
 
   // --- dynamics ------------------------------------------------------------
-  /// d(theta)/dt of replica r evaluated at `theta` under replica-r masks and
-  /// gains. `theta` and `dtheta` must have size() elements.
-  void derivative(std::size_t r, std::span<const double> theta,
-                  std::span<double> dtheta) const;
-
   /// One Euler-Maruyama step of params.dt for every replica; rngs[r] supplies
   /// replica r's jitter (rngs.size() must equal num_replicas()).
   void step(std::span<util::Rng> rngs);
-  /// One deterministic RK4 step of params.dt for every replica (noise off).
-  void step_rk4();
 
-  /// Integrate every replica for a duration [s] with params.integrator. An
+  /// Integrate every replica for a duration [s] by Euler-Maruyama steps. An
   /// optional ramp shapes the SHIL level across the window (scaling each
   /// replica's level set on entry); an optional observer is invoked after
   /// each step with the elapsed window time. An optional stop token is
@@ -179,18 +203,9 @@ class PhaseBatch {
   /// Replica r's SHIL pinning energy term.
   [[nodiscard]] double shil_energy(std::size_t r) const;
 
-  // --- flat SoA views (all replicas concatenated) --------------------------
-  // For a batch of one these are exactly the per-network vectors, which is
-  // how the PhaseNetwork facade exposes const-reference accessors without
-  // copying.
+  /// Every replica's phases concatenated, replica-major (`[r*N + i]`).
   [[nodiscard]] const std::vector<double>& theta_flat() const noexcept {
     return theta_;
-  }
-  [[nodiscard]] const std::vector<std::uint8_t>& edge_mask_flat() const noexcept {
-    return edge_mask_;
-  }
-  [[nodiscard]] const std::vector<double>& shil_phase_flat() const noexcept {
-    return shil_phase_;
   }
 
  private:
@@ -207,16 +222,13 @@ class PhaseBatch {
   [[nodiscard]] Slice slice(std::size_t r, std::size_t per_replica) const noexcept;
 
   void check_replica(std::size_t r) const;
-  void rebuild_weights(std::size_t r) const;
+  void rebuild_weights(std::size_t r);
   void refresh_trig(const double* theta) const;
   void refresh_shil_trig(std::size_t r);
-  /// The per-replica derivative kernel; theta/dtheta point at n_ doubles.
-  void derivative_into(std::size_t r, const double* theta, double* dtheta) const;
   /// One Euler-Maruyama step of replicas [first, first + lanes), lanes 1 or
   /// lanes_, whose phases are x in lane layout.
   void euler_step_lanes(std::size_t first, std::size_t lanes, double* x,
                         util::Rng* rngs, double noise_scale);
-  void rk4_step_replica(std::size_t r);
   void pack_lanes();
   void unpack_lanes();
 
@@ -255,18 +267,16 @@ class PhaseBatch {
   std::vector<double> shil_level_;              // R
 
   // Fused CSR weights Kc * J * mask in lane layout (R*2M, entry k of a
-  // group lane at k*L + lane), rebuilt lazily (mutable: derivative() is
-  // logically const and rebuilds on first use).
-  mutable std::vector<double> weights_;
-  mutable std::vector<std::uint8_t> weights_dirty_;  // R
+  // group lane at k*L + lane), rebuilt lazily before a replica's next step.
+  std::vector<double> weights_;
+  std::vector<std::uint8_t> weights_dirty_;  // R
 
-  // Scratch (mutable: derivative() is logically const), fully rewritten
-  // before each use, so no state leaks across replicas or groups.
+  // Scratch, fully rewritten before each use, so no state leaks across
+  // replicas or groups (sin_/cos_ are mutable: the const energy queries
+  // share the step's sincos pass).
   mutable std::vector<double> sin_, cos_;  // N*L: the per-step snapshot
-  mutable std::vector<double> gsin_, gcos_;  // N*L: SHIL orders other than 2
-  mutable std::vector<double> k1_, k2_, k3_, k4_, tmp_;  // N: RK4 stages
-  // Standard normals: one noise chunk of a lane group, or one RK4 step's.
-  std::vector<double> zc_, zs_;
+  std::vector<double> gsin_, gcos_;        // N*L: SHIL orders other than 2
+  std::vector<double> zc_, zs_;  // kNoiseChunk/2*L: one noise chunk's normals
 };
 
 /// Wrap an angle into [0, 2pi).

@@ -4,7 +4,7 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "msropm/phase/network.hpp"
+#include "msropm/phase/batch.hpp"
 
 namespace msropm::phase {
 

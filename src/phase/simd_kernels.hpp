@@ -335,8 +335,11 @@ void uniform_lanes_l(std::uint64_t* state, double* u, double* v,
 /// sequence a lone replica does (L = 1 is the lone replica): the gather
 /// reads only the pre-step sin/cos snapshot, so x advances in place, and a
 /// term that is off in some lane is computed for the group and blended out
-/// of that lane, never added as a zero. The term order matches
-/// PhaseBatch::derivative_into.
+/// of that lane, never added as a zero. Term order, per node i:
+///   d  = detune_i
+///   d -= sin_i * (sum_k w_k cos_j) - cos_i * (sum_k w_k sin_j)  [CSR order]
+///   d -= ks * sin(order * (theta_i - psi_i))                     [SHIL]
+///   x += d * dt, then x += noise_scale * z_i.
 template <std::size_t L>
 void euler_step_l(const LaneStep& s) {
   using D = typename Lanes<L>::D;

@@ -84,11 +84,4 @@ void uniform_lanes(std::span<util::Rng> rngs, double* u, double* v,
   unpack_states(state, rngs);
 }
 
-void normal_lanes(const SimdKernels& trig, std::span<util::Rng> rngs,
-                  double* zc, double* zs, std::size_t n) {
-  const std::size_t pairs = (n + 1) / 2;
-  uniform_lanes(rngs, zc, zs, pairs);
-  trig.box_muller(zc, zs, pairs * rngs.size());
-}
-
 }  // namespace msropm::phase::detail

@@ -125,12 +125,4 @@ void unpack_states(const std::uint64_t* state, std::span<util::Rng> rngs);
 void uniform_lanes(std::span<util::Rng> rngs, double* u, double* v,
                    std::size_t pairs);
 
-/// Standard normals for L = rngs.size() lanes of n oscillators: the
-/// uniform_lanes pairs of ceil(n/2) then trig.box_muller in place, so node
-/// 2p of lane l is zc[p*L + l] and node 2p+1 is zs[p*L + l] (an odd n's last
-/// sine is unused). The draw count depends only on n, and the normals equal
-/// those the Euler kernel draws chunk by chunk.
-void normal_lanes(const SimdKernels& trig, std::span<util::Rng> rngs,
-                  double* zc, double* zs, std::size_t n);
-
 }  // namespace msropm::phase::detail

@@ -11,7 +11,7 @@
 #include "msropm/core/schedule.hpp"
 #include "msropm/graph/coloring.hpp"
 #include "msropm/graph/graph.hpp"
-#include "msropm/phase/network.hpp"
+#include "msropm/phase/batch.hpp"
 #include "msropm/util/rng.hpp"
 
 namespace msropm::solvers {

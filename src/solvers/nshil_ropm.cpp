@@ -1,6 +1,8 @@
 #include "msropm/solvers/nshil_ropm.hpp"
 
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "msropm/model/potts.hpp"
 #include "msropm/phase/lock.hpp"
@@ -14,28 +16,30 @@ NShilRopm::NShilRopm(const graph::Graph& g, NShilRopmConfig config)
 }
 
 NShilRopmResult NShilRopm::solve(util::Rng& rng) const {
-  phase::PhaseNetwork net(*graph_, config_.network);
-  net.set_uniform_coupling(-1.0);
-  net.set_uniform_shil_phase(0.0);
+  // One trajectory: a batch of one, replica 0.
+  phase::PhaseBatch net(*graph_, config_.network, 1);
+  const std::span<util::Rng> rngs(&rng, 1);
+  net.set_uniform_coupling(0, -1.0);
+  net.set_uniform_shil_phase(0, 0.0);
 
   // Init: free-running random phases.
-  net.set_couplings_active(false);
-  net.set_shil_active(false);
-  net.randomize_phases(rng);
-  net.run(config_.init_s, rng);
+  net.set_couplings_active(0, false);
+  net.set_shil_active(0, false);
+  net.randomize_phases(0, rng);
+  net.run(config_.init_s, rngs);
 
   // Anneal: couplings on, SHIL off.
-  net.enable_all_edges();
-  net.set_couplings_active(true);
-  net.run(config_.anneal_s, rng);
+  net.enable_all_edges(0);
+  net.set_couplings_active(0, true);
+  net.run(config_.anneal_s, rngs);
 
   // Lock: order-N SHIL ramps in, pinning phases at the N Potts spots.
-  net.set_shil_active(true);
-  net.set_shil_level(1.0);
-  net.run(config_.lock_s, rng, &config_.shil_ramp);
+  net.set_shil_active(0, true);
+  net.set_shil_level(0, 1.0);
+  net.run(config_.lock_s, rngs, &config_.shil_ramp);
 
   NShilRopmResult result;
-  const auto& theta = net.phases();
+  const std::vector<double> theta(net.phases(0).begin(), net.phases(0).end());
   const std::vector<double> zero_psi(theta.size(), 0.0);
   result.max_lock_residual =
       phase::max_lock_residual(theta, zero_psi, config_.num_colors);

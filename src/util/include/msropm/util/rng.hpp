@@ -54,7 +54,7 @@ class Rng {
   /// Standard normal draw (Box-Muller with caching of the second value).
   /// This is the cold scalar path (initial perturbations, per-machine
   /// detune); the phase kernel's per-step noise draws its normals in bulk
-  /// (phase/trig.hpp normal_lanes), one vectorised pass per lane group-step.
+  /// (phase/simd_kernels.hpp euler_step_l), one vectorised pass per chunk.
   [[nodiscard]] double normal() noexcept;
 
   /// Normal draw with mean/stddev.

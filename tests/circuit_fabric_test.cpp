@@ -9,7 +9,7 @@
 
 #include "msropm/circuit/waveform.hpp"
 #include "msropm/graph/builders.hpp"
-#include "msropm/phase/network.hpp"
+#include "msropm/phase/batch.hpp"
 #include "msropm/util/rng.hpp"
 
 namespace {

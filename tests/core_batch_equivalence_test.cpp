@@ -4,14 +4,14 @@
 // per-replica RNG streams -- final colorings, per-stage bits/cuts/residuals,
 // AND the full phase vectors at every stage boundary. Exercised across R in
 // {1, 3, 40}, at the SIMD lane-group boundaries R in {7, 8, 9, 16, 17} and
-// at every dispatched width, with and without jitter/mismatch, and for both
-// integrators.
+// at every dispatched width, and with and without jitter/mismatch.
 // Also gates core::run_iterations: summaries are invariant to batch_size and
 // thread count, and the stop token truncates to a clean completed prefix.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,7 +22,7 @@
 #include "msropm/core/shil_plan.hpp"
 #include "msropm/graph/builders.hpp"
 #include "msropm/phase/lock.hpp"
-#include "msropm/phase/network.hpp"
+#include "msropm/phase/batch.hpp"
 #include "msropm/util/rng.hpp"
 #include "msropm/util/stop_token.hpp"
 
@@ -37,8 +37,7 @@ using core::StageOutcome;
 using core::color_from_bits;
 using core::shil_phase_for_bits;
 
-MsropmConfig machine_config(double noise, double mismatch_hz,
-                            phase::Integrator integrator) {
+MsropmConfig machine_config(double noise, double mismatch_hz) {
   MsropmConfig config;
   config.num_colors = 4;
   config.schedule = core::StageSchedule::paper_default();
@@ -48,7 +47,6 @@ MsropmConfig machine_config(double noise, double mismatch_hz,
   config.network.noise_stddev = noise;
   config.network.frequency_mismatch_stddev_hz = mismatch_hz;
   config.network.dt = 2.0e-11;
-  config.network.integrator = integrator;
   config.shil_ramp = phase::GainRamp{0.0, 0.5};
   config.couplings_during_lock = true;
   return config;
@@ -56,12 +54,13 @@ MsropmConfig machine_config(double noise, double mismatch_hz,
 
 /// Stage-boundary callback of the reference: (stage, label, network state).
 using ReferenceObserver =
-    std::function<void(unsigned, const char*, const phase::PhaseNetwork&)>;
+    std::function<void(unsigned, const char*, const phase::PhaseBatch&)>;
 
 /// Frozen reference: the single-network stage schedule that
 /// MultiStagePottsMachine::solve() ran before it became a batch of one,
-/// kept verbatim (members read through the machine's accessors) so the
-/// batch path is compared against an independent implementation.
+/// kept verbatim (members read through the machine's accessors; the
+/// network is a batch of one, replica 0) so the batch path is compared
+/// against an independent implementation.
 MsropmResult reference_solve(const MultiStagePottsMachine& machine,
                              util::Rng& rng,
                              const ReferenceObserver& observer) {
@@ -70,10 +69,11 @@ MsropmResult reference_solve(const MultiStagePottsMachine& machine,
   const unsigned num_stages = config_.num_stages();
   const std::size_t n = g.num_nodes();
 
-  phase::PhaseNetwork net(g, config_.network);
-  net.set_uniform_coupling(-1.0);  // B2B inverters: anti-ferromagnetic
-  net.set_couplings_active(false);
-  net.set_shil_active(false);
+  phase::PhaseBatch net(g, config_.network, 1);
+  const std::span<util::Rng> rngs(&rng, 1);
+  net.set_uniform_coupling(0, -1.0);  // B2B inverters: anti-ferromagnetic
+  net.set_couplings_active(0, false);
+  net.set_shil_active(0, false);
   if (config_.network.frequency_mismatch_stddev_hz > 0.0) {
     // Process variation: each ROSC free-runs slightly off nominal; the SHIL
     // must overcome this residual detune to capture the oscillator.
@@ -82,12 +82,12 @@ MsropmResult reference_solve(const MultiStagePottsMachine& machine,
     for (double& d : detune) {
       d = two_pi * config_.network.frequency_mismatch_stddev_hz * rng.normal();
     }
-    net.set_detune(std::move(detune));
+    net.set_detune(0, detune);
   }
 
   // --- init: random startup phases ------------------------------------
-  net.randomize_phases(rng);
-  net.run(config_.schedule.init_s, rng);
+  net.randomize_phases(0, rng);
+  net.run(config_.schedule.init_s, rngs);
   if (observer) observer(0, "init", net);
 
   // Accumulated per-oscillator readout bits (the SHIL_SEL register file).
@@ -102,26 +102,26 @@ MsropmResult reference_solve(const MultiStagePottsMachine& machine,
     // SHIL phases for the current grouping.
     std::vector<double> psi(n);
     for (std::size_t i = 0; i < n; ++i) psi[i] = shil_phase_for_bits(bits[i]);
-    net.set_shil_phases(psi);
+    net.set_shil_phases(0, psi);
 
     // --- anneal: couplings on within groups, SHIL off -------------------
-    net.set_edge_mask(edge_mask);
-    net.set_couplings_active(true);
-    net.set_shil_active(false);
-    net.run(config_.schedule.anneal_s, rng);
+    net.set_edge_mask(0, edge_mask);
+    net.set_couplings_active(0, true);
+    net.set_shil_active(0, false);
+    net.run(config_.schedule.anneal_s, rngs);
     if (observer) observer(stage, "anneal", net);
 
     // --- lock: ramped SHIL binarizes each group ----------------------
-    net.set_couplings_active(config_.couplings_during_lock);
-    net.set_shil_active(true);
-    net.set_shil_level(1.0);
-    net.run(config_.schedule.discretize_s, rng, &config_.shil_ramp);
+    net.set_couplings_active(0, config_.couplings_during_lock);
+    net.set_shil_active(0, true);
+    net.set_shil_level(0, 1.0);
+    net.run(config_.schedule.discretize_s, rngs, &config_.shil_ramp);
     if (observer) observer(stage, "lock", net);
 
     // --- readout: latch the lock lobe as bit b_stage ----------------------
     StageOutcome outcome;
     outcome.bits.resize(n);
-    const auto& theta = net.phases();
+    const std::vector<double> theta(net.phases(0).begin(), net.phases(0).end());
     for (std::size_t i = 0; i < n; ++i) {
       outcome.bits[i] = static_cast<std::uint8_t>(
           phase::nearest_lock_index(theta[i], psi[i], 2));
@@ -143,12 +143,12 @@ MsropmResult reference_solve(const MultiStagePottsMachine& machine,
 
     // --- reinit between stages -------------------------------------------
     if (stage < num_stages) {
-      net.set_shil_active(false);
-      net.set_couplings_active(false);
+      net.set_shil_active(0, false);
+      net.set_couplings_active(0, false);
       // Free-running drift (jitter + mismatch) decorrelates the phases; the
       // stage memory lives in the bits/edge_mask registers.
-      net.randomize_phases(rng);
-      net.run(config_.schedule.reinit_s, rng);
+      net.randomize_phases(0, rng);
+      net.run(config_.schedule.reinit_s, rngs);
       if (observer) observer(stage, "reinit", net);
     }
   }
@@ -183,12 +183,9 @@ void expect_results_identical(const MsropmResult& a, const MsropmResult& b,
 }
 
 void expect_batch_equals_serial(std::size_t replicas, double noise,
-                                double mismatch_hz,
-                                phase::Integrator integrator,
-                                std::uint64_t seed) {
+                                double mismatch_hz, std::uint64_t seed) {
   const auto g = graph::kings_graph_square(7);  // the paper's 49-node fabric
-  const MultiStagePottsMachine machine(
-      g, machine_config(noise, mismatch_hz, integrator));
+  const MultiStagePottsMachine machine(g, machine_config(noise, mismatch_hz));
 
   // Serial reference: R independent reference_solve() calls, each capturing
   // the phase vector at every stage boundary.
@@ -199,8 +196,10 @@ void expect_batch_equals_serial(std::size_t replicas, double noise,
     Snapshots& snaps = serial_snaps[r];
     serial_results.push_back(reference_solve(
         machine, rng, [&snaps](unsigned stage, const char* label,
-                               const phase::PhaseNetwork& net) {
-          snaps.emplace_back(std::to_string(stage) + ":" + label, net.phases());
+                               const phase::PhaseBatch& net) {
+          const auto theta = net.phases(0);
+          snaps.emplace_back(std::to_string(stage) + ":" + label,
+                             std::vector<double>(theta.begin(), theta.end()));
         }));
   }
 
@@ -237,18 +236,15 @@ void expect_batch_equals_serial(std::size_t replicas, double noise,
 }
 
 TEST(BatchEquivalence, BatchOfOneNoiseEuler) {
-  expect_batch_equals_serial(1, 2.0e3, 0.0, phase::Integrator::kEulerMaruyama,
-                             101);
+  expect_batch_equals_serial(1, 2.0e3, 0.0, 101);
 }
 
 TEST(BatchEquivalence, BatchOfThreeNoiseEuler) {
-  expect_batch_equals_serial(3, 2.0e3, 0.0, phase::Integrator::kEulerMaruyama,
-                             202);
+  expect_batch_equals_serial(3, 2.0e3, 0.0, 202);
 }
 
 TEST(BatchEquivalence, BatchOfFortyNoiseEuler) {
-  expect_batch_equals_serial(40, 2.0e3, 0.0, phase::Integrator::kEulerMaruyama,
-                             303);
+  expect_batch_equals_serial(40, 2.0e3, 0.0, 303);
 }
 
 TEST(BatchEquivalence, LaneGroupBoundariesNoiseEuler) {
@@ -256,9 +252,7 @@ TEST(BatchEquivalence, LaneGroupBoundariesNoiseEuler) {
   // AVX2 host) on the 49-node fabric, whose N leaves a tail in every pass.
   for (const std::size_t replicas : {7, 8, 9, 16, 17}) {
     SCOPED_TRACE(replicas);
-    expect_batch_equals_serial(replicas, 2.0e3, 2.0e6,
-                               phase::Integrator::kEulerMaruyama,
-                               900 + replicas);
+    expect_batch_equals_serial(replicas, 2.0e3, 2.0e6, 900 + replicas);
   }
 }
 
@@ -267,35 +261,23 @@ TEST(BatchEquivalence, EveryDispatchedWidthNoiseEuler) {
     if (width > phase::detail::simd_width()) continue;
     SCOPED_TRACE(width);
     const phase::detail::ScopedSimdWidth scope(width);
-    expect_batch_equals_serial(width + 1, 2.0e3, 0.0,
-                               phase::Integrator::kEulerMaruyama, 950 + width);
+    expect_batch_equals_serial(width + 1, 2.0e3, 0.0, 950 + width);
   }
 }
 
 TEST(BatchEquivalence, BatchOfThreeNoiselessEuler) {
-  expect_batch_equals_serial(3, 0.0, 0.0, phase::Integrator::kEulerMaruyama,
-                             404);
+  expect_batch_equals_serial(3, 0.0, 0.0, 404);
 }
 
 TEST(BatchEquivalence, BatchOfThreeMismatchEuler) {
   // Mismatch draws detune from each replica's stream BEFORE the initial
   // phases; the batch path must preserve that consumption order.
-  expect_batch_equals_serial(3, 2.0e3, 2.0e6,
-                             phase::Integrator::kEulerMaruyama, 505);
-}
-
-TEST(BatchEquivalence, BatchOfThreeNoiseRk4) {
-  expect_batch_equals_serial(3, 2.0e3, 0.0, phase::Integrator::kRk4, 606);
-}
-
-TEST(BatchEquivalence, BatchOfThreeNoiselessRk4) {
-  expect_batch_equals_serial(3, 0.0, 0.0, phase::Integrator::kRk4, 707);
+  expect_batch_equals_serial(3, 2.0e3, 2.0e6, 505);
 }
 
 TEST(BatchEquivalence, SolveIsBatchOfOneAndConsumesTheSameStream) {
   const auto g = graph::kings_graph_square(7);
-  const MultiStagePottsMachine machine(
-      g, machine_config(2.0e3, 2.0e6, phase::Integrator::kEulerMaruyama));
+  const MultiStagePottsMachine machine(g, machine_config(2.0e3, 2.0e6));
   util::Rng ref_rng(808);
   util::Rng rng(808);
   const MsropmResult ref = reference_solve(machine, ref_rng, {});
@@ -336,8 +318,7 @@ void expect_summaries_identical(const core::RunSummary& a,
 
 TEST(BatchEquivalence, RunIterationsInvariantToBatchSizeAndThreads) {
   const auto g = graph::kings_graph_square(5);
-  const MultiStagePottsMachine machine(
-      g, machine_config(2.0e3, 0.0, phase::Integrator::kEulerMaruyama));
+  const MultiStagePottsMachine machine(g, machine_config(2.0e3, 0.0));
   const core::RunSummary reference = run_with(machine, 1, 1);
   EXPECT_EQ(reference.completed, 12u);
   EXPECT_FALSE(reference.cancelled);
@@ -349,8 +330,7 @@ TEST(BatchEquivalence, RunIterationsInvariantToBatchSizeAndThreads) {
 
 TEST(BatchEquivalence, RunIterationsStopTokenTruncatesToPrefix) {
   const auto g = graph::kings_graph_square(5);
-  const MultiStagePottsMachine machine(
-      g, machine_config(2.0e3, 0.0, phase::Integrator::kEulerMaruyama));
+  const MultiStagePottsMachine machine(g, machine_config(2.0e3, 0.0));
 
   // Pre-tripped token: no iteration may run.
   util::StopSource source;

@@ -1,9 +1,8 @@
 // Tests for the batched SoA phase engine: replica isolation, bit-identity
-// against the batch-of-one facade (PhaseNetwork) at every lane-group
-// boundary and every dispatched SIMD width, the lane-vectorised xoshiro, CSR
-// derivative correctness, energy identities, and argument validation. The
-// full machine-level equivalence gate lives in
-// core_batch_equivalence_test.cpp.
+// against batch-of-one runs at every lane-group boundary and every
+// dispatched SIMD width, the lane-vectorised xoshiro, the step's drift
+// against the energy gradient, and argument validation. The full
+// machine-level equivalence gate lives in core_batch_equivalence_test.cpp.
 #include "msropm/phase/batch.hpp"
 
 #include <gtest/gtest.h>
@@ -16,17 +15,14 @@
 
 #include "../src/phase/trig.hpp"
 #include "msropm/graph/builders.hpp"
-#include "msropm/phase/network.hpp"
 #include "msropm/util/rng.hpp"
 
 namespace {
 
 using namespace msropm;
 using phase::GainRamp;
-using phase::Integrator;
 using phase::NetworkParams;
 using phase::PhaseBatch;
-using phase::PhaseNetwork;
 
 constexpr double kPi = std::numbers::pi;
 
@@ -39,62 +35,51 @@ NetworkParams tuned_params(double noise = 2.0e3) {
   return p;
 }
 
-/// Give replica r of the batch (and a paired serial network) a diverged
-/// state: phases, mask, SHIL setup and detune all keyed off the replica id.
-void configure_replica(PhaseBatch& batch, std::size_t r, PhaseNetwork& net,
-                       std::uint64_t seed) {
-  util::Rng rng_batch(seed);
-  util::Rng rng_serial(seed);
-  batch.randomize_phases(r, rng_batch);
-  net.randomize_phases(rng_serial);
+/// Give `slot` of `batch` the diverged state of replica r: phases, mask,
+/// SHIL setup and detune all keyed off r, so a batch-of-1 gets the
+/// identical setup with slot 0.
+void configure_replica(PhaseBatch& batch, std::size_t slot, std::size_t r) {
+  util::Rng rng(1000 + 7 * r);
+  batch.randomize_phases(slot, rng);
 
   const std::size_t m = batch.graph().num_edges();
   std::vector<std::uint8_t> mask(m, 1);
   for (std::size_t e = r % 3; e < m; e += 3) mask[e] = 0;
-  batch.set_edge_mask(r, mask);
-  net.set_edge_mask(mask);
-
-  batch.set_uniform_coupling(r, -1.0);
-  net.set_uniform_coupling(-1.0);
-  batch.set_couplings_active(r, true);
-  net.set_couplings_active(true);
+  batch.set_edge_mask(slot, mask);
+  batch.set_uniform_coupling(slot, -1.0);
+  batch.set_couplings_active(slot, true);
 
   std::vector<double> psi(batch.size());
   for (std::size_t i = 0; i < psi.size(); ++i) {
     psi[i] = (i + r) % 2 == 0 ? 0.0 : kPi / 2;
   }
-  batch.set_shil_phases(r, psi);
-  net.set_shil_phases(psi);
-  batch.set_shil_active(r, true);
-  net.set_shil_active(true);
-  batch.set_shil_level(r, 0.5 + 0.1 * static_cast<double>(r % 4));
-  net.set_shil_level(0.5 + 0.1 * static_cast<double>(r % 4));
+  batch.set_shil_phases(slot, psi);
+  batch.set_shil_active(slot, true);
+  batch.set_shil_level(slot, 0.5 + 0.1 * static_cast<double>(r % 4));
 
   std::vector<double> detune(batch.size());
   for (std::size_t i = 0; i < detune.size(); ++i) {
     detune[i] = 1.0e6 * static_cast<double>((i + r) % 5);
   }
-  batch.set_detune(r, detune);
-  net.set_detune(detune);
+  batch.set_detune(slot, detune);
 }
 
 /// Batch-of-R stepping must be bit-identical to R independent batch-of-one
-/// networks consuming the same per-replica RNG streams — for Euler (with
-/// noise), for RK4, and through a ramped run() window.
-void expect_batch_matches_serial(std::size_t replicas, Integrator integrator,
-                                 double noise, std::size_t side = 5,
-                                 int raw_steps = 25, int run_steps = 40) {
+/// runs consuming the same per-replica RNG streams — raw steps with noise
+/// and a ramped run() window.
+void expect_batch_matches_serial(std::size_t replicas, double noise,
+                                 std::size_t side = 5, int raw_steps = 25,
+                                 int run_steps = 40) {
   const auto g = graph::kings_graph_square(side);
-  NetworkParams params = tuned_params(noise);
-  params.integrator = integrator;
+  const NetworkParams params = tuned_params(noise);
 
   PhaseBatch batch(g, params, replicas);
-  std::vector<PhaseNetwork> serial;
+  std::vector<PhaseBatch> serial;
   serial.reserve(replicas);
-  for (std::size_t r = 0; r < replicas; ++r) serial.emplace_back(g, params);
-
   for (std::size_t r = 0; r < replicas; ++r) {
-    configure_replica(batch, r, serial[r], /*seed=*/1000 + 7 * r);
+    serial.emplace_back(g, params, 1);
+    configure_replica(batch, r, r);
+    configure_replica(serial[r], 0, r);
   }
 
   std::vector<util::Rng> batch_rngs, serial_rngs;
@@ -106,54 +91,46 @@ void expect_batch_matches_serial(std::size_t replicas, Integrator integrator,
   // Raw steps.
   for (int s = 0; s < raw_steps; ++s) {
     batch.step(batch_rngs);
-    for (std::size_t r = 0; r < replicas; ++r) serial[r].step(serial_rngs[r]);
+    for (std::size_t r = 0; r < replicas; ++r) {
+      serial[r].step({&serial_rngs[r], 1});
+    }
   }
   for (std::size_t r = 0; r < replicas; ++r) {
     const auto theta = batch.phases(r);
-    const auto& ref = serial[r].phases();
+    const auto ref = serial[r].phases(0);
     for (std::size_t i = 0; i < theta.size(); ++i) {
       ASSERT_EQ(theta[i], ref[i]) << "replica " << r << " node " << i;
     }
   }
 
-  // A ramped run() window (exercises the integrator dispatch + SHIL ramp).
+  // A ramped run() window (exercises the unit-major path + SHIL ramp).
   const GainRamp ramp{0.0, 0.5};
   const double duration = static_cast<double>(run_steps) * params.dt;
   batch.run(duration, batch_rngs, &ramp);
   for (std::size_t r = 0; r < replicas; ++r) {
-    serial[r].run(duration, serial_rngs[r], &ramp);
+    serial[r].run(duration, {&serial_rngs[r], 1}, &ramp);
   }
   for (std::size_t r = 0; r < replicas; ++r) {
     const auto theta = batch.phases(r);
-    const auto& ref = serial[r].phases();
+    const auto ref = serial[r].phases(0);
     for (std::size_t i = 0; i < theta.size(); ++i) {
       ASSERT_EQ(theta[i], ref[i]) << "replica " << r << " node " << i;
     }
-    ASSERT_EQ(batch.coupling_energy(r), serial[r].coupling_energy());
-    ASSERT_EQ(batch.shil_energy(r), serial[r].shil_energy());
+    ASSERT_EQ(batch.coupling_energy(r), serial[r].coupling_energy(0));
+    ASSERT_EQ(batch.shil_energy(r), serial[r].shil_energy(0));
   }
 }
 
-TEST(PhaseBatch, BatchOfOneMatchesFacadeEuler) {
-  expect_batch_matches_serial(1, Integrator::kEulerMaruyama, 2.0e3);
+TEST(PhaseBatch, BatchOfOneMatchesSerialEuler) {
+  expect_batch_matches_serial(1, 2.0e3);
 }
 
 TEST(PhaseBatch, BatchOfThreeMatchesSerialEuler) {
-  expect_batch_matches_serial(3, Integrator::kEulerMaruyama, 2.0e3);
+  expect_batch_matches_serial(3, 2.0e3);
 }
 
 TEST(PhaseBatch, BatchOfFortyMatchesSerialEuler) {
-  expect_batch_matches_serial(40, Integrator::kEulerMaruyama, 2.0e3);
-}
-
-TEST(PhaseBatch, BatchOfThreeMatchesSerialRk4NoiseFree) {
-  expect_batch_matches_serial(3, Integrator::kRk4, 0.0);
-}
-
-TEST(PhaseBatch, BatchOfThreeMatchesSerialRk4WithNoise) {
-  // RK4 drift + Euler-Maruyama noise: the noise draws must still line up
-  // per replica.
-  expect_batch_matches_serial(3, Integrator::kRk4, 2.0e3);
+  expect_batch_matches_serial(40, 2.0e3);
 }
 
 // --- lane groups --------------------------------------------------------------
@@ -168,15 +145,14 @@ constexpr std::size_t kBoundaryWidths[] = {1, 7, 8, 9, 16, 17, 40};
 TEST(PhaseBatch, LaneGroupBoundariesMatchSerialOddN) {
   for (const std::size_t replicas : kBoundaryWidths) {
     SCOPED_TRACE(replicas);
-    expect_batch_matches_serial(replicas, Integrator::kEulerMaruyama, 2.0e3, 7);
+    expect_batch_matches_serial(replicas, 2.0e3, 7);
   }
 }
 
 TEST(PhaseBatch, LaneGroupBoundariesMatchSerialKings46) {
   for (const std::size_t replicas : kBoundaryWidths) {
     SCOPED_TRACE(replicas);
-    expect_batch_matches_serial(replicas, Integrator::kEulerMaruyama, 2.0e3,
-                                46, 3, 6);
+    expect_batch_matches_serial(replicas, 2.0e3, 46, 3, 6);
   }
 }
 
@@ -190,9 +166,8 @@ TEST(PhaseBatch, EveryDispatchedWidthMatchesSerial) {
     ASSERT_EQ(phase::detail::simd_width(), width);
     for (const std::size_t replicas : {width + 1, 2 * width + 1}) {
       SCOPED_TRACE(replicas);
-      expect_batch_matches_serial(replicas, Integrator::kEulerMaruyama, 2.0e3, 7);
+      expect_batch_matches_serial(replicas, 2.0e3, 7);
     }
-    expect_batch_matches_serial(width + 1, Integrator::kRk4, 2.0e3, 7);
   }
 }
 
@@ -354,27 +329,23 @@ TEST(PhaseBatch, BoxMullerMatchesLibmAtEveryWidth) {
 }
 
 TEST(PhaseBatch, NoiselessRunLeavesRngsUntouched) {
-  // Zero noise draws nothing: no stream advances, in either integrator.
+  // Zero noise draws nothing: no stream advances.
   const auto g = graph::kings_graph_square(4);
-  for (const Integrator integrator :
-       {Integrator::kEulerMaruyama, Integrator::kRk4}) {
-    NetworkParams params = tuned_params(0.0);
-    params.integrator = integrator;
-    PhaseBatch batch(g, params, 3);
-    util::Rng init(5);
-    std::vector<util::Rng> rngs;
-    for (std::size_t r = 0; r < 3; ++r) {
-      batch.randomize_phases(r, init);
-      batch.set_shil_active(r, true);
-      rngs.emplace_back(100 + r);
-    }
-    std::vector<std::array<std::uint64_t, 4>> before;
-    for (const util::Rng& rng : rngs) before.push_back(rng.state());
-    batch.step(rngs);
-    batch.run(30.0 * params.dt, rngs);
-    for (std::size_t r = 0; r < 3; ++r) {
-      EXPECT_EQ(rngs[r].state(), before[r]) << "replica " << r;
-    }
+  const NetworkParams params = tuned_params(0.0);
+  PhaseBatch batch(g, params, 3);
+  util::Rng init(5);
+  std::vector<util::Rng> rngs;
+  for (std::size_t r = 0; r < 3; ++r) {
+    batch.randomize_phases(r, init);
+    batch.set_shil_active(r, true);
+    rngs.emplace_back(100 + r);
+  }
+  std::vector<std::array<std::uint64_t, 4>> before;
+  for (const util::Rng& rng : rngs) before.push_back(rng.state());
+  batch.step(rngs);
+  batch.run(30.0 * params.dt, rngs);
+  for (std::size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(rngs[r].state(), before[r]) << "replica " << r;
   }
 }
 
@@ -425,36 +396,101 @@ TEST(PhaseBatch, NoiseIncrementsAreStandardNormalTailLanes) {
   expect_noise_increments_normal(6, 32, 2000);
 }
 
-TEST(PhaseBatch, DerivativeIsNegativeEnergyGradient) {
-  // dtheta_i = -dE/dtheta_i (scaled by the gains folded into E): check the
-  // CSR gather against a central finite difference of coupling_energy.
-  const auto g = graph::kings_graph_square(3);
-  NetworkParams params = tuned_params(0.0);
-  PhaseBatch batch(g, params, 2);
-  util::Rng rng(7);
-  const std::size_t r = 1;  // non-zero replica: exercises slice offsets
-  batch.randomize_phases(r, rng);
-  batch.set_uniform_coupling(r, -1.0);
-  batch.set_couplings_active(r, true);
-
-  std::vector<double> theta(batch.phases(r).begin(), batch.phases(r).end());
-  std::vector<double> dtheta(theta.size());
-  batch.derivative(r, theta, dtheta);
-
+/// Minus the central finite-difference gradient of Kc * coupling_energy +
+/// shil_energy at replica r's current phases: the drift the model prescribes
+/// (coupling_energy omits the Kc scale the step applies; shil_energy carries
+/// its gain). Leaves the phases as they were.
+std::vector<double> energy_gradient_drift(PhaseBatch& batch, std::size_t r) {
+  const std::vector<double> theta(batch.phases(r).begin(),
+                                  batch.phases(r).end());
+  const double kc = batch.params().coupling_gain;
+  const auto energy = [&](const std::vector<double>& at) {
+    batch.set_phases(r, at);
+    return kc * batch.coupling_energy(r) + batch.shil_energy(r);
+  };
   const double h = 1e-6;
+  std::vector<double> drift(theta.size());
   for (std::size_t i = 0; i < theta.size(); ++i) {
     std::vector<double> plus = theta, minus = theta;
     plus[i] += h;
     minus[i] -= h;
-    batch.set_phases(r, plus);
-    const double e_plus = batch.coupling_energy(r);
-    batch.set_phases(r, minus);
-    const double e_minus = batch.coupling_energy(r);
-    const double grad = (e_plus - e_minus) / (2.0 * h);
-    // coupling_energy omits the Kc scale; derivative applies it.
-    EXPECT_NEAR(dtheta[i], -params.coupling_gain * grad,
-                1e-4 * params.coupling_gain);
-    batch.set_phases(r, theta);
+    drift[i] = -(energy(plus) - energy(minus)) / (2.0 * h);
+  }
+  batch.set_phases(r, theta);
+  return drift;
+}
+
+/// One noiseless step() must move replica r by dt times the model's drift,
+/// (theta' - theta) / dt = -Kc * dE_c/dtheta - dE_s/dtheta, on the last lane
+/// of a lane group and on the single-lane replica after it. Mixed
+/// couplings, a partial mask and, with `shil`, order-2 SHIL at a partial
+/// level with per-node offsets and enables.
+void expect_step_follows_energy_gradient(bool shil) {
+  const auto g = graph::kings_graph_square(3);
+  const NetworkParams params = tuned_params(0.0);
+  const std::size_t lanes = phase::detail::simd_width();
+  const std::size_t replicas = lanes + 1;
+  PhaseBatch batch(g, params, replicas);
+  const std::size_t n = batch.size();
+  const std::size_t m = g.num_edges();
+  std::vector<double> j(m);
+  std::vector<std::uint8_t> mask(m, 1);
+  for (std::size_t e = 0; e < m; ++e) {
+    j[e] = -1.0 + 0.4 * static_cast<double>(e % 5);
+    if (e % 4 == 3) mask[e] = 0;
+  }
+  std::vector<double> psi(n);
+  std::vector<std::uint8_t> enable(n, 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    psi[i] = 0.3 * static_cast<double>(i);
+    if (i % 4 == 2) enable[i] = 0;
+  }
+  std::vector<util::Rng> rngs;
+  for (std::size_t r = 0; r < replicas; ++r) {
+    util::Rng init(40 + r);
+    batch.randomize_phases(r, init);
+    batch.set_edge_couplings(r, j);
+    batch.set_edge_mask(r, mask);
+    batch.set_couplings_active(r, true);
+    batch.set_shil_phases(r, psi);
+    batch.set_shil_enable(r, enable);
+    batch.set_shil_active(r, shil);
+    batch.set_shil_level(r, 0.7);
+    rngs.emplace_back(r);
+  }
+
+  const std::size_t checked[] = {lanes - 1, lanes};  // grouped, single
+  std::vector<std::vector<double>> before, drift;
+  for (const std::size_t r : checked) {
+    before.emplace_back(batch.phases(r).begin(), batch.phases(r).end());
+    drift.push_back(energy_gradient_drift(batch, r));
+  }
+  batch.step(rngs);
+  const double tol = 1e-4 * params.coupling_gain;
+  for (std::size_t c = 0; c < 2; ++c) {
+    const auto after = batch.phases(checked[c]);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR((after[i] - before[c][i]) / params.dt, drift[c][i], tol)
+          << "replica " << checked[c] << " node " << i;
+    }
+  }
+}
+
+TEST(PhaseBatch, StepDriftIsNegativeEnergyGradient) {
+  // The drift the lane kernel integrates, checked against the energy it is
+  // the gradient flow of, at every width this host dispatches.
+  for (const std::size_t width : {std::size_t{8}, std::size_t{4}, std::size_t{1}}) {
+    if (width > phase::detail::simd_width()) continue;
+    SCOPED_TRACE(width);
+    const phase::detail::ScopedSimdWidth scope(width);
+    {
+      SCOPED_TRACE("couplings");
+      expect_step_follows_energy_gradient(false);
+    }
+    {
+      SCOPED_TRACE("couplings + order-2 SHIL");
+      expect_step_follows_energy_gradient(true);
+    }
   }
 }
 
@@ -509,6 +545,17 @@ TEST(PhaseBatch, ValidatesArguments) {
   std::vector<util::Rng> wrong(1, util::Rng(1));
   EXPECT_THROW(batch.step(wrong), std::invalid_argument);
   EXPECT_THROW(PhaseBatch(g, tuned_params(), 0), std::invalid_argument);
+  // Every per-replica accessor rejects r = num_replicas().
+  const std::size_t past = batch.num_replicas();
+  EXPECT_THROW((void)batch.phases(past), std::out_of_range);
+  EXPECT_THROW((void)batch.edge_mask(past), std::out_of_range);
+  EXPECT_THROW((void)batch.shil_phases(past), std::out_of_range);
+  EXPECT_THROW(batch.set_couplings_active(past, true), std::out_of_range);
+  EXPECT_THROW((void)batch.couplings_active(past), std::out_of_range);
+  EXPECT_THROW(batch.set_shil_active(past, true), std::out_of_range);
+  EXPECT_THROW((void)batch.shil_active(past), std::out_of_range);
+  EXPECT_THROW(batch.set_shil_level(past, 0.5), std::out_of_range);
+  EXPECT_THROW((void)batch.shil_level(past), std::out_of_range);
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 #include "msropm/core/runner.hpp"
 #include "msropm/graph/builders.hpp"
 #include "msropm/phase/lock.hpp"
-#include "msropm/phase/network.hpp"
+#include "msropm/phase/batch.hpp"
 #include "msropm/util/rng.hpp"
 
 namespace {
@@ -36,15 +36,15 @@ TEST_P(ShilStrengthSweep, StrongEnoughShilAlwaysDiscretizes) {
   const auto g = graph::kings_graph(4, 4);
   auto params = analysis::default_machine_config().network;
   params.shil_gain = gain;
-  phase::PhaseNetwork net(g, params);
-  net.set_couplings_active(true);
-  net.set_shil_active(true);
-  net.set_uniform_shil_phase(0.0);
+  phase::PhaseBatch net(g, params, 1);
+  net.set_couplings_active(0, true);
+  net.set_shil_active(0, true);
+  net.set_uniform_shil_phase(0, 0.0);
   util::Rng rng(5);
-  net.randomize_phases(rng);
-  net.run(20e-9, rng);
+  net.randomize_phases(0, rng);
+  net.run(20e-9, {&rng, 1});
   const std::vector<double> psi(g.num_nodes(), 0.0);
-  const double residual = phase::max_lock_residual(net.phases(), psi, 2);
+  const double residual = phase::max_lock_residual(net.theta_flat(), psi, 2);
   if (gain >= 1.0e9) {
     EXPECT_LT(residual, 0.25) << "gain " << gain;
   }
@@ -57,15 +57,15 @@ TEST(ShilStrength, TooWeakFailsToDiscretize) {
   const auto g = graph::kings_graph(4, 4);
   auto params = analysis::default_machine_config().network;
   params.shil_gain = 2.0e7;  // far below the coupling gain
-  phase::PhaseNetwork net(g, params);
-  net.set_couplings_active(true);
-  net.set_shil_active(true);
-  net.set_uniform_shil_phase(0.0);
+  phase::PhaseBatch net(g, params, 1);
+  net.set_couplings_active(0, true);
+  net.set_shil_active(0, true);
+  net.set_uniform_shil_phase(0, 0.0);
   util::Rng rng(5);
-  net.randomize_phases(rng);
-  net.run(20e-9, rng);
+  net.randomize_phases(0, rng);
+  net.run(20e-9, {&rng, 1});
   const std::vector<double> psi(g.num_nodes(), 0.0);
-  EXPECT_GT(phase::max_lock_residual(net.phases(), psi, 2), 0.3)
+  EXPECT_GT(phase::max_lock_residual(net.theta_flat(), psi, 2), 0.3)
       << "a SHIL much weaker than the coupling cannot pin the phases";
 }
 
