@@ -1,17 +1,17 @@
 // Chromatic-search bench: incremental assumption-based sweep vs the
-// fresh-solver-per-K from-scratch baseline (both clique-seeded, both behind
-// the tuned presimplify profile).
+// fresh-solver-per-K from-scratch baseline (both clique-seeded, both plain
+// CDCL on the direct encoding).
 //
 // Two row families:
 //   - King's grids (the paper's instances): the clique seed starts the sweep
 //     at K = omega = 4, so both modes issue ONE SAT query and the gate is
-//     parity — the incremental machinery (activation literals, frozen
-//     selectors, multi-shot solver) must cost nothing when there is nothing
-//     to reuse.
+//     parity — the incremental machinery (activation literals, selector
+//     assumptions, multi-shot solver) must cost nothing when there is
+//     nothing to reuse.
 //   - Random G(n, p) graphs whose chromatic number sits above the greedy
 //     clique bound: the sweep passes through real UNSAT rounds, and the
-//     incremental mode reuses one encoding, one preprocessor run and every
-//     learnt clause across rounds, which is where it must win.
+//     incremental mode reuses one encoding and every learnt clause across
+//     rounds, which is where it must win.
 //
 // Hard gates (exit nonzero): chromatic values identical in both modes on
 // every row, and the TOTAL incremental sweep time never slower than

@@ -75,8 +75,8 @@ void BM_SatExactColoring(benchmark::State& state) {
 BENCHMARK(BM_SatExactColoring)->Arg(7)->Arg(20)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
-// Propagation/decision hot-path microbench: raw CDCL on the direct encoding
-// (no presimplify), surfacing the watcher/heap counters — blocker_skips
+// Propagation/decision hot-path microbench: CDCL on the direct encoding,
+// surfacing the watcher/heap counters — blocker_skips
 // (satisfied-blocker visits that skipped the arena), binary_propagations
 // (enqueues straight from implicit binary watchers) and heap_decisions
 // (decisions served by the VSIDS order heap after it engages at the first

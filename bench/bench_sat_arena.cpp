@@ -3,7 +3,7 @@
 // the ClauseArena port instead of leaving it anecdotal.
 //
 // Reported per instance:
-//   - allocations during Solver construction (ingest / presimplify)
+//   - allocations during Solver construction (ingest)
 //   - allocations during solve() (the search hot path)
 //   - learnt clauses created during search
 //   - search allocations per 1000 learnt clauses
@@ -127,16 +127,13 @@ int main() {
   };
   std::vector<Row> rows;
 
-  // The paper's construction-bound King's instance: ~47.6k clauses, ~0
+  // The paper's construction-bound King's instance: ~34.9k clauses, ~0
   // conflicts. Ingestion allocation count is the headline number here (the
   // pre-arena solver paid one vector per clause = ~47k allocations).
   {
     const auto g = graph::kings_graph_square(46);
     auto enc = sat::encode_coloring(g, 4);
     rows.push_back({"kings_46x46_4col", std::move(enc.cnf), {}});
-    auto enc_pre = sat::encode_coloring(g, 4);
-    rows.push_back({"kings_46x46_4col_pre", std::move(enc_pre.cnf),
-                    sat::exact_coloring_solver_options()});
   }
   // Conflict-heavy rows: search-phase allocations must not scale with the
   // thousands of learnt clauses created.
@@ -168,15 +165,14 @@ int main() {
 
     // Zero-per-clause criteria:
     //  (a) ingestion allocations must scale with the variable count (watch
-    //      and occurrence lists are per-literal), not the clause count. The
-    //      bounds are calibrated so the pre-arena numbers fail: plain 46x46
-    //      ingest was 45.9k allocs (now 12.7k, bound 31.6k), presimplify was
-    //      54.9k (now 29.7k, bound 40.1k).
+    //      lists are per-literal), not the clause count. The bound is
+    //      calibrated so the pre-arena number fails: 46x46 ingest was 45.9k
+    //      allocs (now 12.8k, bound 30.0k).
     //  (b) search must allocate far fewer times than it learns clauses
     //      (pre-arena: one vector per learnt clause).
     const std::uint64_t vars = row.cnf.num_vars();
     const std::uint64_t alloc_bound =
-        (row.options.presimplify ? 4 : 3) * vars +
+        3 * vars +
         row.cnf.num_clauses() / 8 + 256;
     if (m.construct_allocs >= alloc_bound) {
       std::fprintf(stderr,

@@ -5,14 +5,14 @@
 //
 // Usage:
 //   dimacs_solver <graph.col> [colors=4] [iterations=40] [seed=1] [--sat]
-//                 [--chromatic] [--preprocess] [--no-preprocess]
-//                 [--trace FILE] [--metrics] [--metrics-json FILE]
-//                 [--metrics-prom FILE] [--fault-spec SPEC]
+//                 [--chromatic] [--trace FILE] [--metrics]
+//                 [--metrics-json FILE] [--metrics-prom FILE]
+//                 [--fault-spec SPEC]
 //
-// --trace records msropm::obs spans (solver phases, preprocessing passes,
-// incremental rounds) and writes a Chrome trace-event JSON on exit; --metrics
-// enables the obs registry and prints the merged counter/timer report — the
-// sat.* counters there match the SolverStats tables below it one-for-one.
+// --trace records msropm::obs spans (solver phases, incremental rounds) and
+// writes a Chrome trace-event JSON on exit; --metrics enables the obs
+// registry and prints the merged counter/timer report — the sat.* counters
+// there match the SolverStats tables below it one-for-one.
 // --metrics-json / --metrics-prom additionally export the SAME snapshot as a
 // JSON document / Prometheus text format (both imply --metrics). All of the
 // observability outputs are emitted on EVERY exit path once the flags parsed
@@ -20,10 +20,8 @@
 // instrumented run never silently loses its data. Repeating any of these
 // flags is allowed: the last value wins (with a warning).
 //
-// --sat runs the exact CDCL baseline; by default it presimplifies the CNF
-// through msropm::sat::Preprocessor and prints the preprocessing and search
-// statistics as a table (copy-pasteable into bench notes). --no-preprocess
-// solves the raw encoding instead.
+// --sat runs the exact CDCL baseline on the direct encoding and prints the
+// search statistics as a table (copy-pasteable into bench notes).
 //
 // --chromatic runs the incremental assumption-based chromatic search
 // (sat::chromatic_search) with max_k = the requested color count: one
@@ -64,28 +62,6 @@ namespace {
 
 void print_sat_stats(const msropm::sat::ExactColoringOutcome& outcome) {
   using msropm::util::TextTable;
-  if (const auto& pre = outcome.preprocess_stats) {
-    TextTable table({"preprocess", "vars", "clauses", "literals"});
-    table.add_row({"original", std::to_string(pre->original_vars),
-                   std::to_string(pre->original_clauses),
-                   std::to_string(pre->original_literals)});
-    table.add_row({"simplified", std::to_string(pre->simplified_vars),
-                   std::to_string(pre->simplified_clauses),
-                   std::to_string(pre->simplified_literals)});
-    std::printf("%s", table.render().c_str());
-    TextTable detail({"technique", "removed"});
-    detail.add_row({"unit_fixed", std::to_string(pre->unit_fixed)});
-    detail.add_row({"pure_fixed", std::to_string(pre->pure_fixed)});
-    detail.add_row({"tautologies", std::to_string(pre->tautologies)});
-    detail.add_row({"duplicates", std::to_string(pre->duplicate_clauses)});
-    detail.add_row({"subsumed", std::to_string(pre->subsumed)});
-    detail.add_row({"strengthened", std::to_string(pre->strengthened)});
-    detail.add_row({"blocked", std::to_string(pre->blocked)});
-    detail.add_row({"bve_eliminated", std::to_string(pre->eliminated_vars)});
-    std::printf("%s", detail.render().c_str());
-    std::printf("preprocess: %.1f%% of clauses removed in %zu rounds, %.4f s\n",
-                100.0 * pre->clause_reduction(), pre->rounds, pre->seconds);
-  }
   const auto& s = outcome.solver_stats;
   TextTable search({"search", "decisions", "propagations", "conflicts",
                     "restarts", "learnts"});
@@ -112,9 +88,9 @@ int run_solver_cli(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: %s <graph.col> [colors=4] [iterations=40] [seed=1] "
-                 "[--sat] [--chromatic] [--preprocess] [--no-preprocess] "
-                 "[--trace FILE] [--metrics] [--metrics-json FILE] "
-                 "[--metrics-prom FILE] [--fault-spec SPEC]\n",
+                 "[--sat] [--chromatic] [--trace FILE] [--metrics] "
+                 "[--metrics-json FILE] [--metrics-prom FILE] "
+                 "[--fault-spec SPEC]\n",
                  argv[0]);
     return 2;
   }
@@ -126,7 +102,6 @@ int run_solver_cli(int argc, char** argv) {
   std::uint64_t seed = 1;
   bool run_sat = false;
   bool run_chromatic = false;
-  bool preprocess = true;
   int positional = 0;
   for (int i = 2; i < argc; ++i) {
     const cli::ObsHarness::Arg shared = harness.consume(argc, argv, i);
@@ -136,10 +111,6 @@ int run_solver_cli(int argc, char** argv) {
       run_sat = true;
     } else if (std::strcmp(argv[i], "--chromatic") == 0) {
       run_chromatic = true;
-    } else if (std::strcmp(argv[i], "--preprocess") == 0) {
-      preprocess = true;
-    } else if (std::strcmp(argv[i], "--no-preprocess") == 0) {
-      preprocess = false;
     } else if (std::strncmp(argv[i], "--", 2) == 0) {
       std::fprintf(stderr, "unrecognized flag: %s\n", argv[i]);
       return 2;
@@ -206,10 +177,7 @@ int run_solver_cli(int argc, char** argv) {
   if (greedy.colors_used <= colors) status = 10;
 
   if (run_sat) {
-    sat::SolverOptions solver_options = sat::exact_coloring_solver_options();
-    solver_options.presimplify = preprocess;
-    const auto outcome =
-        sat::solve_exact_coloring_detailed(g, colors, {}, solver_options);
+    const auto outcome = sat::solve_exact_coloring_detailed(g, colors);
     const char* answer = "UNKNOWN (conflict limit hit)";
     if (outcome.result == sat::SolveResult::kSat) {
       answer = "exists";
@@ -218,15 +186,12 @@ int run_solver_cli(int argc, char** argv) {
       answer = "does NOT exist";
       status = 20;
     }
-    std::printf("SAT (%s): %u-coloring %s\n",
-                preprocess ? "preprocessed" : "raw encoding", colors, answer);
+    std::printf("SAT: %u-coloring %s\n", colors, answer);
     print_sat_stats(outcome);
   }
 
   if (run_chromatic) {
-    sat::ChromaticSearchOptions chromatic_options;
-    chromatic_options.presimplify = preprocess;
-    const auto outcome = sat::chromatic_search(g, colors, chromatic_options);
+    const auto outcome = sat::chromatic_search(g, colors);
     if (outcome.chromatic) {
       std::printf("chromatic number: %u (bounds [%u, %u], %zu incremental "
                   "solves)\n",

@@ -13,8 +13,8 @@
 #   Preset             What it adds
 #   ----------------   ------------------------------------------------------
 #   CHECK_ASAN=1       tests labelled `asan` in CMakeLists.txt (SAT arena/GC,
-#                      preprocessor, batched phase engine) rebuilt and rerun
-#                      under ASan/UBSan (build-asan/)
+#                      incremental solving, batched phase engine) rebuilt
+#                      and rerun under ASan/UBSan (build-asan/)
 #   CHECK_TSAN=1       tests labelled `tsan` (portfolio, stop tokens, arena
 #                      cancellation, obs, batched runner) under TSan
 #                      (build-tsan/)
@@ -110,7 +110,7 @@ if [ "${CHECK_CHAOS:-0}" = "1" ] && [ "${SANITIZE}" = "OFF" ]; then
   # exception, anything else (e.g. 139) a crash.
   python3 - <<'EOF'
 import subprocess, sys, tempfile, os
-specs = ["alloc:1", "propagate:1:3", "analyze:2", "gc:1", "pre:1",
+specs = ["alloc:1", "propagate:1:3", "analyze:2", "gc:1",
          "all@0.05,seed=7", "all@0.2,seed=11", "stall:1,stall-ms=1"]
 # 3x3 King's graph in DIMACS .col form (4-colorable; K=3 is UNSAT).
 edges = [(u, v) for u in range(9) for v in range(u + 1, 9)

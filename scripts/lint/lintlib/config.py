@@ -43,7 +43,6 @@ OBS_GATE_TOKENS = ('gate', 'metrics_enabled', 'tracing_enabled', 'obs_gate',
 ENTRY_POINTS = [re.compile(p) for p in (
     r'(^|::)Solver::solve_internal$',
     r'(^|::)Solver::solve_obs$',
-    r'(^|::)Preprocessor::run$',
     r'(^|::)PhaseBatch::run$',
     r'(^|::)run_iterations$',
     r'(^|::)solve_tabucol$',

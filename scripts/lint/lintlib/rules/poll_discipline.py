@@ -1,5 +1,5 @@
-"""poll-discipline: long-running loops in solver/preprocessor/phase entry
-points must poll StopToken / ResourceBudget / fault gates.
+"""poll-discipline: long-running loops in solver/phase entry points must
+poll StopToken / ResourceBudget / fault gates.
 
 Contract (src/util/README.md cancellation + budget contracts; PR 2/9): every
 engine entry point listed in config.ENTRY_POINTS unwinds cooperatively — a

@@ -107,8 +107,6 @@ StrategyRun run_cdcl(const graph::Graph& g, unsigned num_colors,
     return run;
   }
   const auto encoding = sat::encode_coloring(g, num_colors);
-  // Plain CDCL: on these encodings presimplify costs more than it saves
-  // (src/portfolio/README.md, "Default lineup").
   sat::SolverOptions options;
   options.budget = budget;
   options.stop = token;

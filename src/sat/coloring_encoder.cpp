@@ -53,6 +53,11 @@ std::vector<graph::NodeId> greedy_clique(const graph::Graph& g) {
 
 ColoringEncoding encode_coloring(const graph::Graph& g, unsigned num_colors,
                                  ColoringEncodeOptions options) {
+  if (num_colors == 0 || num_colors > 255) {
+    throw std::invalid_argument("encode_coloring: num_colors = " +
+                                std::to_string(num_colors) +
+                                " outside [1, 255]");
+  }
   ColoringEncoding enc;
   enc.num_nodes = g.num_nodes();
   enc.num_colors = num_colors;
@@ -65,11 +70,6 @@ ColoringEncoding encode_coloring(const graph::Graph& g, unsigned num_colors,
       at_least_one.push_back(pos(enc.var_of(v, c)));
     }
     enc.cnf.add_clause(std::move(at_least_one));
-    for (unsigned c1 = 0; c1 < num_colors; ++c1) {
-      for (unsigned c2 = c1 + 1; c2 < num_colors; ++c2) {
-        enc.cnf.add_binary(neg(enc.var_of(v, c1)), neg(enc.var_of(v, c2)));
-      }
-    }
   }
   for (const graph::Edge& e : g.edges()) {
     for (unsigned c = 0; c < num_colors; ++c) {
@@ -84,20 +84,6 @@ ColoringEncoding encode_coloring(const graph::Graph& g, unsigned num_colors,
     }
   }
   return enc;
-}
-
-SolverOptions exact_coloring_solver_options() {
-  SolverOptions options;
-  options.presimplify = true;
-  // Profile tuned for direct coloring encodings: unit propagation absorbs the
-  // symmetry-breaking clique, and BCE strips the at-most-one ladders (>25% of
-  // the clauses). Subsumption and BVE find almost nothing on these instances
-  // but cost several formula passes, so they stay off in this profile.
-  options.preprocess.subsumption = false;
-  options.preprocess.self_subsumption = false;
-  options.preprocess.variable_elimination = false;
-  options.preprocess.max_rounds = 2;
-  return options;
 }
 
 std::optional<graph::Coloring> solve_exact_coloring(
@@ -116,9 +102,7 @@ ExactColoringOutcome solve_exact_coloring_detailed(
   ExactColoringOutcome outcome;
   outcome.result = solver.solve();
   outcome.solver_stats = solver.stats();
-  outcome.preprocess_stats = solver.preprocess_stats();
   if (outcome.result == SolveResult::kSat) {
-    // model() is already reconstructed into the original encoding space.
     outcome.coloring = enc.decode(solver.model());
   }
   return outcome;

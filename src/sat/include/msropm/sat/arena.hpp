@@ -5,8 +5,7 @@
 // contiguous uint32_t buffer and are addressed by a 32-bit ClauseRef (the
 // word offset of the header). This kills the per-clause std::vector<Lit>
 // allocations of the old InternalClause/PClause designs and makes the whole
-// clause database one cache-friendly allocation that both the preprocessor
-// and the CDCL solver share.
+// clause database of the CDCL solver one cache-friendly allocation.
 //
 // Header word layout (bit 0 = LSB):
 //   bit 0        deleted      clause was logically removed (space is wasted
@@ -150,23 +149,6 @@ class ClauseArena {
     wasted_ += record_words(r);
   }
 
-  /// Remove one occurrence of `l`, preserving the order of the remaining
-  /// literals (preprocessor clauses are kept sorted). One word goes to waste.
-  void remove_lit(ClauseRef r, Lit l) noexcept {
-    Lit* ls = lits(r);
-    const std::size_t n = size(r);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (ls[i] == l) {
-        for (std::size_t k = i + 1; k < n; ++k) ls[k - 1] = ls[k];
-        data_[r] = (data_[r] & kFlagsMask) |
-                   (static_cast<std::uint32_t>(n - 1) << kSizeShift);
-        ++wasted_;
-        return;
-      }
-    }
-    assert(false && "remove_lit: literal not in clause");
-  }
-
   /// Copy a live record into `to` (or chase the forwarding ref if some other
   /// holder already moved it) and return the new ref. Marks the old record
   /// relocated. Activity and flags travel with the clause; the scratch mark
@@ -208,7 +190,6 @@ class ClauseArena {
   static constexpr std::uint32_t kRelocatedBit = 1u << 2;
   static constexpr std::uint32_t kMarkBit = 1u << 3;
   static constexpr std::uint32_t kSizeShift = 4;
-  static constexpr std::uint32_t kFlagsMask = (1u << kSizeShift) - 1;
   static constexpr std::size_t kActivityWords = sizeof(double) / sizeof(std::uint32_t);
 
   static_assert(sizeof(Lit) == sizeof(std::uint32_t),

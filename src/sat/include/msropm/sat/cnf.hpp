@@ -79,12 +79,6 @@ class Cnf {
   [[nodiscard]] std::size_t num_clauses() const noexcept { return clauses_.size(); }
   [[nodiscard]] const std::vector<Clause>& clauses() const noexcept { return clauses_; }
 
-  /// Move the clause list out (leaves this Cnf with no clauses). Lets bulk
-  /// consumers (the solver's presimplify path) avoid re-copying every clause.
-  [[nodiscard]] std::vector<Clause> release_clauses() noexcept {
-    return std::move(clauses_);
-  }
-
   /// Check a full assignment (indexed by var, true/false) against all clauses.
   [[nodiscard]] bool satisfied_by(const std::vector<std::uint8_t>& assignment) const;
 

@@ -5,9 +5,12 @@
 //
 // Encoding (direct encoding, one boolean x_{v,c} per node/color):
 //   - at-least-one color per node:      (x_v0 | x_v1 | ... | x_v,K-1)
-//   - at-most-one color per node:       (~x_vc | ~x_vc') for c < c'
 //   - edge constraint per edge/color:   (~x_uc | ~x_vc)
 // plus optional symmetry breaking that pins the colors of one maximal clique.
+// There are no at-most-one clauses: a model may give a node several colors,
+// and decode() keeps the first. The edge clauses forbid two neighbours from
+// sharing ANY color, so the first color of each node is a proper coloring
+// too, and the formula is K-satisfiable exactly when g is K-colorable.
 
 #include <optional>
 #include <vector>
@@ -29,8 +32,9 @@ struct ColoringEncoding {
     return static_cast<Var>(v * num_colors + c);
   }
 
-  /// Decode a SAT model into a coloring (first set color wins; at-most-one
-  /// clauses guarantee uniqueness in real models). Throws std::logic_error
+  /// Decode a SAT model into a coloring. A node may have several true color
+  /// variables; the first one wins, which is proper because the edge clauses
+  /// forbid neighbours from sharing any true color. Throws std::logic_error
   /// when some node has NO true color variable — such a model violates the
   /// at-least-one clauses, i.e. it is not a model of this encoding, and
   /// silently assigning color 0 would mask the solver bug as a
@@ -44,36 +48,38 @@ struct ColoringEncodeOptions {
   bool symmetry_breaking = true;
 };
 
-/// Build the CNF for "g is K-colorable".
+/// Build the CNF for "g is K-colorable". Throws std::invalid_argument for a
+/// num_colors outside [1, 255]: graph::Color is uint8_t, so a larger palette
+/// could not be decoded.
 [[nodiscard]] ColoringEncoding encode_coloring(const graph::Graph& g,
                                                unsigned num_colors,
                                                ColoringEncodeOptions options = {});
 
-/// Default solver configuration for the exact baseline: clause-database
-/// preprocessing on (the direct encoding's at-most-one ladders are blocked
-/// clauses, so presimplify strips >20% of the clauses before search).
-[[nodiscard]] SolverOptions exact_coloring_solver_options();
+/// Returns SolverOptions{}. Kept only because the frozen perfbench/ calls it
+/// (ROADMAP "Benchmark hygiene").
+[[nodiscard]] inline SolverOptions exact_coloring_solver_options() {
+  return {};
+}
 
 /// Solve for an exact proper K-coloring. nullopt when the graph is not
 /// K-colorable (or the conflict limit was hit).
 [[nodiscard]] std::optional<graph::Coloring> solve_exact_coloring(
     const graph::Graph& g, unsigned num_colors,
     ColoringEncodeOptions encode_options = {},
-    SolverOptions solver_options = exact_coloring_solver_options());
+    SolverOptions solver_options = {});
 
-/// Full outcome of an exact-coloring query, including the preprocessing and
-/// search statistics (for benches and the dimacs_solver CLI).
+/// Full outcome of an exact-coloring query, including the search statistics
+/// (for benches and the dimacs_solver CLI).
 struct ExactColoringOutcome {
   SolveResult result = SolveResult::kUnknown;
   std::optional<graph::Coloring> coloring;  ///< set when result == kSat
   SolverStats solver_stats;
-  std::optional<PreprocessStats> preprocess_stats;  ///< set when presimplify ran
 };
 
 [[nodiscard]] ExactColoringOutcome solve_exact_coloring_detailed(
     const graph::Graph& g, unsigned num_colors,
     ColoringEncodeOptions encode_options = {},
-    SolverOptions solver_options = exact_coloring_solver_options());
+    SolverOptions solver_options = {});
 
 /// Chromatic number, nullopt when it exceeds max_k (every early return
 /// respects the bound: an edgeless graph with max_k == 0 is nullopt). The

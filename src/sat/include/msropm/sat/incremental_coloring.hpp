@@ -21,9 +21,7 @@
 // Because the formula never changes, the solver keeps its learnt clauses,
 // variable activities and saved phases across the whole sweep (the
 // multi-shot Solver contract) — the UNSAT rounds below the chromatic number
-// prime the SAT round instead of being discarded. Selector variables are
-// frozen through the preprocessor, so the tuned presimplify profile composes
-// with the assumptions instead of throwing (the bug this subsystem fixes).
+// prime the SAT round instead of being discarded.
 //
 // Colors below min_colors can never be switched off and get neither a
 // selector nor activation clauses: a caller that knows a clique lower bound
@@ -48,9 +46,8 @@ struct IncrementalColoringOptions {
   unsigned min_colors = 1;
   /// Pin a greedy clique's colors (same knob as ColoringEncodeOptions).
   bool symmetry_breaking = true;
-  /// Solver profile for the whole sweep. When presimplify is on, the
-  /// selector variables are frozen automatically so assumptions stay sound.
-  SolverOptions solver = exact_coloring_solver_options();
+  /// Solver profile for the whole sweep.
+  SolverOptions solver = {};
 };
 
 /// One encoding, one solver, many K queries. The graph must outlive this
@@ -76,8 +73,6 @@ class IncrementalColoringSolver {
   /// Cumulative solver statistics across every solve_k call — conflicts,
   /// learnt clauses (which persist between calls), propagations, ...
   [[nodiscard]] const SolverStats& stats() const noexcept;
-  [[nodiscard]] const std::optional<PreprocessStats>& preprocess_stats()
-      const noexcept;
   /// True when the last solve_k was interrupted by the stop token.
   [[nodiscard]] bool cancelled() const noexcept;
   /// True once the base formula (full palette) is refuted: every further
@@ -110,9 +105,6 @@ struct ChromaticSearchOptions {
   /// equivalence tests and bench_chromatic compare against).
   bool incremental = true;
   bool symmetry_breaking = true;
-  /// Tuned presimplify profile (exact_coloring_solver_options) when true,
-  /// plain CDCL when false.
-  bool presimplify = true;
   /// Per-K conflict budget (0 = unlimited); kUnknown aborts the search.
   std::uint64_t conflict_limit = 0;
   /// Per-solve resource budget, forwarded to every solver the sweep builds.

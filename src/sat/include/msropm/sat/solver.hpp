@@ -31,7 +31,6 @@
 #include "msropm/sat/arena.hpp"
 #include "msropm/sat/cnf.hpp"
 #include "msropm/sat/order_heap.hpp"
-#include "msropm/sat/preprocess.hpp"
 #include "msropm/sat/watcher.hpp"
 #include "msropm/util/resource_budget.hpp"
 #include "msropm/util/stop_token.hpp"
@@ -39,6 +38,14 @@
 namespace msropm::sat {
 
 enum class SolveResult : std::uint8_t { kSat, kUnsat, kUnknown };
+
+/// Clause counts before and after preprocessing. Nothing fills it: the
+/// solver has no preprocessor. Kept only because the frozen perfbench/ reads
+/// it (ROADMAP "Benchmark hygiene").
+struct PreprocessStats {
+  std::size_t original_clauses = 0;
+  std::size_t simplified_clauses = 0;
+};
 
 struct SolverStats {
   std::uint64_t decisions = 0;
@@ -75,14 +82,6 @@ struct SolverOptions {
   std::size_t learnt_cap = 4096;
   /// Default polarity for first-time decisions (false mirrors MiniSat).
   bool default_polarity = false;
-  /// Run the clause-database preprocessor (preprocess.hpp) before search.
-  /// model() stays in the original variable space: the solver reconstructs
-  /// it through the Remapper. Compatible with assumptions as long as every
-  /// assumed variable is listed in preprocess.frozen (the solver maps
-  /// assumptions through the Remapper; see solve(assumptions)).
-  bool presimplify = false;
-  /// Technique selection and caps for presimplify.
-  PreprocessOptions preprocess = {};
   /// Per-call resource budget (memory / conflicts / propagations; wall time
   /// rides the stop token's deadline). A breach returns kUnknown with
   /// stats().limit_reason set; the solver stays usable for the next call.
@@ -91,8 +90,6 @@ struct SolverOptions {
   /// Cooperative cancellation: polled during clause ingestion and every few
   /// dozen decisions/conflicts of the search. When it fires, solve() returns
   /// kUnknown and cancelled() turns true. The default token never fires.
-  /// When presimplify is set the token is also forwarded to the preprocessor
-  /// (unless preprocess.stop already carries one).
   util::StopToken stop = {};
   /// Observability heartbeat cadence: when the obs gate is open, publish a
   /// progress sample (conflicts/sec, decisions/sec, props/conflict, learnt-DB
@@ -119,15 +116,6 @@ struct SolverOptions {
 /// conjunction with the formula is unsatisfiable (MiniSat's analyzeFinal);
 /// formula_unsat() distinguishes "the formula itself is refuted" from
 /// "these assumptions are".
-///
-/// With presimplify on, assumptions compose through the Remapper: every
-/// assumed variable must be listed in options.preprocess.frozen (frozen vars
-/// are exempt from the non-implied transformations — pure literals, BCE
-/// blocking literals, BVE). Assumptions on surviving vars are translated to
-/// the simplified space; assumptions on unit-fixed vars are checked against
-/// the implied value; assumptions on vars the simplified formula no longer
-/// constrains are honored by pinning the reconstructed model. Assuming a
-/// non-frozen variable throws std::invalid_argument.
 class Solver {
  public:
   explicit Solver(const Cnf& cnf, SolverOptions options = {});
@@ -148,13 +136,12 @@ class Solver {
   /// together with the assumptions — consult failed_assumptions() /
   /// formula_unsat() to tell which. Callable repeatedly; learnt clauses are
   /// shared across calls. Throws std::invalid_argument for an assumption on
-  /// an out-of-range variable, or (with presimplify) on a variable that was
-  /// not frozen.
+  /// an out-of-range variable.
   [[nodiscard]] SolveResult solve(const std::vector<Lit>& assumptions);
 
   /// After solve(assumptions) returned kUnsat: the subset of the assumptions
-  /// that conflict analysis found responsible, in the original variable
-  /// space. Empty when the formula itself is UNSAT (see formula_unsat()).
+  /// that conflict analysis found responsible. Empty when the formula itself
+  /// is UNSAT (see formula_unsat()).
   [[nodiscard]] const std::vector<Lit>& failed_assumptions() const noexcept {
     return failed_assumptions_;
   }
@@ -163,9 +150,8 @@ class Solver {
   /// subsequent solve() call returns kUnsat no matter the assumptions.
   [[nodiscard]] bool formula_unsat() const noexcept { return !ok_; }
 
-  /// Model indexed by var (0/1), always in the ORIGINAL variable space even
-  /// when presimplify rewrote the formula. Valid after a solve() that
-  /// returned kSat, until the next solve() call.
+  /// Model indexed by var (0/1). Valid after a solve() that returned kSat,
+  /// until the next solve() call.
   [[nodiscard]] const std::vector<std::uint8_t>& model() const noexcept {
     return model_;
   }
@@ -176,10 +162,11 @@ class Solver {
   /// corresponding solve() returned (or will return) kUnknown.
   [[nodiscard]] bool cancelled() const noexcept { return cancelled_; }
 
-  /// Preprocessing breakdown; engaged only when options.presimplify was set.
-  [[nodiscard]] const std::optional<PreprocessStats>& preprocess_stats()
+  /// Always empty. Kept only because the frozen perfbench/ compiles against
+  /// it (ROADMAP "Benchmark hygiene").
+  [[nodiscard]] std::optional<PreprocessStats> preprocess_stats()
       const noexcept {
-    return preprocess_stats_;
+    return std::nullopt;
   }
 
   /// Watcher-integrity invariant: no watch list, reason slot, or learnt-list
@@ -215,14 +202,6 @@ class Solver {
   /// mid-ingest.
   void build_watches(const std::vector<ClauseRef>& refs,
                      const std::vector<BinaryClause>& binaries);
-  /// Presimplify fast path: take ownership of the preprocessor's output
-  /// arena and build watch lists straight over its refs — no literal is
-  /// copied and no per-clause allocation happens. Binary clauses in the
-  /// output become implicit watchers and their arena records are freed (a
-  /// compacting GC reclaims the words when they dominate the buffer, which
-  /// on coloring encodings they do).
-  void adopt_arena(std::size_t num_vars, ClauseArena&& arena,
-                   std::vector<ClauseRef>&& refs);
 
   [[nodiscard]] LBool value(Lit l) const noexcept {
     const LBool v = assigns_[l.var()];
@@ -241,11 +220,6 @@ class Solver {
   void analyze(Reason conflict, std::vector<Lit>& learnt_out,
                std::uint32_t& backtrack_level);
   void backtrack(std::uint32_t level);
-  /// Translate caller assumptions into the internal (possibly simplified)
-  /// space: fills assumptions_/assumption_origins_/model_overrides_. Returns
-  /// false when an assumption contradicts a preprocessing-implied fixed
-  /// value — an immediate UNSAT with that assumption as the core.
-  [[nodiscard]] bool map_assumptions(const std::vector<Lit>& assumptions);
   /// The actual CDCL search behind solve(assumptions); the public entry is a
   /// thin dispatcher so fully-disabled observability costs one branch per
   /// solve() call, not per search step.
@@ -255,13 +229,10 @@ class Solver {
   /// deltas as msropm::obs registry counters (the struct stays the façade —
   /// both views always agree).
   [[nodiscard]] SolveResult solve_obs(const std::vector<Lit>& assumptions);
-  /// MiniSat analyzeFinal: starting from falsified assumption p (internal
-  /// space), walk the trail backwards through reasons and collect the
-  /// assumption decisions that imply ~p. Fills failed_assumptions_ with the
-  /// corresponding ORIGINAL-space assumption literals.
+  /// MiniSat analyzeFinal: starting from falsified assumption p, walk the
+  /// trail backwards through reasons and collect the assumption decisions
+  /// that imply ~p into failed_assumptions_.
   void analyze_final(Lit p);
-  /// Original-space assumption behind an internal assumption literal.
-  [[nodiscard]] Lit origin_of_assumption(Lit internal) const;
   /// Heapify the full variable set and switch pick_branch_lit to the heap.
   /// Called at the first conflict: before any conflict the activities are
   /// the static ingest occurrence counts (VSIDS only bumps in analyze), so
@@ -323,11 +294,8 @@ class Solver {
   std::vector<Lit> minimize_stack_;
   std::vector<Var> minimize_clear_;
   std::vector<ClauseRef> reduce_candidates_;
-  // Per-call assumption state (internal space + aligned original literals).
-  std::vector<Lit> assumptions_;
-  std::vector<Lit> assumption_origins_;
-  std::vector<std::pair<Var, bool>> model_overrides_;  // unconstrained frozen
-  std::vector<Lit> failed_assumptions_;  // original space, set on kUnsat
+  std::vector<Lit> assumptions_;         // per-call, set at solve() entry
+  std::vector<Lit> failed_assumptions_;  // set on kUnsat
   // Heartbeat window state (observability only — nothing below is ever read
   // by the search, so mutating it cannot perturb the trajectory).
   std::int64_t hb_last_ns_ = 0;          // wall clock at last sample
@@ -346,7 +314,7 @@ class Solver {
   // Resource-governance state. attached_watchers_ counts every live watcher
   // ever attached minus purges (8 bytes each in the accounting model);
   // memory_model_bytes() = arena words * 4 + watchers * 8. db_limit_ records
-  // a breach that happened during CONSTRUCTION (ingest/presimplify) so every
+  // a breach that happened during CONSTRUCTION (ingest) so every
   // subsequent solve() reports it. The per-call fields are set at solve entry.
   std::uint64_t attached_watchers_ = 0;
   util::LimitReason db_limit_ = util::LimitReason::kNone;
@@ -362,8 +330,6 @@ class Solver {
   SolverOptions options_;
   SolverStats stats_;
   std::vector<std::uint8_t> model_;
-  std::optional<Remapper> remapper_;  // set when presimplify ran
-  std::optional<PreprocessStats> preprocess_stats_;
 };
 
 /// Convenience wrapper: solve a CNF and return the model if SAT.

@@ -87,14 +87,7 @@ IncrementalColoringSolver::IncrementalColoringSolver(
       enc_.cnf.add_binary(neg(enc_.var_of(v, c)), pos(s));
     }
   }
-  SolverOptions solver_options = options.solver;
-  if (solver_options.presimplify) {
-    // Assumptions only ever mention selectors; freezing them is what makes
-    // presimplify + assumptions compose (see Solver::solve contract).
-    auto& frozen = solver_options.preprocess.frozen;
-    frozen.insert(frozen.end(), selectors_.begin(), selectors_.end());
-  }
-  solver_.emplace(enc_.cnf, solver_options);
+  solver_.emplace(enc_.cnf, options.solver);
 }
 
 SolveResult IncrementalColoringSolver::solve_k(unsigned k) {
@@ -128,8 +121,8 @@ SolveResult IncrementalColoringSolver::solve_k(unsigned k) {
   if (result == SolveResult::kSat) {
     coloring_ = enc_.decode(solver_->model());
     // Tripwire, not a hot path: one O(V + E) scan per SAT verdict catches a
-    // broken activation encoding or model reconstruction before any caller
-    // trusts the coloring.
+    // broken activation encoding or decode before any caller trusts the
+    // coloring.
     if (!graph::is_proper_coloring(*g_, coloring_, k)) {
       throw std::logic_error(
           "IncrementalColoringSolver::solve_k: decoded coloring is not a "
@@ -142,11 +135,6 @@ SolveResult IncrementalColoringSolver::solve_k(unsigned k) {
 
 const SolverStats& IncrementalColoringSolver::stats() const noexcept {
   return solver_->stats();
-}
-
-const std::optional<PreprocessStats>&
-IncrementalColoringSolver::preprocess_stats() const noexcept {
-  return solver_->preprocess_stats();
 }
 
 bool IncrementalColoringSolver::cancelled() const noexcept {
@@ -198,9 +186,7 @@ ChromaticSearchOutcome chromatic_search(const graph::Graph& g, unsigned max_k,
   const unsigned ub = std::min(uncapped_ub, 255u);
   out.upper_bound = ub;
 
-  SolverOptions profile =
-      options.presimplify ? exact_coloring_solver_options() : SolverOptions{};
-  profile.presimplify = options.presimplify;
+  SolverOptions profile;
   profile.conflict_limit = options.conflict_limit;
   profile.budget = options.budget;
   profile.stop = options.stop;
@@ -234,12 +220,12 @@ ChromaticSearchOutcome chromatic_search(const graph::Graph& g, unsigned max_k,
     }
     if (lb >= ub) return out;  // the probe exhausted the palette budget
     // Phase 2: sweep the remaining K range in palette CHUNKS of two colors.
-    // Within a chunk one multi-shot solver shares its encoding, preprocessor
-    // run and learnt clauses (the UNSAT round primes the SAT round); the
-    // chunk bound keeps the encoded palette within one color of the round
-    // being decided, so the formula never grows far past what the
-    // from-scratch baseline would encode — an oversized palette measurably
-    // derails the SAT round's search trajectory.
+    // Within a chunk one multi-shot solver shares its encoding and learnt
+    // clauses (the UNSAT round primes the SAT round); the chunk bound keeps
+    // the encoded palette within one color of the round being decided, so
+    // the formula never grows far past what the from-scratch baseline would
+    // encode — an oversized palette measurably derails the SAT round's
+    // search trajectory.
     unsigned k = lb + 1;
     while (k <= ub && !out.chromatic) {
       const unsigned chunk_max = std::min(ub, k + 1);

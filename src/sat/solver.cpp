@@ -89,42 +89,7 @@ Solver::Solver(const Cnf& cnf, SolverOptions options) : options_(options) {
   ingest_span.arg("vars", cnf.num_vars());
   ingest_span.arg("clauses", cnf.num_clauses());
   learnt_cap_ = options_.learnt_cap;
-  if (options_.presimplify) {
-    if (!options_.preprocess.stop.stop_possible()) {
-      options_.preprocess.stop = options_.stop;
-    }
-    if (options_.preprocess.budget.max_memory_bytes == 0) {
-      options_.preprocess.budget.max_memory_bytes =
-          options_.budget.max_memory_bytes;
-    }
-    PreprocessResult pre = preprocess(cnf, options_.preprocess);
-    preprocess_stats_ = pre.stats;
-    remapper_ = std::move(pre.remapper);
-    if (pre.unsat) {
-      setup_arrays(0);
-      ok_ = false;
-      return;
-    }
-    if (options_.stop.stop_requested()) {
-      // Cancelled during preprocessing: skip ingestion entirely. A partial
-      // simplification is equisatisfiable, but solve() will report kUnknown
-      // anyway, so building the watch lists would be wasted work.
-      setup_arrays(0);
-      cancelled_ = true;
-      db_incomplete_ = true;
-      db_limit_ = options_.stop.deadline_expired() ? LimitReason::kDeadline
-                                                   : LimitReason::kNone;
-      return;
-    }
-    // A preprocessor interrupted by its budget or a fault leaves a partial
-    // but equisatisfiable simplification, so the solver CONTINUES with it
-    // (graceful degradation); the interruption stays visible in
-    // preprocess_stats(). Only a stop-token trip above aborts construction.
-    // Preprocessor output already lives in an arena; adopt it wholesale.
-    adopt_arena(pre.num_vars, std::move(pre.arena), std::move(pre.clauses));
-  } else {
-    init_from(cnf);
-  }
+  init_from(cnf);
   // A clause DB truncated by cancellation can never prove SAT; remember the
   // condition across solve() calls (cancelled_ itself is per-call state).
   db_incomplete_ = cancelled_;
@@ -252,64 +217,6 @@ void Solver::init_from(const Cnf& cnf) {
   // before propagating, so attaching the partial DB is harmless — and it
   // keeps the clause_refs_clean invariant trivially true.
   build_watches(stored, binaries);
-}
-
-void Solver::adopt_arena(std::size_t num_vars, ClauseArena&& arena,
-                         std::vector<ClauseRef>&& refs) {
-  setup_arrays(num_vars);
-  arena_ = std::move(arena);
-  std::vector<BinaryClause> binaries;
-  std::size_t ingested = 0;
-  std::size_t kept = 0;
-  for (ClauseRef cr : refs) {
-    if ((ingested++ & 2047) == 0) {
-      if (options_.stop.stop_requested()) {
-        cancelled_ = true;
-        db_limit_ = options_.stop.deadline_expired() ? LimitReason::kDeadline
-                                                     : LimitReason::kNone;
-        break;
-      }
-      if (util::fault::fire(FaultSite::kArenaAlloc)) {
-        cancelled_ = true;
-        db_limit_ = LimitReason::kInjected;
-        break;
-      }
-    }
-    const std::size_t n = arena_.size(cr);
-    const Lit* lits = arena_.lits(cr);
-    if (n == 0) {
-      ok_ = false;
-      break;
-    }
-    if (n == 1) {
-      const Lit unit = lits[0];
-      // Unit clauses become trail entries, not stored clauses; their record
-      // is garbage the next GC reclaims.
-      arena_.free_clause(cr);
-      if (value(unit) == LBool::kFalse) {
-        ok_ = false;
-        break;
-      }
-      if (value(unit) == LBool::kUndef) enqueue(unit, Reason::none());
-      continue;
-    }
-    for (std::size_t i = 0; i < n; ++i) activity_[lits[i].var()] += 1.0;
-    if (n == 2) {
-      // The preprocessor stores binaries as ordinary records; the solver
-      // keeps them only as implicit watchers and frees the record.
-      binaries.emplace_back(lits[0], lits[1]);
-      arena_.free_clause(cr);
-      continue;
-    }
-    refs[kept++] = cr;
-  }
-  refs.resize(kept);
-  build_watches(refs, binaries);
-  // Coloring encodings are ~90% binary clauses, so after the implicit-binary
-  // conversion most of the adopted buffer is tombstones. Compact now instead
-  // of dragging the dead words through the whole search.
-  if (arena_.wasted_words() * 5 > arena_.used_words()) garbage_collect();
-  note_arena_peak();
 }
 
 void Solver::attach_clause(ClauseRef cr) {
@@ -781,96 +688,13 @@ std::uint64_t Solver::luby(std::uint64_t i) noexcept {
 
 SolveResult Solver::solve() { return solve({}); }
 
-namespace {
-
-[[noreturn]] void throw_not_frozen(Var v) {
-  throw std::invalid_argument(
-      "Solver::solve: assumption on variable " + std::to_string(v) +
-      " which presimplify was allowed to transform; list every assumed "
-      "variable in SolverOptions::preprocess.frozen");
-}
-
-}  // namespace
-
-Lit Solver::origin_of_assumption(Lit internal) const {
-  for (std::size_t i = 0; i < assumptions_.size(); ++i) {
-    if (assumptions_[i] == internal) return assumption_origins_[i];
-  }
-  // Fallback (unreachable through the solve loop, which only hands this
-  // function assumption literals): translate through the inverse var map.
-  if (remapper_) {
-    return Lit(remapper_->original_of(internal.var()), internal.negated());
-  }
-  return internal;
-}
-
-bool Solver::map_assumptions(const std::vector<Lit>& assumptions) {
-  assumptions_.clear();
-  assumption_origins_.clear();
-  model_overrides_.clear();
-  const std::size_t original_vars =
-      remapper_ ? remapper_->original_num_vars() : num_vars_;
-  for (const Lit a : assumptions) {
-    const Var v = a.var();
-    if (v >= original_vars) {
-      throw std::invalid_argument(
-          "Solver::solve: assumption variable " + std::to_string(v) +
-          " is out of range");
-    }
-    if (!remapper_) {
-      assumptions_.push_back(a);
-      assumption_origins_.push_back(a);
-      continue;
-    }
-    const bool want = !a.negated();
-    switch (remapper_->disposition(v)) {
-      case Remapper::VarDisposition::kMapped:
-        if (!remapper_->frozen(v)) throw_not_frozen(v);
-        assumptions_.push_back(Lit(*remapper_->map(v), a.negated()));
-        assumption_origins_.push_back(a);
-        break;
-      case Remapper::VarDisposition::kFixedImplied:
-        // The value is implied by the formula (top-level unit propagation),
-        // so a matching assumption is vacuous and a contradicting one is an
-        // UNSAT whose core is the assumption alone.
-        if (!remapper_->frozen(v)) throw_not_frozen(v);
-        if (remapper_->fixed_value(v) != want) {
-          failed_assumptions_.assign(1, a);
-          return false;
-        }
-        break;
-      case Remapper::VarDisposition::kUnconstrained:
-        // The simplified formula no longer mentions the variable, so any
-        // value extends any model: honor the assumption by pinning the
-        // reconstructed model (and catch self-contradictory assumption
-        // pairs here, since no search conflict would ever surface them).
-        if (!remapper_->frozen(v)) throw_not_frozen(v);
-        for (const auto& [prev_var, prev_value] : model_overrides_) {
-          if (prev_var == v && prev_value != want) {
-            failed_assumptions_.assign(1, Lit(v, !prev_value));
-            failed_assumptions_.push_back(a);
-            return false;
-          }
-        }
-        model_overrides_.emplace_back(v, want);
-        break;
-      case Remapper::VarDisposition::kFixedChoice:
-      case Remapper::VarDisposition::kEliminated:
-        // Frozen vars are never pure-fixed or eliminated; reaching here
-        // means the caller assumed a variable it did not freeze.
-        throw_not_frozen(v);
-    }
-  }
-  return true;
-}
-
 void Solver::analyze_final(Lit p) {
   // MiniSat analyzeFinal: p is a falsified assumption. Seed the core with p
   // and walk the trail top-down; every marked decision is an assumption
   // (only assumption levels exist when this runs), every marked propagated
   // literal expands to the rest of its reason clause.
   failed_assumptions_.clear();
-  failed_assumptions_.push_back(origin_of_assumption(p));
+  failed_assumptions_.push_back(p);
   if (trail_lim_.empty()) return;  // falsified at root: the formula alone
                                    // implies ~p, so {p} is the core
   seen_[p.var()] = 1;
@@ -879,7 +703,7 @@ void Solver::analyze_final(Lit p) {
     if (!seen_[x]) continue;
     const Reason r = reason_[x];
     if (r.is_none()) {
-      failed_assumptions_.push_back(origin_of_assumption(trail_[i - 1]));
+      failed_assumptions_.push_back(trail_[i - 1]);
     } else if (r.is_binary()) {
       const Var other = r.other().var();
       if (level_[other] > 0) seen_[other] = 1;
@@ -1043,7 +867,15 @@ SolveResult Solver::solve_internal(const std::vector<Lit>& assumptions) {
   prop_budget_ = options_.budget.max_propagations == 0
                      ? 0
                      : stats_.propagations + options_.budget.max_propagations;
-  if (!map_assumptions(assumptions)) return SolveResult::kUnsat;
+  for (const Lit a : assumptions) {
+    if (a.var() >= num_vars_) {
+      throw std::invalid_argument("Solver::solve: assumption variable " +
+                                  std::to_string(a.var()) + " is out of range");
+    }
+  }
+  assumptions_ = assumptions;
+  // A failed core is a subset of the assumptions: analyze_final never grows.
+  failed_assumptions_.reserve(assumptions.size());
   if (!propagate().is_none()) {
     ok_ = false;
     return SolveResult::kUnsat;
@@ -1237,7 +1069,6 @@ SolveResult Solver::solve_internal(const std::vector<Lit>& assumptions) {
         for (Var v = 0; v < num_vars_; ++v) {
           model_[v] = assigns_[v] == LBool::kTrue ? 1 : 0;
         }
-        if (remapper_) model_ = remapper_->reconstruct(model_, model_overrides_);
         // No final backtrack(0): the model is already extracted and the next
         // solve() call performs the root reset lazily — on the paper's
         // zero-conflict King's instances the eager unwind was a third of

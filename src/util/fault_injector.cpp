@@ -14,7 +14,6 @@ const char* to_string(FaultSite site) noexcept {
     case FaultSite::kPropagate: return "propagate";
     case FaultSite::kAnalyze: return "analyze";
     case FaultSite::kGc: return "gc";
-    case FaultSite::kPreprocessPass: return "pre";
     case FaultSite::kBatchStep: return "step";
     case FaultSite::kWorkerStall: return "stall";
   }
@@ -66,7 +65,6 @@ std::optional<FaultSite> site_from_name(std::string_view name) noexcept {
   if (name == "propagate") return FaultSite::kPropagate;
   if (name == "analyze") return FaultSite::kAnalyze;
   if (name == "gc") return FaultSite::kGc;
-  if (name == "pre") return FaultSite::kPreprocessPass;
   if (name == "step") return FaultSite::kBatchStep;
   if (name == "stall") return FaultSite::kWorkerStall;
   return std::nullopt;

@@ -4,12 +4,11 @@
 // A process-global injector with named fault points (sites) compiled into
 // the engines' safe unwind boundaries: before a propagate round, before
 // conflict analysis, at learnt-DB reduction/GC entry, before an arena
-// allocation, between preprocessor passes, between batched phase-engine
-// steps, and at portfolio-worker attempt start. When a site "fires", the
-// engine unwinds exactly like a cooperative cancellation and records
-// util::LimitReason::kInjected — faults may only degrade a result to
-// unknown/best-effort, never corrupt state or flip a verdict (the chaos
-// suite's contract, tests/chaos_test.cpp).
+// allocation, between batched phase-engine steps, and at portfolio-worker
+// attempt start. When a site "fires", the engine unwinds exactly like a
+// cooperative cancellation and records util::LimitReason::kInjected —
+// faults may only degrade a result to unknown/best-effort, never corrupt
+// state or flip a verdict (the chaos suite's contract, tests/chaos_test.cpp).
 //
 // Overhead contract (mirrors the msropm::obs gate): an UNCONFIGURED injector
 // costs one relaxed atomic load and a predicted branch per fault point —
@@ -27,8 +26,8 @@
 //   stall-ms=T    sleep duration when the `stall` site fires (default 20)
 //
 // Site names: alloc (arena allocation), propagate, analyze, gc,
-// pre (preprocessor pass boundary), step (phase-batch step), stall
-// (portfolio worker attempt), all (every site at once).
+// step (phase-batch step), stall (portfolio worker attempt), all (every
+// site at once).
 //
 // Determinism: given the same spec and a single-threaded engine, arrival
 // counters advance identically run to run, so the exact same attempts fail.
@@ -52,11 +51,10 @@ enum class FaultSite : std::uint8_t {
   kPropagate,        ///< CDCL search loop, before a propagate round
   kAnalyze,          ///< CDCL search loop, before conflict analysis
   kGc,               ///< learnt-DB reduction / compacting GC entry
-  kPreprocessPass,   ///< preprocessor technique-pass boundary
   kBatchStep,        ///< phase::PhaseBatch::run step boundary
   kWorkerStall,      ///< portfolio worker attempt start (stalls, not kills)
 };
-inline constexpr std::size_t kNumFaultSites = 7;
+inline constexpr std::size_t kNumFaultSites = 6;
 
 [[nodiscard]] const char* to_string(FaultSite site) noexcept;
 

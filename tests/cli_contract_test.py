@@ -3,10 +3,11 @@
 portfolio_sweep, driven as subprocesses on a generated 3x3 King's graph.
 
 Pins what scripted users depend on: verdict exit codes, exit 2 on every
-usage error (missing flag value, unknown flag, bad --jobs, unknown
---strategies name, malformed --fault-spec or MSROPM_FAULT), one "last value
-wins" warning per repeated observability flag, and metrics files written
-even when the input file is missing. Only exit codes, files and the
+usage error (missing flag value, unknown or deleted flag, bad --jobs,
+unknown --strategies name, malformed --fault-spec or MSROPM_FAULT, a
+deleted fault site), one "last value wins" warning per repeated
+observability flag, and metrics files written even when the input file is
+missing. Only exit codes, files and the
 warning substring are asserted, never message wording.
 
 Usage: cli_contract_test.py DIMACS_SOLVER PORTFOLIO_SWEEP OBS
@@ -84,6 +85,13 @@ class CliContract(unittest.TestCase):
             "dimacs unknown flag": (DIMACS, [self.graph, "4", "--bogus"]),
             "dimacs bad fault spec": (
                 DIMACS, [self.graph, "4", "--fault-spec", BAD_FAULT_SPEC]),
+            "dimacs deleted --preprocess": (
+                DIMACS, [self.graph, "4", "4", "1", "--sat", "--preprocess"]),
+            "dimacs deleted --no-preprocess": (
+                DIMACS, [self.graph, "4", "4", "1", "--sat", "--no-preprocess"]),
+            "dimacs deleted fault site pre": (
+                DIMACS, [self.graph, "4", "4", "1", "--sat",
+                         "--fault-spec", "pre:1"]),
             "sweep missing value": (SWEEP, ["--kings", "4", "--jobs"]),
             "sweep missing prom value": (SWEEP, ["--metrics-prom"]),
             "sweep unknown flag": (SWEEP, ["--kings", "4", "--bogus"]),

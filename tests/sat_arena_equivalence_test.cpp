@@ -1,6 +1,6 @@
 // Equivalence harness for the CDCL solver against the embedded pre-arena
-// reference implementation (`reference::Solver`, the PR 1/2 solver minus
-// presimplify/cancellation plumbing). Both solvers run over hundreds of
+// reference implementation (`reference::Solver`, the first arena-free
+// solver minus cancellation plumbing). Both solvers run over hundreds of
 // random CNFs with a learnt cap small enough to force many learnt-DB
 // reductions and arena GCs.
 //
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "msropm/sat/cnf.hpp"
-#include "msropm/sat/preprocess.hpp"
 #include "msropm/sat/solver.hpp"
 #include "msropm/util/rng.hpp"
 #include "msropm/util/stop_token.hpp"
@@ -621,47 +620,6 @@ TEST(ArenaEquivalence, ConflictLimitSoundnessAndDeterminism) {
     Solver rerun(cnf, options);
     ASSERT_EQ(rerun.solve(), got) << label << ": rerun verdict diverged";
     expect_run_to_run_identical(solver.stats(), rerun.stats(), label);
-  }
-}
-
-TEST(ArenaEquivalence, PresimplifyIdentity) {
-  // With presimplify the solver adopts the preprocessor's output arena
-  // wholesale (binaries becoming implicit watchers); its verdict must match
-  // the reference solver run on the materialized simplified formula, any
-  // model must satisfy the ORIGINAL formula after Remapper reconstruction,
-  // and a rerun must replay the search bit-for-bit.
-  msropm::util::Rng rng(4242);
-  for (int t = 0; t < 60; ++t) {
-    const std::size_t vars = 12 + rng.uniform_index(24);
-    const Cnf cnf = random_cnf(rng, vars, 4 * vars, t % 2 == 0 ? 3 : 5);
-    const std::string label = "presimplify trial=" + std::to_string(t);
-
-    const PreprocessResult pre = preprocess(cnf, PreprocessOptions{});
-    SolverOptions options = stress_options();
-    options.presimplify = true;
-    Solver integrated(cnf, options);
-    const SolveResult got = integrated.solve();
-
-    if (pre.unsat) {
-      EXPECT_EQ(got, SolveResult::kUnsat) << label;
-      continue;
-    }
-    reference::Solver ref(pre.cnf(), options);
-    const SolveResult expected = ref.solve();
-    ASSERT_EQ(got, expected) << label;
-    EXPECT_TRUE(integrated.clause_refs_clean()) << label;
-    if (expected == SolveResult::kSat) {
-      EXPECT_TRUE(cnf.satisfied_by(integrated.model()))
-          << label << ": reconstructed model does not satisfy the original";
-    }
-
-    Solver rerun(cnf, options);
-    ASSERT_EQ(rerun.solve(), got) << label << ": rerun verdict diverged";
-    expect_run_to_run_identical(integrated.stats(), rerun.stats(), label);
-    if (got == SolveResult::kSat) {
-      EXPECT_EQ(integrated.model(), rerun.model())
-          << label << ": rerun model diverged";
-    }
   }
 }
 

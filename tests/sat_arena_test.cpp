@@ -64,18 +64,6 @@ TEST(ClauseArena, FreeMarksDeletedAndAccountsWaste) {
   EXPECT_EQ(arena.lits(r)[1], pos(1));
 }
 
-TEST(ClauseArena, RemoveLitShiftsAndShrinks) {
-  ClauseArena arena;
-  const Clause c{pos(0), pos(2), pos(4), pos(6)};
-  const ClauseRef r = arena.alloc(c, /*learnt=*/false);
-  arena.remove_lit(r, pos(2));
-  ASSERT_EQ(arena.size(r), 3u);
-  EXPECT_EQ(arena.lits(r)[0], pos(0));
-  EXPECT_EQ(arena.lits(r)[1], pos(4));
-  EXPECT_EQ(arena.lits(r)[2], pos(6));
-  EXPECT_EQ(arena.wasted_words(), 1u);
-}
-
 TEST(ClauseArena, MarkBitIsIndependentOfOtherFlags) {
   ClauseArena arena;
   const Clause c{pos(0), pos(1)};

@@ -4,11 +4,11 @@
 //     never leak an UNSAT-under-assumptions verdict into later calls;
 //   - failed-assumption cores are subsets of the assumptions and re-solving
 //     under just the core stays UNSAT;
-//   - presimplify + assumptions compose through frozen variables (the bug
-//     this PR removes was a std::logic_error on exactly this combination);
+//   - assumptions on unit-implied, unconstrained and single-polarity
+//     variables are answered exactly;
 //   - IncrementalColoringSolver / chromatic_search agree with the
-//     fresh-solver-per-K baseline at every K, +/- presimplify, +/- symmetry
-//     breaking, on fixed and randomized graphs;
+//     fresh-solver-per-K baseline at every K, +/- symmetry breaking, on
+//     fixed and randomized graphs;
 //   - StopToken cancellation lands cleanly between incremental calls.
 #include "msropm/sat/incremental_coloring.hpp"
 
@@ -220,75 +220,17 @@ TEST(MultiShot, RandomEquivalenceWithFreshSolverPerQuery) {
 }
 
 // ---------------------------------------------------------------------------
-// Assumptions + presimplify (frozen variables).
+// Assumptions on variables the formula pins, ignores or uses in one polarity.
 // ---------------------------------------------------------------------------
 
-TEST(FrozenAssumptions, NonFrozenVariableThrows) {
-  Cnf cnf(3);
-  cnf.add_ternary(pos(0), pos(1), pos(2));
-  cnf.add_binary(neg(0), pos(1));
-  SolverOptions options;
-  options.presimplify = true;
-  Solver s(cnf, options);
-  EXPECT_THROW((void)s.solve({pos(0)}), std::invalid_argument);
-}
-
-TEST(FrozenAssumptions, PresimplifyEquivalenceOnRandomFormulas) {
-  // The headline fix: solve(assumptions) with presimplify on. Freeze the
-  // assumed variables and compare every verdict against a plain fresh
-  // solver; SAT models must satisfy the ORIGINAL formula + assumptions.
-  util::Rng rng(99);
-  for (int trial = 0; trial < 8; ++trial) {
-    const std::size_t vars = 40;
-    const Cnf cnf = random_3sat(rng, vars, 140 + 12 * trial);
-    // Freeze a fixed band of variables and only assume inside it.
-    SolverOptions options;
-    options.presimplify = true;
-    for (Var v = 0; v < 8; ++v) options.preprocess.frozen.push_back(v);
-    Solver incremental(cnf, options);
-    for (int query = 0; query < 10; ++query) {
-      std::vector<Lit> assumptions;
-      const std::size_t count = rng.uniform_index(4);
-      for (std::size_t i = 0; i < count; ++i) {
-        assumptions.push_back(
-            Lit(static_cast<Var>(rng.uniform_index(8)), rng.bernoulli(0.5)));
-      }
-      const SolveResult got = incremental.solve(assumptions);
-      Solver fresh(cnf);
-      const SolveResult expected = fresh.solve(assumptions);
-      ASSERT_EQ(got, expected) << "trial " << trial << " query " << query;
-      if (got == SolveResult::kSat) {
-        EXPECT_TRUE(cnf.satisfied_by(incremental.model()))
-            << "reconstructed model violates the original formula";
-        for (const Lit a : assumptions) {
-          EXPECT_TRUE(assignment_satisfies(incremental.model(), a))
-              << "reconstructed model violates an assumption";
-        }
-      } else if (got == SolveResult::kUnsat && !incremental.formula_unsat()) {
-        // Core sanity under presimplify: subset of assumptions, still UNSAT.
-        const std::vector<Lit> core = incremental.failed_assumptions();
-        for (const Lit l : core) {
-          EXPECT_NE(std::find(assumptions.begin(), assumptions.end(), l),
-                    assumptions.end());
-        }
-        EXPECT_EQ(incremental.solve(core), SolveResult::kUnsat);
-      }
-    }
-  }
-}
-
-TEST(FrozenAssumptions, UnitFixedFrozenVariableChecksAssumption) {
-  // x0 is forced true by a unit clause; presimplify fixes it even though it
-  // is frozen (the value is implied). A matching assumption is vacuous, a
+TEST(Assumptions, UnitImpliedVariableChecksAssumption) {
+  // x0 is forced true by a unit clause. A matching assumption is vacuous, a
   // contradicting one is UNSAT with core {~x0}.
   Cnf cnf(3);
   cnf.add_unit(pos(0));
   cnf.add_ternary(pos(0), pos(1), pos(2));
   cnf.add_binary(neg(1), pos(2));
-  SolverOptions options;
-  options.presimplify = true;
-  options.preprocess.frozen.push_back(0);
-  Solver s(cnf, options);
+  Solver s(cnf);
   EXPECT_EQ(s.solve({pos(0)}), SolveResult::kSat);
   EXPECT_EQ(s.model()[0], 1);
   EXPECT_EQ(s.solve({neg(0)}), SolveResult::kUnsat);
@@ -298,15 +240,11 @@ TEST(FrozenAssumptions, UnitFixedFrozenVariableChecksAssumption) {
   EXPECT_EQ(s.solve(), SolveResult::kSat);
 }
 
-TEST(FrozenAssumptions, UnconstrainedFrozenVariableHonorsAssumption) {
-  // x2 appears in no clause: after presimplify it is unconstrained, and the
-  // reconstructed model must still honor an assumption on it.
+TEST(Assumptions, UnconstrainedVariableHonorsAssumption) {
+  // x2 appears in no clause; the model must still honor an assumption on it.
   Cnf cnf(3);
   cnf.add_binary(pos(0), pos(1));
-  SolverOptions options;
-  options.presimplify = true;
-  options.preprocess.frozen.push_back(2);
-  Solver s(cnf, options);
+  Solver s(cnf);
   ASSERT_EQ(s.solve({pos(2)}), SolveResult::kSat);
   EXPECT_EQ(s.model()[2], 1);
   ASSERT_EQ(s.solve({neg(2)}), SolveResult::kSat);
@@ -315,17 +253,12 @@ TEST(FrozenAssumptions, UnconstrainedFrozenVariableHonorsAssumption) {
   EXPECT_EQ(s.failed_assumptions().size(), 2u);
 }
 
-TEST(FrozenAssumptions, FrozenVariableSurvivesPureLiteralElimination) {
-  // x0 occurs only positively; un-frozen it would be pure-fixed to true and
-  // an assumption ~x0 would be unanswerable. Frozen, it must stay in the
-  // formula and both polarities must work.
+TEST(Assumptions, SinglePolarityVariableTakesBothAssumptions) {
+  // x0 occurs only positively; both polarities must still be answerable.
   Cnf cnf(3);
   cnf.add_ternary(pos(0), pos(1), pos(2));
   cnf.add_binary(pos(0), neg(1));
-  SolverOptions options;
-  options.presimplify = true;
-  options.preprocess.frozen.push_back(0);
-  Solver s(cnf, options);
+  Solver s(cnf);
   ASSERT_EQ(s.solve({neg(0)}), SolveResult::kSat);
   EXPECT_EQ(s.model()[0], 0);
   EXPECT_TRUE(cnf.satisfied_by(s.model()));
@@ -348,36 +281,28 @@ class IncrementalSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(IncrementalSweep, MatchesFreshSolverAtEveryK) {
   const auto& param = GetParam();
-  for (const bool presimplify : {false, true}) {
-    for (const bool symmetry : {false, true}) {
-      IncrementalColoringOptions options;
-      options.min_colors = 2;
-      options.symmetry_breaking = symmetry;
-      options.solver =
-          presimplify ? exact_coloring_solver_options() : SolverOptions{};
-      options.solver.presimplify = presimplify;
-      IncrementalColoringSolver inc(param.graph, param.max_colors, options);
-      for (unsigned k = 2; k <= param.max_colors; ++k) {
-        const SolveResult got = inc.solve_k(k);
-        const auto fresh = solve_exact_coloring(
-            param.graph, k, {.symmetry_breaking = symmetry},
-            presimplify ? exact_coloring_solver_options() : SolverOptions{});
-        const SolveResult expected =
-            fresh ? SolveResult::kSat : SolveResult::kUnsat;
-        ASSERT_EQ(got, expected)
-            << param.name << " K=" << k << " presimplify=" << presimplify
-            << " symmetry=" << symmetry;
-        if (got == SolveResult::kSat) {
-          // solve_k already tripwires properness; double-check palette here.
-          EXPECT_TRUE(
-              graph::is_proper_coloring(param.graph, inc.coloring(), k));
-        } else {
-          // Failed core sanity: the core mentions only selector literals
-          // that were actually assumed (or the base formula is refuted).
-          if (!inc.formula_unsat()) {
-            EXPECT_FALSE(inc.failed_assumptions().empty())
-                << param.name << " K=" << k;
-          }
+  for (const bool symmetry : {false, true}) {
+    IncrementalColoringOptions options;
+    options.min_colors = 2;
+    options.symmetry_breaking = symmetry;
+    IncrementalColoringSolver inc(param.graph, param.max_colors, options);
+    for (unsigned k = 2; k <= param.max_colors; ++k) {
+      const SolveResult got = inc.solve_k(k);
+      const auto fresh = solve_exact_coloring(param.graph, k,
+                                              {.symmetry_breaking = symmetry});
+      const SolveResult expected =
+          fresh ? SolveResult::kSat : SolveResult::kUnsat;
+      ASSERT_EQ(got, expected)
+          << param.name << " K=" << k << " symmetry=" << symmetry;
+      if (got == SolveResult::kSat) {
+        // solve_k already tripwires properness; double-check palette here.
+        EXPECT_TRUE(graph::is_proper_coloring(param.graph, inc.coloring(), k));
+      } else {
+        // Failed core sanity: the core mentions only selector literals
+        // that were actually assumed (or the base formula is refuted).
+        if (!inc.formula_unsat()) {
+          EXPECT_FALSE(inc.failed_assumptions().empty())
+              << param.name << " K=" << k;
         }
       }
     }
@@ -401,7 +326,6 @@ TEST(IncrementalSweep, RandomGraphsMatchFreshSweep) {
     const auto g = graph::erdos_renyi(18, 0.2 + 0.08 * trial, rng);
     IncrementalColoringOptions options;
     options.min_colors = 2;
-    options.solver.presimplify = (trial % 2) == 0;
     IncrementalColoringSolver inc(g, 6, options);
     for (unsigned k = 2; k <= 6; ++k) {
       const auto fresh = solve_exact_coloring(g, k);

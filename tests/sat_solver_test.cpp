@@ -271,20 +271,6 @@ TEST(Solver, DerivedUnsatOutranksLaterCancellation) {
   EXPECT_EQ(solver.solve(), SolveResult::kUnsat);
 }
 
-TEST(Solver, PreStoppedTokenWithPresimplifyReturnsUnknown) {
-  Cnf cnf(3);
-  cnf.add_clause({pos(0), pos(1)});
-  cnf.add_clause({neg(1), pos(2)});
-  msropm::util::StopSource source;
-  source.request_stop();
-  SolverOptions options;
-  options.presimplify = true;
-  options.stop = source.token();
-  Solver solver(cnf, options);
-  EXPECT_EQ(solver.solve(), SolveResult::kUnknown);
-  EXPECT_TRUE(solver.cancelled());
-}
-
 TEST(Solver, DeadlineTokenInterruptsSearch) {
   // Hard random 3-SAT near the phase transition with an already-expired
   // deadline: the first in-search poll must abort with kUnknown.
