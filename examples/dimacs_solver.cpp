@@ -9,7 +9,7 @@
 //                 [--metrics-json FILE] [--metrics-prom FILE]
 //                 [--fault-spec SPEC]
 //
-// --trace records msropm::obs spans (solver phases, incremental rounds) and
+// --trace records msropm::obs spans (SAT solves and their phases) and
 // writes a Chrome trace-event JSON on exit; --metrics enables the obs
 // registry and prints the merged counter/timer report — the sat.* counters
 // there match the SolverStats tables below it one-for-one.
@@ -23,11 +23,10 @@
 // --sat runs the exact CDCL baseline on the direct encoding and prints the
 // search statistics as a table (copy-pasteable into bench notes).
 //
-// --chromatic runs the incremental assumption-based chromatic search
-// (sat::chromatic_search) with max_k = the requested color count: one
-// multi-shot solver sweeps K from the clique lower bound reusing learnt
-// clauses between rounds, and the exit code reflects whether the chromatic
-// number fits the palette.
+// --chromatic runs the chromatic search (sat::chromatic_search) with max_k =
+// the requested color count: one exact solve per K, from the clique lower
+// bound up to a greedy upper bound, and the exit code reflects whether the
+// chromatic number fits the palette.
 //
 // --fault-spec installs a util::FaultInjector schedule (grammar in
 // src/util/include/msropm/util/fault_injector.hpp) for chaos drills; the
@@ -54,7 +53,6 @@
 #include "msropm/graph/coloring.hpp"
 #include "msropm/graph/io.hpp"
 #include "msropm/sat/coloring_encoder.hpp"
-#include "msropm/sat/incremental_coloring.hpp"
 #include "msropm/solvers/dsatur.hpp"
 #include "msropm/util/table.hpp"
 
@@ -193,8 +191,7 @@ int run_solver_cli(int argc, char** argv) {
   if (run_chromatic) {
     const auto outcome = sat::chromatic_search(g, colors);
     if (outcome.chromatic) {
-      std::printf("chromatic number: %u (bounds [%u, %u], %zu incremental "
-                  "solves)\n",
+      std::printf("chromatic number: %u (bounds [%u, %u], %zu solves)\n",
                   *outcome.chromatic, outcome.lower_bound, outcome.upper_bound,
                   outcome.solve_calls);
       status = 10;
@@ -210,7 +207,7 @@ int run_solver_cli(int argc, char** argv) {
     const auto& s = outcome.stats;
     util::TextTable sweep({"chromatic_sweep", "solves", "decisions",
                            "conflicts", "learnts", "propagations"});
-    sweep.add_row({"incremental", std::to_string(outcome.solve_calls),
+    sweep.add_row({"per-K", std::to_string(outcome.solve_calls),
                    std::to_string(s.decisions), std::to_string(s.conflicts),
                    std::to_string(s.learnt_clauses),
                    std::to_string(s.propagations)});

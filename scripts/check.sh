@@ -13,7 +13,7 @@
 #   Preset             What it adds
 #   ----------------   ------------------------------------------------------
 #   CHECK_ASAN=1       tests labelled `asan` in CMakeLists.txt (SAT arena/GC,
-#                      incremental solving, batched phase engine) rebuilt
+#                      multi-shot solving, batched phase engine) rebuilt
 #                      and rerun under ASan/UBSan (build-asan/)
 #   CHECK_TSAN=1       tests labelled `tsan` (portfolio, stop tokens, arena
 #                      cancellation, obs, batched runner) under TSan
@@ -69,7 +69,7 @@ run_labelled() {
 }
 
 # Benches that gate performance and drop bench_results/*.json.
-BENCHES="bench_sat_arena bench_portfolio bench_chromatic bench_phase_batch"
+BENCHES="bench_sat_arena bench_portfolio bench_phase_batch"
 run_benches() {
   local bench
   cmake --build "${BUILD_DIR}" -j "${JOBS}" --target ${BENCHES}
@@ -167,14 +167,12 @@ fi
 # allocations scale with the clause count (or search allocations with the
 # learnt count); bench_portfolio exits nonzero on any verdict mismatch
 # across worker counts or when the portfolio is slower than the best single
-# complete strategy; bench_chromatic exits nonzero when the incremental
-# chromatic sweep disagrees with the from-scratch baseline or is slower
-# than it beyond a 10% noise margin; bench_phase_batch exits nonzero when
-# the batched phase engine loses to the embedded pre-refactor engine at
-# batch size 1, misses 2x serial throughput at batch size 40 on every
-# fabric, or spends more than 1.75x the noiseless step time once noise is
-# on (noise_overhead) on any fabric. All emit bench_results/*.json so the
-# numbers are tracked, not just the pass/fail bit.
+# complete strategy; bench_phase_batch exits nonzero when the batched phase
+# engine loses to the embedded pre-refactor engine at batch size 1, misses
+# 2x serial throughput at batch size 40 on every fabric, or spends more than
+# 1.75x the noiseless step time once noise is on (noise_overhead) on any
+# fabric. All emit bench_results/*.json so the numbers are tracked, not just
+# the pass/fail bit.
 if [ "${CHECK_BENCH:-0}" = "1" ] && [ "${SANITIZE}" = "OFF" ]; then
   run_benches
 fi

@@ -48,7 +48,6 @@ ENTRY_POINTS = [re.compile(p) for p in (
     r'(^|::)solve_tabucol$',
     r'(^|::)solve_sa_potts$',
     r'(^|::)MultiStagePottsMachine::solve_batch$',
-    r'(^|::)IncrementalColoringSolver::solve_k$',
     r'(^|::)chromatic_search$',
     r'(^|::)run_portfolio\w*$',
     r'(^|::)SweepRunner::\w+$',
@@ -75,7 +74,7 @@ ITER_BOUND_RE = re.compile(
 # that calls one of these delegates its polling (PhaseBatch::run polls every
 # 32 steps, Solver::solve honors conflict/stop budgets, the portfolio drain
 # path polls inside run_task).
-POLLING_CALLEES = ('run', 'solve', 'solve_batch', 'solve_k', 'solve_internal',
+POLLING_CALLEES = ('run', 'solve', 'solve_batch', 'solve_internal',
                    'run_portfolio_batch', 'run_iterations', 'solve_tabucol',
                    'solve_sa_potts', 'solve_sa_potts_from', 'drain')
 
@@ -112,7 +111,6 @@ HOT_FUNCTIONS = [re.compile(p) for p in (
     r'(^|::)Solver::enqueue$',
     r'(^|::)Solver::analyze$',
     r'(^|::)Solver::lit_redundant$',
-    r'(^|::)Solver::analyze_final$',
     r'(^|::)Solver::backtrack$',
     r'(^|::)Solver::pick_branch_lit$',
     r'(^|::)Solver::bump_var$',

@@ -145,20 +145,6 @@ void PhaseBatch::randomize_phases(std::size_t r, util::Rng& rng) {
   for (std::size_t i = 0; i < n_; ++i) theta[i] = rng.uniform_phase();
 }
 
-void PhaseBatch::perturb_phases(std::size_t r, util::Rng& rng, double stddev_rad) {
-  check_replica(r);
-  double* theta = theta_.data() + r * n_;
-  for (std::size_t i = 0; i < n_; ++i) theta[i] += rng.normal(0.0, stddev_rad);
-}
-
-std::vector<double> PhaseBatch::wrapped_phases(std::size_t r) const {
-  check_replica(r);
-  const double* theta = theta_.data() + r * n_;
-  std::vector<double> w(n_);
-  for (std::size_t i = 0; i < n_; ++i) w[i] = wrap_angle(theta[i]);
-  return w;
-}
-
 void PhaseBatch::set_uniform_coupling(std::size_t r, double j) {
   check_replica(r);
   std::fill_n(j_.begin() + r * m_, m_, j);
@@ -206,12 +192,6 @@ void PhaseBatch::set_shil_enable(std::size_t r,
   for (std::size_t i = 0; i < n_; ++i) shil_enable_[at.at(i)] = per_osc[i];
 }
 
-void PhaseBatch::enable_all_shil(std::size_t r) {
-  check_replica(r);
-  const Slice at = slice(r, n_);
-  for (std::size_t i = 0; i < n_; ++i) shil_enable_[at.at(i)] = 1;
-}
-
 void PhaseBatch::refresh_shil_trig(std::size_t r) {
   // Through the W-wide pass like every other transcendental, staged in the
   // step scratch (rewritten before each use).
@@ -254,12 +234,6 @@ void PhaseBatch::set_detune(std::size_t r,
   }
   const Slice at = slice(r, n_);
   for (std::size_t i = 0; i < n_; ++i) detune_[at.at(i)] = detune_rad_per_s[i];
-}
-
-void PhaseBatch::clear_detune(std::size_t r) {
-  check_replica(r);
-  const Slice at = slice(r, n_);
-  for (std::size_t i = 0; i < n_; ++i) detune_[at.at(i)] = 0.0;
 }
 
 void PhaseBatch::rebuild_weights(std::size_t r) {

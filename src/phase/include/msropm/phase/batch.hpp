@@ -126,10 +126,6 @@ class PhaseBatch {
   void set_phases(std::size_t r, std::span<const double> phases);
   /// Random uniform phases in [0, 2pi): the paper's random initialization.
   void randomize_phases(std::size_t r, util::Rng& rng);
-  /// Random normal perturbation of current phases (strength in rad).
-  void perturb_phases(std::size_t r, util::Rng& rng, double stddev_rad);
-  /// Phases of replica r wrapped into [0, 2pi).
-  [[nodiscard]] std::vector<double> wrapped_phases(std::size_t r) const;
 
   // --- couplings (B2B / P_EN / L_EN) -------------------------------------
   void set_uniform_coupling(std::size_t r, double j);
@@ -161,7 +157,6 @@ class PhaseBatch {
     return shil_active_[r] != 0;
   }
   void set_shil_enable(std::size_t r, std::span<const std::uint8_t> per_osc);
-  void enable_all_shil(std::size_t r);
   void set_shil_phases(std::size_t r, std::span<const double> psi);
   void set_uniform_shil_phase(std::size_t r, double psi);
   [[nodiscard]] std::span<const double> shil_phases(std::size_t r) const {
@@ -177,7 +172,6 @@ class PhaseBatch {
 
   // --- detune (oscillator mismatch) ---------------------------------------
   void set_detune(std::size_t r, std::span<const double> detune_rad_per_s);
-  void clear_detune(std::size_t r);
 
   // --- dynamics ------------------------------------------------------------
   /// One Euler-Maruyama step of params.dt for every replica; rngs[r] supplies

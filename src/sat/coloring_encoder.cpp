@@ -4,6 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace msropm::sat {
 
@@ -32,16 +33,64 @@ graph::Coloring ColoringEncoding::decode(
   return colors;
 }
 
-std::vector<graph::NodeId> greedy_clique(const graph::Graph& g) {
-  const std::size_t n = g.num_nodes();
-  if (n == 0) return {};
-  std::vector<graph::NodeId> order(n);
+namespace {
+
+/// Nodes by decreasing degree, ties by index: the greedy order of both
+/// greedy_clique and greedy_coloring_bound.
+std::vector<graph::NodeId> degree_order(const graph::Graph& g) {
+  std::vector<graph::NodeId> order(g.num_nodes());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&g](graph::NodeId a, graph::NodeId b) {
     return g.degree(a) != g.degree(b) ? g.degree(a) > g.degree(b) : a < b;
   });
+  return order;
+}
+
+/// Greedy coloring in degree order: a cheap, always-valid upper bound on the
+/// chromatic number (never worse than max_degree + 1). chromatic_search uses
+/// it to cap the sweep, so no K above a known coloring is ever queried.
+unsigned greedy_coloring_bound(const graph::Graph& g) {
+  constexpr std::uint32_t kUncolored = ~std::uint32_t{0};
+  std::vector<std::uint32_t> color(g.num_nodes(), kUncolored);
+  std::vector<std::uint8_t> used;
+  unsigned bound = 0;
+  for (const graph::NodeId v : degree_order(g)) {
+    used.assign(bound + 2, 0);
+    for (const graph::NodeId u : g.neighbors(v)) {
+      if (color[u] != kUncolored) used[color[u]] = 1;
+    }
+    std::uint32_t c = 0;
+    while (used[c]) ++c;
+    color[v] = c;
+    bound = std::max(bound, static_cast<unsigned>(c) + 1);
+  }
+  return bound;
+}
+
+void accumulate_stats(SolverStats& into, const SolverStats& from) {
+  into.decisions += from.decisions;
+  into.propagations += from.propagations;
+  into.conflicts += from.conflicts;
+  into.restarts += from.restarts;
+  into.learnt_clauses += from.learnt_clauses;
+  into.removed_learnts += from.removed_learnts;
+  into.blocker_skips += from.blocker_skips;
+  into.binary_propagations += from.binary_propagations;
+  into.heap_decisions += from.heap_decisions;
+  into.gc_runs += from.gc_runs;
+  into.gc_freed_words += from.gc_freed_words;
+  into.arena_alloc_words += from.arena_alloc_words;
+  into.arena_peak_words = std::max(into.arena_peak_words, from.arena_peak_words);
+  if (from.limit_reason != util::LimitReason::kNone) {
+    into.limit_reason = from.limit_reason;
+  }
+}
+
+}  // namespace
+
+std::vector<graph::NodeId> greedy_clique(const graph::Graph& g) {
   std::vector<graph::NodeId> clique;
-  for (graph::NodeId v : order) {
+  for (graph::NodeId v : degree_order(g)) {
     const bool compatible = std::all_of(
         clique.begin(), clique.end(),
         [&](graph::NodeId u) { return g.has_edge(u, v); });
@@ -108,7 +157,74 @@ ExactColoringOutcome solve_exact_coloring_detailed(
   return outcome;
 }
 
-// chromatic_number lives in incremental_coloring.cpp: it is implemented on
-// top of the incremental assumption-based sweep (see chromatic_search).
+ChromaticSearchOutcome chromatic_search(const graph::Graph& g, unsigned max_k,
+                                        ChromaticSearchOptions options) {
+  ChromaticSearchOutcome out;
+  if (g.num_nodes() == 0) {
+    out.chromatic = 0;  // the empty graph is 0-colorable under any bound
+    return out;
+  }
+  if (g.num_edges() == 0) {
+    out.lower_bound = 1;
+    out.upper_bound = 1;
+    // Edgeless needs exactly one color — which still has to fit the bound
+    // (max_k == 0 means "no colors allowed" and must stay nullopt).
+    if (max_k >= 1) {
+      out.chromatic = 1;
+      out.coloring.assign(g.num_nodes(), 0);
+    }
+    return out;
+  }
+  const auto clique = greedy_clique(g);
+  const unsigned lb =
+      std::max<unsigned>(2, static_cast<unsigned>(clique.size()));
+  out.lower_bound = lb;
+  // The clique members are pairwise adjacent, so chromatic >= lb is a
+  // certificate: every K below the seed would be a wasted UNSAT solve (on
+  // King's graphs, omega = 4 kills the K in {2, 3} rounds outright).
+  if (lb > max_k) return out;
+  if (lb > 255) {
+    // graph::Color is uint8_t, so the palette cannot even be represented.
+    // This is a search limitation, NOT a proof that chromatic > max_k.
+    out.incomplete = true;
+    return out;
+  }
+  const unsigned uncapped_ub = std::min(max_k, greedy_coloring_bound(g));
+  const unsigned ub = std::min(uncapped_ub, 255u);
+  out.upper_bound = ub;
+
+  SolverOptions profile;
+  profile.conflict_limit = options.conflict_limit;
+  profile.budget = options.budget;
+  profile.stop = options.stop;
+  ColoringEncodeOptions encode_options;
+  encode_options.symmetry_breaking = options.symmetry_breaking;
+  for (unsigned k = lb; k <= ub; ++k) {
+    auto outcome = solve_exact_coloring_detailed(g, k, encode_options, profile);
+    ++out.solve_calls;
+    accumulate_stats(out.stats, outcome.solver_stats);
+    if (outcome.result == SolveResult::kSat) {
+      out.chromatic = k;
+      out.coloring = std::move(*outcome.coloring);
+      break;
+    }
+    if (outcome.result == SolveResult::kUnknown) {
+      // kUnknown is either the stop token or the per-K conflict budget.
+      out.incomplete = true;
+      out.cancelled = options.stop.stop_requested();
+      out.limit = outcome.solver_stats.limit_reason;
+      break;
+    }
+  }
+  // When the uint8_t representability cap (not max_k or the greedy bound)
+  // truncated the sweep, an exhausted search proves nothing about max_k.
+  if (!out.chromatic && ub < uncapped_ub) out.incomplete = true;
+  return out;
+}
+
+std::optional<unsigned> chromatic_number(const graph::Graph& g,
+                                         unsigned max_k) {
+  return chromatic_search(g, max_k).chromatic;
+}
 
 }  // namespace msropm::sat

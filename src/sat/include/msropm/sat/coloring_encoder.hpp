@@ -12,6 +12,8 @@
 // sharing ANY color, so the first color of each node is a proper coloring
 // too, and the formula is K-satisfiable exactly when g is K-colorable.
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -19,6 +21,8 @@
 #include "msropm/graph/graph.hpp"
 #include "msropm/sat/cnf.hpp"
 #include "msropm/sat/solver.hpp"
+#include "msropm/util/resource_budget.hpp"
+#include "msropm/util/stop_token.hpp"
 
 namespace msropm::sat {
 
@@ -81,12 +85,54 @@ struct ExactColoringOutcome {
     ColoringEncodeOptions encode_options = {},
     SolverOptions solver_options = {});
 
+/// Knobs for chromatic_search (chromatic_number uses the defaults).
+struct ChromaticSearchOptions {
+  bool symmetry_breaking = true;
+  /// Per-K conflict budget (0 = unlimited); kUnknown aborts the search.
+  std::uint64_t conflict_limit = 0;
+  /// Per-solve resource budget, forwarded to every solver the sweep builds.
+  /// A breach ends the search incomplete with `limit` set in the outcome.
+  util::ResourceBudget budget = {};
+  /// Cooperative cancellation, polled inside every solve.
+  util::StopToken stop = {};
+};
+
+struct ChromaticSearchOutcome {
+  /// The chromatic number; nullopt when it exceeds max_k or the search was
+  /// cancelled (check `cancelled` to tell the two apart).
+  std::optional<unsigned> chromatic;
+  /// Proper witness coloring with *chromatic colors; empty otherwise.
+  graph::Coloring coloring;
+  /// Greedy-clique lower bound the sweep started at (0 for trivial graphs).
+  unsigned lower_bound = 0;
+  /// Greedy-coloring upper bound capping the sweep.
+  unsigned upper_bound = 0;
+  /// SAT queries actually issued (0 when the bounds decided alone).
+  std::size_t solve_calls = 0;
+  /// True when some solve returned kUnknown (stop token or conflict budget):
+  /// `chromatic == nullopt && !incomplete` is then a PROOF that the
+  /// chromatic number exceeds max_k; with incomplete set it proves nothing.
+  bool incomplete = false;
+  /// True when specifically the stop token ended the search.
+  bool cancelled = false;
+  /// Why the search went incomplete (kNone when it completed or only the
+  /// legacy conflict_limit/representability caps applied): mirrors the
+  /// interrupted solver's SolverStats::limit_reason.
+  util::LimitReason limit = util::LimitReason::kNone;
+  /// Solver statistics summed over the per-K solvers the sweep built
+  /// (arena_peak_words is the max, not the sum).
+  SolverStats stats;
+};
+
+/// Chromatic number by SAT sweep: seeded at the greedy-clique lower bound,
+/// capped at a greedy-coloring upper bound, and one fresh
+/// solve_exact_coloring_detailed per K in between, smallest first.
+[[nodiscard]] ChromaticSearchOutcome chromatic_search(
+    const graph::Graph& g, unsigned max_k, ChromaticSearchOptions options = {});
+
 /// Chromatic number, nullopt when it exceeds max_k (every early return
-/// respects the bound: an edgeless graph with max_k == 0 is nullopt). The
-/// search is seeded at the greedy-clique lower bound, capped at a greedy
-/// upper bound, and runs incrementally — one solver, one encoding, colors
-/// switched off per K via assumptions (see incremental_coloring.hpp, where
-/// chromatic_search exposes the knobs and statistics).
+/// respects the bound: an edgeless graph with max_k == 0 is nullopt). This is
+/// chromatic_search with the default options.
 [[nodiscard]] std::optional<unsigned> chromatic_number(const graph::Graph& g,
                                                        unsigned max_k = 8);
 

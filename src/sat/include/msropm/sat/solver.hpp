@@ -2,9 +2,8 @@
 // CDCL SAT solver: two-watched-literal propagation with blocking literals
 // and inlined binary clauses, 1-UIP conflict-driven clause learning, VSIDS
 // variable activity on an indexed max-heap with phase saving, Luby restarts,
-// activity-based learnt-clause reduction, and MiniSat-style incremental
-// solving (multi-shot solve(assumptions) with failed-assumption cores;
-// learnt clauses, activities and phases survive across calls).
+// activity-based learnt-clause reduction, and multi-shot solving (learnt
+// clauses, activities and phases survive across solve() calls).
 //
 // It is the "generic SAT solver" baseline of the paper, used to compute the
 // exact colorings against which MSROPM accuracy is normalized. The King's
@@ -101,21 +100,14 @@ struct SolverOptions {
   std::uint64_t heartbeat_interval = 1024;
 };
 
-/// Multi-shot, assumption-complete CDCL solver (MiniSat incremental style).
+/// Multi-shot CDCL solver.
 ///
-/// solve() / solve(assumptions) may be called any number of times on one
-/// Solver. Between calls the solver backtracks to the root level but KEEPS
-/// everything worth keeping: learnt clauses (arena records and implicit
-/// binary watchers), variable activities, saved phases, and the restart/
-/// reduction cadence — which is the whole point of incremental solving.
-///
-/// Assumptions are asserted as decision levels 1..N (never as permanent
-/// units), so an UNSAT-under-assumptions verdict does not poison the solver:
-/// the next call simply re-solves under different assumptions. After such a
-/// verdict failed_assumptions() holds a subset of the assumptions whose
-/// conjunction with the formula is unsatisfiable (MiniSat's analyzeFinal);
-/// formula_unsat() distinguishes "the formula itself is refuted" from
-/// "these assumptions are".
+/// solve() may be called any number of times on one Solver. Between calls
+/// the solver backtracks to the root level but KEEPS everything worth
+/// keeping: learnt clauses (arena records and implicit binary watchers),
+/// variable activities, saved phases, and the reduction cadence. The
+/// conflict budget applies per call, so a call that ran out of conflicts can
+/// be resumed by calling again.
 class Solver {
  public:
   explicit Solver(const Cnf& cnf, SolverOptions options = {});
@@ -128,27 +120,10 @@ class Solver {
   Solver(Solver&&) = delete;
   Solver& operator=(Solver&&) = delete;
 
-  /// Run the search. kSat fills model(); kUnknown when conflict_limit was
-  /// hit for this call or options.stop fired. Callable repeatedly.
+  /// Run the search. kSat fills model(); kUnsat is final (every later call
+  /// returns it too); kUnknown when conflict_limit was hit for this call or
+  /// options.stop fired. Callable repeatedly.
   [[nodiscard]] SolveResult solve();
-
-  /// Solve under assumptions. kUnsat means the formula is unsatisfiable
-  /// together with the assumptions — consult failed_assumptions() /
-  /// formula_unsat() to tell which. Callable repeatedly; learnt clauses are
-  /// shared across calls. Throws std::invalid_argument for an assumption on
-  /// an out-of-range variable.
-  [[nodiscard]] SolveResult solve(const std::vector<Lit>& assumptions);
-
-  /// After solve(assumptions) returned kUnsat: the subset of the assumptions
-  /// that conflict analysis found responsible. Empty when the formula itself
-  /// is UNSAT (see formula_unsat()).
-  [[nodiscard]] const std::vector<Lit>& failed_assumptions() const noexcept {
-    return failed_assumptions_;
-  }
-
-  /// True once the formula has been refuted WITHOUT assumptions: every
-  /// subsequent solve() call returns kUnsat no matter the assumptions.
-  [[nodiscard]] bool formula_unsat() const noexcept { return !ok_; }
 
   /// Model indexed by var (0/1). Valid after a solve() that returned kSat,
   /// until the next solve() call.
@@ -220,19 +195,15 @@ class Solver {
   void analyze(Reason conflict, std::vector<Lit>& learnt_out,
                std::uint32_t& backtrack_level);
   void backtrack(std::uint32_t level);
-  /// The actual CDCL search behind solve(assumptions); the public entry is a
-  /// thin dispatcher so fully-disabled observability costs one branch per
-  /// solve() call, not per search step.
-  [[nodiscard]] SolveResult solve_internal(const std::vector<Lit>& assumptions);
+  /// The actual CDCL search behind solve(); the public entry is a thin
+  /// dispatcher so fully-disabled observability costs one branch per solve()
+  /// call, not per search step.
+  [[nodiscard]] SolveResult solve_internal();
   /// Instrumented path: wraps solve_internal in an obs span annotated with
   /// the call's conflict/restart deltas and republishes the SolverStats
   /// deltas as msropm::obs registry counters (the struct stays the façade —
   /// both views always agree).
-  [[nodiscard]] SolveResult solve_obs(const std::vector<Lit>& assumptions);
-  /// MiniSat analyzeFinal: starting from falsified assumption p, walk the
-  /// trail backwards through reasons and collect the assumption decisions
-  /// that imply ~p into failed_assumptions_.
-  void analyze_final(Lit p);
+  [[nodiscard]] SolveResult solve_obs();
   /// Heapify the full variable set and switch pick_branch_lit to the heap.
   /// Called at the first conflict: before any conflict the activities are
   /// the static ingest occurrence counts (VSIDS only bumps in analyze), so
@@ -294,8 +265,6 @@ class Solver {
   std::vector<Lit> minimize_stack_;
   std::vector<Var> minimize_clear_;
   std::vector<ClauseRef> reduce_candidates_;
-  std::vector<Lit> assumptions_;         // per-call, set at solve() entry
-  std::vector<Lit> failed_assumptions_;  // set on kUnsat
   // Heartbeat window state (observability only — nothing below is ever read
   // by the search, so mutating it cannot perturb the trajectory).
   std::int64_t hb_last_ns_ = 0;          // wall clock at last sample

@@ -6,8 +6,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
-#include <string>
 
 #include "msropm/obs/obs.hpp"
 #include "msropm/util/fault_injector.hpp"
@@ -686,46 +684,12 @@ std::uint64_t Solver::luby(std::uint64_t i) noexcept {
   return std::uint64_t{1} << seq;
 }
 
-SolveResult Solver::solve() { return solve({}); }
-
-void Solver::analyze_final(Lit p) {
-  // MiniSat analyzeFinal: p is a falsified assumption. Seed the core with p
-  // and walk the trail top-down; every marked decision is an assumption
-  // (only assumption levels exist when this runs), every marked propagated
-  // literal expands to the rest of its reason clause.
-  failed_assumptions_.clear();
-  failed_assumptions_.push_back(p);
-  if (trail_lim_.empty()) return;  // falsified at root: the formula alone
-                                   // implies ~p, so {p} is the core
-  seen_[p.var()] = 1;
-  for (std::size_t i = trail_.size(); i > trail_lim_[0]; --i) {
-    const Var x = trail_[i - 1].var();
-    if (!seen_[x]) continue;
-    const Reason r = reason_[x];
-    if (r.is_none()) {
-      failed_assumptions_.push_back(trail_[i - 1]);
-    } else if (r.is_binary()) {
-      const Var other = r.other().var();
-      if (level_[other] > 0) seen_[other] = 1;
-    } else {
-      const Lit* lits = arena_.lits(r.cref());
-      const std::size_t n = arena_.size(r.cref());
-      // lits[0] is the literal x was assigned to; the rest are antecedents.
-      for (std::size_t j = 1; j < n; ++j) {
-        if (level_[lits[j].var()] > 0) seen_[lits[j].var()] = 1;
-      }
-    }
-    seen_[x] = 0;
-  }
-  seen_[p.var()] = 0;
+SolveResult Solver::solve() {
+  if (obs::gate() == 0) return solve_internal();
+  return solve_obs();
 }
 
-SolveResult Solver::solve(const std::vector<Lit>& assumptions) {
-  if (obs::gate() == 0) return solve_internal(assumptions);
-  return solve_obs(assumptions);
-}
-
-SolveResult Solver::solve_obs(const std::vector<Lit>& assumptions) {
+SolveResult Solver::solve_obs() {
   const SolverStats before = stats_;
   // Fresh heartbeat window per instrumented call; the final publish below
   // guarantees at least one sample even on sub-interval solves.
@@ -739,7 +703,7 @@ SolveResult Solver::solve_obs(const std::vector<Lit>& assumptions) {
   SolveResult result;
   {
     obs::Span span("sat.solve", sm().t_solve);
-    result = solve_internal(assumptions);
+    result = solve_internal();
     span.arg("conflicts", stats_.conflicts - before.conflicts);
     span.arg("restarts", stats_.restarts - before.restarts);
     span.arg("decisions", stats_.decisions - before.decisions);
@@ -837,14 +801,13 @@ void Solver::publish_heartbeat() {
   hb_conflicts_since_ = 0;
 }
 
-SolveResult Solver::solve_internal(const std::vector<Lit>& assumptions) {
+SolveResult Solver::solve_internal() {
   // Multi-shot entry: unwind whatever the previous call left behind. Doing
   // the root reset lazily HERE (not on the previous call's SAT return path)
   // keeps a final zero-conflict solve from paying an O(V log V) heap unwind
   // it never benefits from.
   backtrack(0);
   model_.clear();
-  failed_assumptions_.clear();
   stats_.limit_reason = LimitReason::kNone;
   // An empty clause derived from any prefix of the formula refutes the whole
   // formula, so a top-level conflict outranks cancellation.
@@ -867,15 +830,6 @@ SolveResult Solver::solve_internal(const std::vector<Lit>& assumptions) {
   prop_budget_ = options_.budget.max_propagations == 0
                      ? 0
                      : stats_.propagations + options_.budget.max_propagations;
-  for (const Lit a : assumptions) {
-    if (a.var() >= num_vars_) {
-      throw std::invalid_argument("Solver::solve: assumption variable " +
-                                  std::to_string(a.var()) + " is out of range");
-    }
-  }
-  assumptions_ = assumptions;
-  // A failed core is a subset of the assumptions: analyze_final never grows.
-  failed_assumptions_.reserve(assumptions.size());
   if (!propagate().is_none()) {
     ok_ = false;
     return SolveResult::kUnsat;
@@ -894,9 +848,8 @@ SolveResult Solver::solve_internal(const std::vector<Lit>& assumptions) {
   const std::uint64_t conflict_budget =
       call_conflict_cap == 0 ? 0 : stats_.conflicts + call_conflict_cap;
   // The Luby restart sequence restarts per CALL (MiniSat does the same):
-  // continuing the cumulative index would leave later incremental queries
-  // with the tail's huge intervals and no early restarts, which measurably
-  // wrecks hard SAT rounds after conflict-heavy UNSAT rounds.
+  // continuing the cumulative index would leave a resumed call with the
+  // tail's huge intervals and no early restarts.
   std::uint64_t restarts_this_call = 0;
   std::uint64_t conflicts_until_restart =
       options_.restart_base * luby(restarts_this_call);
@@ -1043,26 +996,7 @@ SolveResult Solver::solve_internal(const std::vector<Lit>& assumptions) {
           return SolveResult::kUnknown;
         }
       }
-      // Assert pending assumptions as decisions, one level each. Level i+1
-      // always belongs to assumption i: already-satisfied assumptions get an
-      // empty (dummy) level, a falsified one yields the failed core, and
-      // restarts/backtracks simply re-enter this loop at the right index.
-      std::optional<Lit> next;
-      while (trail_lim_.size() < assumptions_.size()) {
-        const Lit a = assumptions_[trail_lim_.size()];
-        const LBool av = value(a);
-        if (av == LBool::kTrue) {
-          trail_lim_.push_back(trail_.size());  // dummy level
-        } else if (av == LBool::kFalse) {
-          analyze_final(a);
-          note_arena_peak();
-          return SolveResult::kUnsat;
-        } else {
-          next = a;
-          break;
-        }
-      }
-      if (!next) next = pick_branch_lit();
+      const std::optional<Lit> next = pick_branch_lit();
       if (!next) {
         // Full assignment: SAT.
         model_.assign(num_vars_, 0);

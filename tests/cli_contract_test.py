@@ -6,9 +6,9 @@ Pins what scripted users depend on: verdict exit codes, exit 2 on every
 usage error (missing flag value, unknown or deleted flag, bad --jobs,
 unknown --strategies name, malformed --fault-spec or MSROPM_FAULT, a
 deleted fault site), one "last value wins" warning per repeated
-observability flag, and metrics files written even when the input file is
-missing. Only exit codes, files and the
-warning substring are asserted, never message wording.
+observability flag, metrics files written even when the input file is
+missing, and the --chromatic verdict line. Apart from that line, only exit
+codes, files and the warning substring are asserted, never message wording.
 
 Usage: cli_contract_test.py DIMACS_SOLVER PORTFOLIO_SWEEP OBS
 where OBS is the MSROPM_OBS setting the binaries were built with (ON/OFF).
@@ -72,6 +72,17 @@ class CliContract(unittest.TestCase):
     def test_dimacs_solver_verdicts(self):
         self.assertExit(run(DIMACS, [self.graph, "4", "4", "1", "--sat"]), 10)
         self.assertExit(run(DIMACS, [self.graph, "2", "4", "1", "--sat"]), 20)
+
+    def test_dimacs_solver_chromatic(self):
+        # The 3x3 King's graph holds a 4-clique and is 4-colorable, so its
+        # chromatic number is exactly 4: it fits a palette of 4, not of 2.
+        proc = run(DIMACS, [self.graph, "4", "1", "1", "--chromatic"])
+        self.assertExit(proc, 10)
+        self.assertIn("chromatic number: 4 ", proc.stdout)
+        self.assertRegex(proc.stdout, r"\(bounds \[4, 4\], 1 solves\)")
+        self.assertNotIn("incremental", proc.stdout)
+        self.assertExit(run(DIMACS, [self.graph, "2", "1", "1", "--chromatic"]),
+                        20)
 
     def test_portfolio_sweep_decides_everything(self):
         self.assertExit(run(SWEEP, ["--kings", "4", "--kings-unsat", "4"]), 0)

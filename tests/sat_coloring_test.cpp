@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "msropm/graph/builders.hpp"
-#include "msropm/sat/incremental_coloring.hpp"
 #include "msropm/util/rng.hpp"
 
 namespace {
@@ -267,8 +266,8 @@ graph::Graph randgraph_90(std::uint64_t seed) {
   return builder.build();
 }
 
-/// The bench_chromatic G(n, p) rows, drawn in order from one stream; each
-/// has chromatic number 6.
+/// The G(n, p) rows of perfbench's exact_hard main corpus, drawn in order
+/// from one stream; each has chromatic number 6.
 std::vector<std::pair<std::string, graph::Graph>> gnp_rows() {
   const std::pair<std::size_t, double> shapes[] = {
       {40, 0.30}, {50, 0.25}, {60, 0.22}, {70, 0.20}};
@@ -302,13 +301,9 @@ TEST(AmoFreeEquivalence, GnpRowsAtChiMinusOneAndChi) {
   for (const auto& [name, g] : gnp_rows()) {
     expect_same_verdict(name, g, 5);
     expect_same_verdict(name, g, 6);
-    for (const bool incremental : {true, false}) {
-      ChromaticSearchOptions options;
-      options.incremental = incremental;
-      const auto outcome = chromatic_search(g, 8, options);
-      ASSERT_EQ(outcome.chromatic, 6u) << name << " incremental=" << incremental;
-      EXPECT_TRUE(graph::is_proper_coloring(g, outcome.coloring, 6)) << name;
-    }
+    const auto outcome = chromatic_search(g, 8);
+    ASSERT_EQ(outcome.chromatic, 6u) << name;
+    EXPECT_TRUE(graph::is_proper_coloring(g, outcome.coloring, 6)) << name;
   }
 }
 

@@ -163,22 +163,6 @@ TEST(Solver, ModelSatisfiesRandom3Sat) {
   }
 }
 
-TEST(Solver, AssumptionsRestrictModels) {
-  Cnf cnf(2);
-  cnf.add_binary(pos(0), pos(1));
-  Solver s1(cnf);
-  ASSERT_EQ(s1.solve({neg(0)}), SolveResult::kSat);
-  EXPECT_EQ(s1.model()[0], 0);
-  EXPECT_EQ(s1.model()[1], 1);
-}
-
-TEST(Solver, ConflictingAssumptionsUnsat) {
-  Cnf cnf(1);
-  cnf.add_unit(pos(0));
-  Solver s(cnf);
-  EXPECT_EQ(s.solve({neg(0)}), SolveResult::kUnsat);
-}
-
 TEST(Solver, ConflictLimitReturnsUnknown) {
   // A hard pigeonhole with a conflict budget of 1 cannot finish.
   const int pigeons = 8;
@@ -213,23 +197,6 @@ TEST(Solver, SecondSolveRepeatsVerdict) {
   EXPECT_EQ(s.solve(), SolveResult::kSat);
   EXPECT_EQ(s.solve(), SolveResult::kSat);
   EXPECT_EQ(s.model()[0], 1);
-}
-
-TEST(Solver, SolveAfterAssumptionConflictRecovers) {
-  // The old implementation asserted assumptions as level-0 units, so an
-  // assumption conflict set the formula-UNSAT flag and poisoned the solver
-  // (guarded by a single-shot throw). Assumptions are decisions now: the
-  // UNSAT-under-assumptions verdict must not leak into later calls.
-  Cnf cnf(1);
-  cnf.add_unit(pos(0));
-  Solver s(cnf);
-  EXPECT_EQ(s.solve({neg(0)}), SolveResult::kUnsat);
-  EXPECT_FALSE(s.formula_unsat());
-  ASSERT_EQ(s.failed_assumptions().size(), 1u);
-  EXPECT_EQ(s.failed_assumptions()[0], neg(0));
-  EXPECT_EQ(s.solve(), SolveResult::kSat);
-  EXPECT_EQ(s.model()[0], 1);
-  EXPECT_EQ(s.solve({pos(0)}), SolveResult::kSat);
 }
 
 TEST(Solver, PreStoppedTokenReturnsUnknown) {
