@@ -4,8 +4,9 @@
 //
 // The headline experiments use the phase-domain engine for tractability;
 // this bench shows the two engines agree statistically where the circuit
-// engine is affordable -- the reproduction's substitution argument
-// (DESIGN.md Sec. 2) made measurable.
+// engine is affordable -- the reproduction's substitution of the ROIM phase
+// dynamics (paper Sec. 2.3) for the paper's circuit simulations made
+// measurable.
 
 #include <algorithm>
 #include <cstdio>

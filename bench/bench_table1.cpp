@@ -4,8 +4,9 @@
 //
 // for the four King's-graph instances (49 / 400 / 1024 / 2116 nodes), each
 // run for 40 iterations on the phase-domain MSROPM with the paper's 60 ns
-// schedule. Power comes from the activity-based model (see DESIGN.md);
-// paper-reported values are printed alongside for comparison.
+// schedule. Power comes from the activity-based model (see
+// msropm/power/power_model.hpp); paper-reported values are printed
+// alongside for comparison.
 
 #include <cstdio>
 

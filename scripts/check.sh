@@ -69,7 +69,7 @@ run_labelled() {
 }
 
 # Benches that gate performance and drop bench_results/*.json.
-BENCHES="bench_sat_arena bench_portfolio bench_phase_batch"
+BENCHES="bench_sat_arena bench_portfolio bench_phase_batch bench_ablation_schedule"
 run_benches() {
   local bench
   cmake --build "${BUILD_DIR}" -j "${JOBS}" --target ${BENCHES}

@@ -24,16 +24,19 @@ core::MsropmConfig default_machine_config() {
   config.num_colors = 4;
   config.schedule = core::StageSchedule::paper_default();
 
-  // Physics design point (see DESIGN.md Sec. 5). Tuned once on the 49-node
-  // instance: strong enough coupling to reach a contended ground state
-  // within the 20 ns anneal, SHIL comfortably above the discretization
-  // threshold, jitter level that anneals without washing out lock.
+  // Physics design point. Tuned once on the 49-node instance: strong enough
+  // coupling to reach a contended ground state within the 20 ns anneal
+  // (paper Sec. 4.1), SHIL comfortably above the discretization threshold,
+  // jitter level that anneals without washing out lock. The step size comes
+  // from the step-size study in bench/bench_ablation_schedule.cpp: accuracy
+  // holds up to 160 ps. 50 ps keeps dt * shil_gain < 0.1 (0.08) and every
+  // 5/20 ns window a whole number of steps; 80 ps would break both.
   config.network.natural_frequency_hz = 1.3e9;
   config.network.coupling_gain = 8.0e8;   // rad/s
   config.network.shil_gain = 1.6e9;       // rad/s
   config.network.shil_order = 2;
   config.network.noise_stddev = 2.0e3;    // rad/sqrt(s)
-  config.network.dt = 2.0e-11;            // 1000 steps per 20 ns anneal
+  config.network.dt = 5.0e-11;            // 400 steps per 20 ns anneal
 
   config.shil_ramp = phase::GainRamp{0.0, 0.5};
   config.couplings_during_lock = true;

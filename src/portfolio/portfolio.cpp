@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "msropm/analysis/experiments.hpp"
 #include "msropm/core/runner.hpp"
 #include "msropm/obs/obs.hpp"
 #include "msropm/sat/coloring_encoder.hpp"
@@ -139,21 +140,9 @@ StrategyRun run_msropm(const graph::Graph& g, unsigned num_colors,
     machine_colors *= 2;
   }
 
-  core::MsropmConfig machine_config;
-  machine_config.num_colors = machine_colors;
-  machine_config.schedule = core::StageSchedule::paper_default();
-  // The tuned physics design point of the analysis experiments (strong
-  // coupling within the 20 ns anneal, SHIL above the discretization
-  // threshold, jitter that anneals without washing out lock).
-  machine_config.network.natural_frequency_hz = 1.3e9;
-  machine_config.network.coupling_gain = 8.0e8;   // rad/s
-  machine_config.network.shil_gain = 1.6e9;       // rad/s
-  machine_config.network.shil_order = 2;
-  machine_config.network.noise_stddev = 2.0e3;    // rad/sqrt(s)
-  machine_config.network.dt = 2.0e-11;            // 1000 steps / 20 ns anneal
-  machine_config.shil_ramp = phase::GainRamp{0.0, 0.5};
-  machine_config.couplings_during_lock = true;
-
+  // The tuned design point of the analysis experiments, at this palette.
+  const core::MsropmConfig machine_config =
+      analysis::machine_config_for_colors(machine_colors);
   const core::MultiStagePottsMachine machine(g, machine_config);
   core::RunnerOptions runner_options;
   runner_options.iterations = std::max<std::size_t>(1, config.msropm_iterations);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "msropm/core/shil_plan.hpp"
 #include "msropm/sat/coloring_encoder.hpp"
 
@@ -42,6 +44,18 @@ TEST(DefaultConfig, PhysicallySensibleGains) {
   EXPECT_GT(cfg.schedule.anneal_s * cfg.network.coupling_gain, 5.0);
   // Integration step resolves the fastest dynamics.
   EXPECT_LT(cfg.network.dt * cfg.network.shil_gain, 0.1);
+}
+
+TEST(DefaultConfig, WindowsAreWholeSteps) {
+  // PhaseBatch::run rounds a window up to whole steps (with a 1e-9 guard),
+  // so a window that is not a multiple of dt would be silently stretched.
+  const auto cfg = analysis::default_machine_config();
+  const auto& s = cfg.schedule;
+  for (const double window :
+       {s.init_s, s.anneal_s, s.discretize_s, s.reinit_s}) {
+    const double steps = window / cfg.network.dt;
+    EXPECT_NEAR(steps, std::round(steps), 1e-9) << "window " << window << " s";
+  }
 }
 
 TEST(ConfigForColors, GeneralizesStages) {

@@ -26,9 +26,12 @@ struct SeedRecord {
 };
 
 // Recorded with the lane-group phase kernel (AVX-512 host, width 8).
+// Re-recorded when the default integration step went from 20 ps to 50 ps,
+// which changes every trajectory (bench_ablation_schedule's step-size study
+// shows the accuracy is unchanged up to 160 ps).
 constexpr SeedRecord kRecorded[] = {
-    {7, {0.974519, 0.972858, 0.970449, 0.969524}},
-    {8, {0.979487, 0.972233, 0.970705, 0.969994}},
+    {7, {0.969231, 0.973904, 0.969796, 0.968739}},
+    {8, {0.980128, 0.972925, 0.971320, 0.969823}},
 };
 
 TEST(PaperClaims, Table1BestOfFortyAccuracies) {

@@ -103,6 +103,28 @@ TEST(Portfolio, ProvesUnsatInstance) {
   EXPECT_EQ(winner_kind, StrategyKind::kCdcl);
 }
 
+TEST(Portfolio, MsropmStrategyReturnsOnlyProperColorings) {
+  // A one-slot msropm lineup runs the machine strategy exactly once. The
+  // machine is a heuristic, so it may or may not color the graph; whatever
+  // it returns must re-verify.
+  const auto g = graph::kings_graph_square(6);
+  PortfolioOptions options;
+  options.strategies.assign(1, portfolio::StrategyConfig{});
+  options.strategies[0].kind = StrategyKind::kMsropm;
+  options.strategies[0].msropm_iterations = 8;
+  const PortfolioResult result = portfolio::solve_portfolio(g, 4, options);
+  ASSERT_EQ(result.outcomes.size(), 1u);
+  const auto& outcome = result.outcomes[0];
+  EXPECT_TRUE(outcome.ran);
+  EXPECT_FALSE(outcome.cancelled);
+  EXPECT_TRUE(outcome.error.empty()) << outcome.error;
+  EXPECT_NE(result.verdict, Verdict::kUnsat);
+  if (result.verdict == Verdict::kColored) {
+    ASSERT_TRUE(result.coloring.has_value());
+    EXPECT_TRUE(graph::is_proper_coloring(g, *result.coloring, 4));
+  }
+}
+
 TEST(Portfolio, ValidatesArguments) {
   const auto g = graph::kings_graph_square(4);
   PortfolioOptions options;
