@@ -33,8 +33,9 @@ void BM_PhaseEngineStep(benchmark::State& state) {
   net.set_couplings_active(0, true);
   util::Rng rng(1);
   net.randomize_phases(0, rng);
+  const double dt = net.params().dt;
   for (auto _ : state) {
-    net.step({&rng, 1});
+    net.run(dt, {&rng, 1});
     benchmark::DoNotOptimize(net.phases(0).data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

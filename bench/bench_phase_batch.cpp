@@ -9,8 +9,8 @@
 //              derivative, per-edge mask branch, separate per-node
 //              sin/cos/SHIL-sin calls), embedded below verbatim so the
 //              baseline cannot silently drift as the live engine evolves.
-//   batch1  -- 40 independent PhaseBatch(R=1) instances: how a single
-//              trajectory runs today.
+//   batch1  -- 40 independent PhaseBatch(R=1) instances, each driven
+//              through run(): how a single trajectory runs today.
 //   batch40 -- one PhaseBatch(R=40) driven through run(), i.e. the
 //              lane-group path used by solve_batch: 5 groups of 8 lanes on
 //              an AVX-512 host, 10 of 4 with AVX2.
@@ -218,10 +218,10 @@ Measurement measure(const graph::Graph& g, const Workload& w, int reps) {
         nets[r].set_couplings_active(0, true);
         nets[r].set_shil_active(0, w.shil);
       }
+      const double duration = static_cast<double>(w.steps) * p.dt;
       best.batch1_s = std::min(best.batch1_s, seconds([&] {
         for (std::size_t r = 0; r < kReplicas; ++r) {
-          util::Rng* rng = &rngs[r];
-          for (int s = 0; s < w.steps; ++s) nets[r].step({rng, 1});
+          nets[r].run(duration, {&rngs[r], 1});
         }
       }));
       for (const auto& net : nets) best.checksum += net.phases(0).front();

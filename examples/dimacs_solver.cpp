@@ -9,6 +9,9 @@
 //                 [--metrics-json FILE] [--metrics-prom FILE]
 //                 [--fault-spec SPEC]
 //
+// colors, iterations and seed are decimal integers; a negative or
+// non-numeric value, or zero iterations, is a usage error (exit 2).
+//
 // --trace records msropm::obs spans (SAT solves and their phases) and
 // writes a Chrome trace-event JSON on exit; --metrics enables the obs
 // registry and prints the merged counter/timer report — the sat.* counters
@@ -31,7 +34,9 @@
 // --fault-spec installs a util::FaultInjector schedule (grammar in
 // src/util/include/msropm/util/fault_injector.hpp) for chaos drills; the
 // MSROPM_FAULT environment variable does the same without touching the
-// command line.
+// command line. A fired `step` fault ends the machine run between replica
+// batches like a cancellation: the MSROPM line then reports how many
+// iterations completed, and with none it prints no accuracy.
 //
 // Exit codes follow the DIMACS solver convention so scripted sweeps can trust
 // the status: 10 = a proper K-coloring exists (found by any engine), 20 = no
@@ -40,8 +45,8 @@
 // exception (including std::bad_alloc) exits 3 with a diagnostic, so a
 // scripted sweep can tell "crashed" from "unknown".
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
@@ -54,6 +59,7 @@
 #include "msropm/graph/io.hpp"
 #include "msropm/sat/coloring_encoder.hpp"
 #include "msropm/solvers/dsatur.hpp"
+#include "msropm/util/strings.hpp"
 #include "msropm/util/table.hpp"
 
 namespace {
@@ -112,14 +118,18 @@ int run_solver_cli(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--", 2) == 0) {
       std::fprintf(stderr, "unrecognized flag: %s\n", argv[i]);
       return 2;
-    } else if (positional == 0) {
-      colors = static_cast<unsigned>(std::atoi(argv[i]));
-      ++positional;
-    } else if (positional == 1) {
-      iterations = static_cast<std::size_t>(std::atoll(argv[i]));
-      ++positional;
-    } else if (positional == 2) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[i]));
+    } else if (positional < 3) {
+      static const char* const kNames[] = {"colors", "iterations", "seed"};
+      const long long min = positional == 1 ? 1 : 0;
+      const auto value = util::parse_int(argv[i]);
+      if (!value || *value < min || (positional == 0 && *value > UINT_MAX)) {
+        std::fprintf(stderr, "error: %s must be an integer >= %lld, got '%s'\n",
+                     kNames[positional], min, argv[i]);
+        return 2;
+      }
+      if (positional == 0) colors = static_cast<unsigned>(*value);
+      if (positional == 1) iterations = static_cast<std::size_t>(*value);
+      if (positional == 2) seed = static_cast<std::uint64_t>(*value);
       ++positional;
     } else {
       std::fprintf(stderr, "unrecognized argument: %s\n", argv[i]);
@@ -157,12 +167,20 @@ int run_solver_cli(int argc, char** argv) {
   opts.iterations = iterations;
   opts.seed = seed;
   const auto summary = core::run_iterations(machine, opts);
-  const auto& best = summary.best_coloring();
-  std::printf("MSROPM (K=%u, %zu iterations, %.0f ns each): accuracy best "
-              "%.4f mean %.4f, conflicts %zu\n",
-              colors, iterations, config.total_time_s() * 1e9,
-              summary.best_accuracy, summary.mean_accuracy,
-              graph::count_conflicts(g, best));
+  // A cancelled run (a fired `step` fault) completes only a prefix of the
+  // iterations, possibly none; with none there is no coloring to report.
+  std::size_t machine_conflicts = 0;
+  if (summary.completed == 0) {
+    std::printf("MSROPM (K=%u): 0 of %zu iterations completed\n", colors,
+                iterations);
+  } else {
+    machine_conflicts = graph::count_conflicts(g, summary.best_coloring());
+    std::printf("MSROPM (K=%u, %zu iterations, %.0f ns each): accuracy best "
+                "%.4f mean %.4f, conflicts %zu\n",
+                colors, summary.completed, config.total_time_s() * 1e9,
+                summary.best_accuracy, summary.mean_accuracy,
+                machine_conflicts);
+  }
 
   const auto greedy = solvers::solve_dsatur(g);
   std::printf("DSATUR greedy: %u colors (proper)\n", greedy.colors_used);
@@ -171,7 +189,7 @@ int run_solver_cli(int argc, char** argv) {
   // (CDCL proof), 0 = unknown. The MSROPM and DSATUR colorings are SAT
   // witnesses; only the exact baseline can prove UNSAT.
   int status = 0;
-  if (graph::count_conflicts(g, best) == 0) status = 10;
+  if (summary.completed > 0 && machine_conflicts == 0) status = 10;
   if (greedy.colors_used <= colors) status = 10;
 
   if (run_sat) {

@@ -121,7 +121,6 @@ HOT_FUNCTIONS = [re.compile(p) for p in (
     r'(^|::)PhaseBatch::pack_lanes$',
     r'(^|::)PhaseBatch::unpack_lanes$',
     r'(^|::)PhaseBatch::refresh_trig$',
-    r'(^|::)PhaseBatch::step$',
     # The lane kernel templates (src/phase/simd_kernels.hpp, internal
     # linkage, so matched by bare name) and their trig.cpp entry points.
     r'(^|::)euler_step_l$',

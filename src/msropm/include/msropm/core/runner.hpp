@@ -39,7 +39,9 @@ struct RunSummary {
   /// always a prefix of the iteration index space, so `iterations` holds
   /// exactly the completed prefix).
   std::size_t completed = 0;
-  bool cancelled = false;  ///< the stop token fired before all iterations ran
+  /// The stop token (or a fired `step` fault, see util/fault_injector.hpp)
+  /// ended the run before all iterations ran.
+  bool cancelled = false;
 
   [[nodiscard]] const graph::Coloring& best_coloring() const {
     return iterations.at(best_index).result.colors;
@@ -61,8 +63,9 @@ struct RunnerOptions {
   /// of 8 steps as one lane group, while the remainder of a batch steps
   /// replica by replica.
   std::size_t batch_size = 8;
-  /// Cooperative cancellation, polled between batches (a started batch runs
-  /// to completion). Default token is inert.
+  /// Cooperative cancellation, polled between batches together with the
+  /// `step` fault site (a started batch runs to completion). Default token
+  /// is inert.
   util::StopToken stop{};
 };
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <thread>
 
+#include "msropm/util/fault_injector.hpp"
 #include "msropm/util/rng.hpp"
 
 namespace msropm::core {
@@ -36,14 +37,18 @@ RunSummary run_iterations(const MultiStagePottsMachine& machine,
 
   // Workers claim contiguous [i, i+batch) windows; every claimed window runs
   // to completion even if the stop token fires mid-batch, so the completed
-  // iterations always form the prefix [0, next) of the index space.
+  // iterations always form the prefix [0, next) of the index space. A fired
+  // `step` fault ends the run exactly like a stop: it is polled at the same
+  // point and, through `cancelled`, stops every worker.
   std::atomic<std::size_t> next{0};
   std::atomic<bool> cancelled{false};
   const util::Rng master(options.seed);
   auto work = [&]() {
     std::vector<util::Rng> rngs;
     for (;;) {
-      if (options.stop.stop_requested()) {
+      if (cancelled.load(std::memory_order_relaxed) ||
+          options.stop.stop_requested() ||
+          util::fault::fire(util::FaultSite::kBatchStep)) {
         cancelled.store(true, std::memory_order_relaxed);
         return;
       }

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "msropm/obs/obs.hpp"
-#include "msropm/util/fault_injector.hpp"
 #include "trig.hpp"
 
 namespace msropm::phase {
@@ -94,14 +93,13 @@ PhaseBatch::PhaseBatch(const graph::Graph& g, NetworkParams params,
   const std::size_t scratch = n_ * lanes_;
 
   theta_.assign(r_ * n_, 0.0);
-  j_.assign(r_ * m_, -1.0);  // B2B inverters: anti-ferromagnetic
   edge_mask_.assign(r_ * m_, 1);
   shil_phase_.assign(r_ * n_, 0.0);
   lanes_theta_.assign(groups_ * n_ * lanes_, 0.0);
-  shil_enable_.assign(r_ * n_, 1);
   shil_sin_.assign(r_ * n_, 0.0);
   shil_cos_.assign(r_ * n_, 1.0);
   detune_.assign(r_ * n_, 0.0);
+  j_.assign(r_, -1.0);  // B2B inverters: anti-ferromagnetic
   couplings_active_.assign(r_, 1);
   shil_active_.assign(r_, 0);
   shil_level_.assign(r_, 1.0);
@@ -147,17 +145,7 @@ void PhaseBatch::randomize_phases(std::size_t r, util::Rng& rng) {
 
 void PhaseBatch::set_uniform_coupling(std::size_t r, double j) {
   check_replica(r);
-  std::fill_n(j_.begin() + r * m_, m_, j);
-  weights_dirty_[r] = 1;
-}
-
-void PhaseBatch::set_edge_couplings(std::size_t r,
-                                    std::span<const double> per_edge_j) {
-  check_replica(r);
-  if (per_edge_j.size() != m_) {
-    throw std::invalid_argument("PhaseBatch::set_edge_couplings: size mismatch");
-  }
-  std::copy(per_edge_j.begin(), per_edge_j.end(), j_.begin() + r * m_);
+  j_[r] = j;
   weights_dirty_[r] = 1;
 }
 
@@ -168,28 +156,6 @@ void PhaseBatch::set_edge_mask(std::size_t r, std::span<const std::uint8_t> mask
   }
   std::copy(mask.begin(), mask.end(), edge_mask_.begin() + r * m_);
   weights_dirty_[r] = 1;
-}
-
-void PhaseBatch::enable_all_edges(std::size_t r) {
-  check_replica(r);
-  std::fill_n(edge_mask_.begin() + r * m_, m_, std::uint8_t{1});
-  weights_dirty_[r] = 1;
-}
-
-void PhaseBatch::disable_all_edges(std::size_t r) {
-  check_replica(r);
-  std::fill_n(edge_mask_.begin() + r * m_, m_, std::uint8_t{0});
-  weights_dirty_[r] = 1;
-}
-
-void PhaseBatch::set_shil_enable(std::size_t r,
-                                 std::span<const std::uint8_t> per_osc) {
-  check_replica(r);
-  if (per_osc.size() != n_) {
-    throw std::invalid_argument("PhaseBatch::set_shil_enable: size mismatch");
-  }
-  const Slice at = slice(r, n_);
-  for (std::size_t i = 0; i < n_; ++i) shil_enable_[at.at(i)] = per_osc[i];
 }
 
 void PhaseBatch::refresh_shil_trig(std::size_t r) {
@@ -237,16 +203,16 @@ void PhaseBatch::set_detune(std::size_t r,
 }
 
 void PhaseBatch::rebuild_weights(std::size_t r) {
-  // Fused CSR weights: Kc * J_e * mask_e per directed entry. Masked-off edges
+  // Fused CSR weights: Kc * J * mask_e per directed entry. Masked-off edges
   // become exact 0.0 multiplicands, so the step loop carries no mask branch.
   const double kc = params_.coupling_gain;
-  const double* j = j_.data() + r * m_;
+  const double j = j_[r];
   const std::uint8_t* mask = edge_mask_.data() + r * m_;
   const std::size_t nnz = 2 * m_;
   const Slice at = slice(r, nnz);
   for (std::size_t k = 0; k < nnz; ++k) {
     const std::uint32_t e = csr_edge_[k];
-    weights_[at.at(k)] = mask[e] ? kc * j[e] : 0.0;
+    weights_[at.at(k)] = mask[e] ? kc * j : 0.0;
   }
   weights_dirty_[r] = 0;
 }
@@ -273,7 +239,6 @@ void PhaseBatch::euler_step_lanes(std::size_t first, std::size_t lanes,
   step.detune = detune_.data() + node.base;
   step.shil_sin = shil_sin_.data() + node.base;
   step.shil_cos = shil_cos_.data() + node.base;
-  step.shil_enable = shil_enable_.data() + node.base;
   step.sin = sin_.data();
   step.cos = cos_.data();
   step.gsin = gsin_.data();
@@ -319,26 +284,8 @@ void PhaseBatch::unpack_lanes() {
   }
 }
 
-void PhaseBatch::step(std::span<util::Rng> rngs) {
-  if (rngs.size() != r_) {
-    throw std::invalid_argument("PhaseBatch::step: one Rng per replica");
-  }
-  const double noise_scale = params_.noise_stddev * std::sqrt(params_.dt);
-  pack_lanes();
-  for (std::size_t g = 0; g < groups_; ++g) {
-    euler_step_lanes(g * lanes_, lanes_, lanes_theta_.data() + g * n_ * lanes_,
-                     rngs.data() + g * lanes_, noise_scale);
-  }
-  for (std::size_t r = groups_ * lanes_; r < r_; ++r) {
-    euler_step_lanes(r, 1, theta_.data() + r * n_, rngs.data() + r,
-                     noise_scale);
-  }
-  unpack_lanes();
-}
-
 bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
                      const GainRamp* shil_ramp,
-                     const std::function<void(double, const PhaseBatch&)>& observer,
                      const util::StopToken* stop) {
   if (duration <= 0.0) return true;
   if (rngs.size() != r_) {
@@ -374,56 +321,34 @@ bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
   if (shil_ramp != nullptr) {
     saved_level.assign(shil_level_.begin(), shil_level_.end());
   }
-  const auto step_one = [&](std::size_t u, std::size_t s) {
+  // Unit-major: a group's (or single's) whole window runs back-to-back,
+  // keeping its state and fused weights cache-hot across steps. A lane only
+  // ever touches its replica's state and rngs[r], so a unit's trajectory
+  // does not depend on the others (pinned by phase_batch_test's batch-of-R
+  // against batch-of-1 runs).
+  bool interrupted = false;
+  if (groups_ > 0) pack_lanes();
+  for (std::size_t u = 0; u < units && !interrupted; ++u) {
     const std::size_t first = u < groups_ ? u * lanes_ : grouped + (u - groups_);
     const std::size_t lanes = u < groups_ ? lanes_ : 1;
-    if (shil_ramp != nullptr) {
-      const double frac = static_cast<double>(s) / static_cast<double>(steps);
-      for (std::size_t r = first; r < first + lanes; ++r) {
-        shil_level_[r] =
-            std::clamp(saved_level[r] * shil_ramp->value(frac), 0.0, 1.0);
-      }
-    }
     double* x = u < groups_ ? lanes_theta_.data() + u * n_ * lanes_
                             : theta_.data() + first * n_;
-    euler_step_lanes(first, lanes, x, rngs.data() + first, noise_scale);
-  };
-  // Stop/fault poll, every 32 steps so the gate cost is off the step path.
-  // With no token and no armed injector this is a counter test + two
-  // predictable branches per 32 steps — trajectories stay bit-identical.
-  bool interrupted = false;
-  const auto should_break = [&](std::size_t s) {
-    if ((s & 31u) != 0) return false;
-    if (stop != nullptr && stop->stop_requested()) return true;
-    return util::fault::fire(util::FaultSite::kBatchStep);
-  };
-  if (groups_ > 0) pack_lanes();
-  if (observer) {
-    // Observer sees the whole batch after each step, so steps must advance in
-    // lockstep across units, and the groups unpack after every step.
     for (std::size_t s = 0; s < steps; ++s) {
-      if (should_break(s)) {
+      // Stop poll, every 32 steps so the gate cost is off the step path.
+      // With no token this is a counter test + a predictable branch per 32
+      // steps — trajectories stay bit-identical.
+      if ((s & 31u) == 0 && stop != nullptr && stop->stop_requested()) {
         interrupted = true;
         break;
       }
-      for (std::size_t u = 0; u < units; ++u) step_one(u, s);
-      if (groups_ > 0) unpack_lanes();
-      observer(static_cast<double>(s + 1) * dt, *this);
-    }
-  } else {
-    // Unit-major: a group's (or single's) whole window runs back-to-back,
-    // keeping its state and fused weights cache-hot across steps. A lane
-    // only ever touches its replica's state and rngs[r], so the trajectories
-    // are bit-identical to the lockstep order (pinned by phase_batch_test's
-    // LockstepObserverPathMatchesReplicaMajor).
-    for (std::size_t u = 0; u < units && !interrupted; ++u) {
-      for (std::size_t s = 0; s < steps; ++s) {
-        if (should_break(s)) {
-          interrupted = true;
-          break;
+      if (shil_ramp != nullptr) {
+        const double frac = static_cast<double>(s) / static_cast<double>(steps);
+        for (std::size_t r = first; r < first + lanes; ++r) {
+          shil_level_[r] =
+              std::clamp(saved_level[r] * shil_ramp->value(frac), 0.0, 1.0);
         }
-        step_one(u, s);
       }
+      euler_step_lanes(first, lanes, x, rngs.data() + first, noise_scale);
     }
   }
   if (groups_ > 0) unpack_lanes();
@@ -454,7 +379,7 @@ double PhaseBatch::coupling_energy(std::size_t r) const {
   // addition identity -- no per-edge std::cos (mirrors the step's gather).
   const double* theta = theta_.data() + r * n_;
   refresh_trig(theta);
-  const double* j = j_.data() + r * m_;
+  const double j = j_[r];
   const std::uint8_t* mask = edge_mask_.data() + r * m_;
   const auto edges = graph_->edges();
   double e = 0.0;
@@ -462,7 +387,7 @@ double PhaseBatch::coupling_energy(std::size_t r) const {
     if (!mask[k]) continue;
     const auto u = edges[k].u;
     const auto v = edges[k].v;
-    e -= j[k] * (cos_[u] * cos_[v] + sin_[u] * sin_[v]);
+    e -= j * (cos_[u] * cos_[v] + sin_[u] * sin_[v]);
   }
   return e;
 }
@@ -480,7 +405,6 @@ double PhaseBatch::shil_energy(std::size_t r) const {
     // from the shared per-node sincos pass (see coupling_energy).
     refresh_trig(theta);
     for (std::size_t i = 0; i < n_; ++i) {
-      if (!shil_enable_[node.at(i)]) continue;
       const double s2 = 2.0 * sin_[i] * cos_[i];
       const double c2 = cos_[i] * cos_[i] - sin_[i] * sin_[i];
       e -= ks / order * (c2 * shil_cos_[node.at(i)] + s2 * shil_sin_[node.at(i)]);
@@ -488,7 +412,6 @@ double PhaseBatch::shil_energy(std::size_t r) const {
   } else {
     const double* psi = shil_phase_.data() + r * n_;
     for (std::size_t i = 0; i < n_; ++i) {
-      if (!shil_enable_[node.at(i)]) continue;
       e -= ks / order * std::cos(order * (theta[i] - psi[i]));
     }
   }

@@ -8,16 +8,16 @@
 // f0 = 1.3 GHz:
 //
 //   dtheta_i/dt = d_i
-//                 - Kc * sum_j J_ij * m_ij * sin(theta_i - theta_j)
-//                 - Ks(t) * e_i * sin(order * (theta_i - psi_i))
+//                 - Kc * J * sum_j m_ij * sin(theta_i - theta_j)
+//                 - Ks(t) * sin(order * (theta_i - psi_i))
 //                 + sigma * xi_i(t)
 //
 //   d_i    : frequency detune (0 for matched oscillators)
-//   J_ij   : per-edge coupling sign/weight; B2B inverters give J = -1
+//   J      : coupling sign/weight, one per replica; B2B inverters give J = -1
 //   m_ij   : P_EN edge mask (1 = coupling on)
 //   Kc     : coupling gain [rad/s]
-//   Ks(t)  : SHIL injection gain [rad/s], possibly ramped
-//   e_i    : per-oscillator SHIL enable (SHIL_EN & MUX)
+//   Ks(t)  : SHIL injection gain [rad/s], possibly ramped; the SHIL acts on
+//            every oscillator at once (SHIL_EN)
 //   psi_i  : per-oscillator SHIL phase offset (SHIL_SEL); order-2 SHIL locks
 //            theta_i at {psi_i, psi_i + pi}
 //   order  : sub-harmonic order (2 for the MSROPM; the ICCAD'24 ROPM [14]
@@ -25,8 +25,8 @@
 //   xi     : unit white noise modeling oscillator jitter
 //
 // This is gradient flow on
-//   E = - sum_ij J_ij m_ij cos(theta_i - theta_j)
-//       - (Ks/order) sum_i e_i cos(order (theta_i - psi_i))
+//   E = - J sum_ij m_ij cos(theta_i - theta_j)
+//       - (Ks/order) sum_i cos(order (theta_i - psi_i))
 // scaled by Kc, so trajectories descend the (vector Potts) energy landscape.
 // It is stepped by Euler-Maruyama.
 //
@@ -41,11 +41,11 @@
 //     adjacency with the edge id of each entry). The drift is a gather /
 //     accumulate per node -- no edge-list scatter, no per-edge mask branch:
 //
-//       sum_j J_ij m_ij sin(theta_i - theta_j)
+//       J sum_j m_ij sin(theta_i - theta_j)
 //         = sin_i * sum_j w_ij cos_j  -  cos_i * sum_j w_ij sin_j
 //
-//     with fused per-replica weights w_ij = Kc * J_ij * m_ij rebuilt lazily
-//     when a replica's couplings or mask change (once per MSROPM stage).
+//     with fused per-replica weights w_ij = Kc * J * m_ij rebuilt lazily
+//     when a replica's coupling or mask changes (once per MSROPM stage).
 //   * Replica lanes. The replicas run as floor(R/L) interleaved lane groups
 //     of L plus R mod L single-lane replicas, where L is the SIMD width
 //     fixed once per process (8 with AVX-512F+DQ, 4 with AVX2, else 1; see
@@ -56,13 +56,12 @@
 //     xoshiro256** whose lane l is exactly rngs[l]'s stream. One kernel
 //     template on L serves both the groups and the single-lane replicas.
 //   * The order-2 SHIL term reuses the sin/cos pass through the double-angle
-//     identity; per-replica edge masks, SHIL enables/phases, levels and
-//     detune are per-lane state because replicas diverge after each readout.
+//     identity; per-replica edge masks, SHIL phases, levels and detune are
+//     per-lane state because replicas diverge after each readout.
 //
 // The lane layout is internal working state: phases(r) and theta_flat() stay
-// replica-major (`theta[r*N + i]`). run() and step() pack the groups' phases
-// on entry and unpack them on exit, and after every step when an observer
-// watches the window.
+// replica-major (`theta[r*N + i]`). run() packs the groups' phases on entry
+// and unpacks them on exit.
 //
 // Determinism contract: a lane computes exactly what a lone replica computes
 // -- every transcendental runs at the process's one vector width on padded
@@ -73,7 +72,6 @@
 // and "batched" share this single implementation.
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -128,11 +126,10 @@ class PhaseBatch {
   void randomize_phases(std::size_t r, util::Rng& rng);
 
   // --- couplings (B2B / P_EN / L_EN) -------------------------------------
+  /// Replica r's coupling J on every edge (B2B inverters: -1, the default).
   void set_uniform_coupling(std::size_t r, double j);
-  void set_edge_couplings(std::size_t r, std::span<const double> per_edge_j);
+  /// P_EN: mask[e] = 1 couples edge e (every edge starts on).
   void set_edge_mask(std::size_t r, std::span<const std::uint8_t> mask);
-  void enable_all_edges(std::size_t r);
-  void disable_all_edges(std::size_t r);
   [[nodiscard]] std::span<const std::uint8_t> edge_mask(std::size_t r) const {
     check_replica(r);
     return {edge_mask_.data() + r * m_, m_};
@@ -156,7 +153,6 @@ class PhaseBatch {
     check_replica(r);
     return shil_active_[r] != 0;
   }
-  void set_shil_enable(std::size_t r, std::span<const std::uint8_t> per_osc);
   void set_shil_phases(std::size_t r, std::span<const double> psi);
   void set_uniform_shil_phase(std::size_t r, double psi);
   [[nodiscard]] std::span<const double> shil_phases(std::size_t r) const {
@@ -174,22 +170,17 @@ class PhaseBatch {
   void set_detune(std::size_t r, std::span<const double> detune_rad_per_s);
 
   // --- dynamics ------------------------------------------------------------
-  /// One Euler-Maruyama step of params.dt for every replica; rngs[r] supplies
-  /// replica r's jitter (rngs.size() must equal num_replicas()).
-  void step(std::span<util::Rng> rngs);
-
-  /// Integrate every replica for a duration [s] by Euler-Maruyama steps. An
-  /// optional ramp shapes the SHIL level across the window (scaling each
-  /// replica's level set on entry); an optional observer is invoked after
-  /// each step with the elapsed window time. An optional stop token is
-  /// polled every 32 steps (along with the `step` fault site): when it fires
-  /// the window ends early — state is a valid trajectory prefix, ramp levels
-  /// are restored, and the batch stays fully usable — and run() returns
-  /// false. A null/never-firing token changes nothing (bit-identical
-  /// trajectories, the core determinism gate).
+  /// Integrate every replica for a duration [s] by Euler-Maruyama steps of
+  /// params.dt; rngs[r] supplies replica r's jitter (rngs.size() must equal
+  /// num_replicas()). An optional ramp shapes the SHIL level across the
+  /// window (scaling each replica's level set on entry). An optional stop
+  /// token is polled every 32 steps: when it fires the window ends early —
+  /// state is a valid trajectory prefix, ramp levels are restored, and the
+  /// batch stays fully usable — and run() returns false. A null/never-firing
+  /// token changes nothing (bit-identical trajectories, the core determinism
+  /// gate).
   bool run(double duration, std::span<util::Rng> rngs,
            const GainRamp* shil_ramp = nullptr,
-           const std::function<void(double, const PhaseBatch&)>& observer = {},
            const util::StopToken* stop = nullptr);
 
   /// Replica r's energy E(theta) under its active mask (excludes SHIL term).
@@ -245,17 +236,16 @@ class PhaseBatch {
   // Replica-major state behind the span API: slice r of an N-array is
   // [r*n_, (r+1)*n_), of an M-array [r*m_, (r+1)*m_).
   std::vector<double> theta_;              // R*N
-  std::vector<double> j_;                  // R*M
   std::vector<std::uint8_t> edge_mask_;    // R*M
   std::vector<double> shil_phase_;         // R*N
   // Kernel-side per-node state in lane layout (see slice()): group g holds
   // [g*N*L, (g+1)*N*L) node-major with lanes innermost, then the singles
   // follow replica-major.
   std::vector<double> lanes_theta_;        // groups*N*L: packed theta mirror
-  std::vector<std::uint8_t> shil_enable_;  // R*N
   std::vector<double> shil_sin_;           // R*N: sin(order * psi)
   std::vector<double> shil_cos_;           // R*N: cos(order * psi)
   std::vector<double> detune_;             // R*N
+  std::vector<double> j_;                       // R: coupling J
   std::vector<std::uint8_t> couplings_active_;  // R
   std::vector<std::uint8_t> shil_active_;       // R
   std::vector<double> shil_level_;              // R

@@ -82,34 +82,6 @@ inline typename Lanes<L>::M mask_of(const bool* on) {
   }
 }
 
-/// Lanes whose byte in p[0, L) is nonzero.
-template <std::size_t L>
-inline typename Lanes<L>::M nonzero_bytes(const std::uint8_t* p) {
-  using M = typename Lanes<L>::M;
-  if constexpr (L == 1) {
-    return *p != 0;
-  } else {
-#if defined(__AVX512F__)
-    if constexpr (L == 8) {
-      // The masked forms dodge GCC 12's false -Wmaybe-uninitialized on the
-      // unmasked AVX-512 intrinsics' undefined pass-through operand.
-      return reinterpret_cast<M>(_mm512_maskz_cvtepu8_epi64(
-                 0xff, _mm_loadl_epi64(static_cast<const __m128i*>(
-                     static_cast<const void*>(p))))) != 0;
-    }
-#endif
-#if defined(__AVX2__)
-    if constexpr (L == 4) {
-      return reinterpret_cast<M>(_mm256_cvtepu8_epi64(
-                 _mm_cvtsi32_si128(load<int>(p)))) != 0;
-    }
-#endif
-    M m{};
-    for (std::size_t l = 0; l < L; ++l) m[l] = p[l] != 0 ? -1 : 0;
-    return m;
-  }
-}
-
 template <class M, class T>
 inline T select(M m, T a, T b) {
   return m ? a : b;
@@ -417,8 +389,7 @@ void euler_step_l(const LaneStep& s) {
       } else {
         term = load<D>(s.gsin + at);
       }
-      const M on = shil_m & nonzero_bytes<L>(s.shil_enable + at);
-      d = select(on, d - ks * term, d);
+      d = select(shil_m, d - ks * term, d);
     }
     D x = load<D>(s.x + at);
     x += d * dt;

@@ -56,7 +56,6 @@ struct LaneStep {
   const double* detune = nullptr;     ///< n*L
   const double* shil_sin = nullptr;   ///< n*L sin(order * psi)
   const double* shil_cos = nullptr;   ///< n*L cos(order * psi)
-  const std::uint8_t* shil_enable = nullptr;  ///< n*L
   const double* psi[kMaxLanes] = {};  ///< per lane, n each (order != 2 only)
   double* sin = nullptr;              ///< n*L scratch
   double* cos = nullptr;              ///< n*L scratch

@@ -194,7 +194,6 @@ ChromaticSearchOutcome chromatic_search(const graph::Graph& g, unsigned max_k,
   out.upper_bound = ub;
 
   SolverOptions profile;
-  profile.conflict_limit = options.conflict_limit;
   profile.budget = options.budget;
   profile.stop = options.stop;
   ColoringEncodeOptions encode_options;

@@ -88,10 +88,9 @@ struct ExactColoringOutcome {
 /// Knobs for chromatic_search (chromatic_number uses the defaults).
 struct ChromaticSearchOptions {
   bool symmetry_breaking = true;
-  /// Per-K conflict budget (0 = unlimited); kUnknown aborts the search.
-  std::uint64_t conflict_limit = 0;
-  /// Per-solve resource budget, forwarded to every solver the sweep builds.
-  /// A breach ends the search incomplete with `limit` set in the outcome.
+  /// Per-solve resource budget, forwarded to every solver the sweep builds
+  /// (budget.max_conflicts is the per-K conflict cap). A breach ends the
+  /// search incomplete with `limit` set in the outcome.
   util::ResourceBudget budget = {};
   /// Cooperative cancellation, polled inside every solve.
   util::StopToken stop = {};
@@ -116,8 +115,8 @@ struct ChromaticSearchOutcome {
   /// True when specifically the stop token ended the search.
   bool cancelled = false;
   /// Why the search went incomplete (kNone when it completed or only the
-  /// legacy conflict_limit/representability caps applied): mirrors the
-  /// interrupted solver's SolverStats::limit_reason.
+  /// representability cap applied): mirrors the interrupted solver's
+  /// SolverStats::limit_reason.
   util::LimitReason limit = util::LimitReason::kNone;
   /// Solver statistics summed over the per-K solvers the sweep built
   /// (arena_peak_words is the max, not the sum).

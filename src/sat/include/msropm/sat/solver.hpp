@@ -70,20 +70,20 @@ struct SolverStats {
   util::LimitReason limit_reason = util::LimitReason::kNone;
 };
 
+/// Multiplicative VSIDS decay applied after each conflict.
+inline constexpr double kVarActivityDecay = 0.95;
+/// Polarity of first-time decisions (false mirrors MiniSat).
+inline constexpr bool kDefaultPolarity = false;
+
 struct SolverOptions {
-  /// Give up after this many conflicts PER solve() call (0 = unlimited).
-  std::uint64_t conflict_limit = 0;
   /// Base interval (conflicts) of the Luby restart sequence.
   std::uint64_t restart_base = 64;
-  /// Multiplicative VSIDS decay applied after each conflict.
-  double activity_decay = 0.95;
   /// Initial cap on learnt clauses before reduction (grows geometrically).
   std::size_t learnt_cap = 4096;
-  /// Default polarity for first-time decisions (false mirrors MiniSat).
-  bool default_polarity = false;
   /// Per-call resource budget (memory / conflicts / propagations; wall time
   /// rides the stop token's deadline). A breach returns kUnknown with
   /// stats().limit_reason set; the solver stays usable for the next call.
+  /// budget.max_conflicts is the conflict cap PER solve() call.
   /// The default (unlimited) budget leaves the search path untouched.
   util::ResourceBudget budget = {};
   /// Cooperative cancellation: polled during clause ingestion and every few
@@ -121,7 +121,7 @@ class Solver {
   Solver& operator=(Solver&&) = delete;
 
   /// Run the search. kSat fills model(); kUnsat is final (every later call
-  /// returns it too); kUnknown when conflict_limit was hit for this call or
+  /// returns it too); kUnknown when a budget limit was hit for this call or
   /// options.stop fired. Callable repeatedly.
   [[nodiscard]] SolveResult solve();
 

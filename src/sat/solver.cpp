@@ -105,7 +105,7 @@ void Solver::setup_arrays(std::size_t num_vars) {
   num_vars_ = num_vars;
   watches_.assign(2 * num_vars, {});
   assigns_.assign(num_vars, LBool::kUndef);
-  polarity_.assign(num_vars, options_.default_polarity ? 1 : 0);
+  polarity_.assign(num_vars, kDefaultPolarity ? 1 : 0);
   level_.assign(num_vars, 0);
   reason_.assign(num_vars, Reason::none());
   activity_.assign(num_vars, 0.0);
@@ -551,7 +551,7 @@ void Solver::bump_clause(ClauseRef cr) {
 }
 
 void Solver::decay_activities() {
-  var_inc_ /= options_.activity_decay;
+  var_inc_ /= kVarActivityDecay;
   clause_inc_ /= 0.999;
 }
 
@@ -836,15 +836,9 @@ SolveResult Solver::solve_internal() {
   }
 
   std::vector<Lit> learnt;
-  // The conflict budget is per call; stats_.conflicts is cumulative. The
-  // legacy conflict_limit and budget.max_conflicts share the cap: the
-  // smaller nonzero one binds, and a trip reports LimitReason::kConflicts.
-  std::uint64_t call_conflict_cap = options_.conflict_limit;
-  if (options_.budget.max_conflicts != 0 &&
-      (call_conflict_cap == 0 ||
-       options_.budget.max_conflicts < call_conflict_cap)) {
-    call_conflict_cap = options_.budget.max_conflicts;
-  }
+  // The conflict budget is per call; stats_.conflicts is cumulative. A trip
+  // reports LimitReason::kConflicts.
+  const std::uint64_t call_conflict_cap = options_.budget.max_conflicts;
   const std::uint64_t conflict_budget =
       call_conflict_cap == 0 ? 0 : stats_.conflicts + call_conflict_cap;
   // The Luby restart sequence restarts per CALL (MiniSat does the same):

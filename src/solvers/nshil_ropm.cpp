@@ -28,8 +28,7 @@ NShilRopmResult NShilRopm::solve(util::Rng& rng) const {
   net.randomize_phases(0, rng);
   net.run(config_.init_s, rngs);
 
-  // Anneal: couplings on, SHIL off.
-  net.enable_all_edges(0);
+  // Anneal: couplings on (every edge: the mask starts all-on), SHIL off.
   net.set_couplings_active(0, true);
   net.run(config_.anneal_s, rngs);
 

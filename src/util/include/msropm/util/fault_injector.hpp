@@ -4,8 +4,8 @@
 // A process-global injector with named fault points (sites) compiled into
 // the engines' safe unwind boundaries: before a propagate round, before
 // conflict analysis, at learnt-DB reduction/GC entry, before an arena
-// allocation, between batched phase-engine steps, and at portfolio-worker
-// attempt start. When a site "fires", the engine unwinds exactly like a
+// allocation, between the machine runner's replica batches, and at
+// portfolio-worker attempt start. When a site "fires", the engine unwinds exactly like a
 // cooperative cancellation and records util::LimitReason::kInjected —
 // faults may only degrade a result to unknown/best-effort, never corrupt
 // state or flip a verdict (the chaos suite's contract, tests/chaos_test.cpp).
@@ -26,7 +26,7 @@
 //   stall-ms=T    sleep duration when the `stall` site fires (default 20)
 //
 // Site names: alloc (arena allocation), propagate, analyze, gc,
-// step (phase-batch step), stall (portfolio worker attempt), all (every
+// step (machine runner, between replica batches), stall (portfolio worker attempt), all (every
 // site at once).
 //
 // Determinism: given the same spec and a single-threaded engine, arrival
@@ -51,7 +51,7 @@ enum class FaultSite : std::uint8_t {
   kPropagate,        ///< CDCL search loop, before a propagate round
   kAnalyze,          ///< CDCL search loop, before conflict analysis
   kGc,               ///< learnt-DB reduction / compacting GC entry
-  kBatchStep,        ///< phase::PhaseBatch::run step boundary
+  kBatchStep,        ///< core::run_iterations, between replica batches
   kWorkerStall,      ///< portfolio worker attempt start (stalls, not kills)
 };
 inline constexpr std::size_t kNumFaultSites = 6;

@@ -57,8 +57,7 @@ struct ResourceBudget {
   /// it is bit-identical across runs, which crash-free degradation tests
   /// require and a heap probe cannot give.
   std::uint64_t max_memory_bytes = 0;
-  /// Conflict cap per solve() call (same semantics as the solver's legacy
-  /// conflict_limit; when both are set the smaller one binds).
+  /// Conflict cap per solve() call.
   std::uint64_t max_conflicts = 0;
   /// Propagation cap per solve() call.
   std::uint64_t max_propagations = 0;

@@ -13,7 +13,7 @@
 //
 // The randomized sections run >= 200 distinct schedules over a King's-graph
 // + random-3SAT corpus; the deterministic sections pin down each unwind
-// boundary (GC entry, batch step, worker attempt).
+// boundary (GC entry, runner batch, worker attempt).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -22,6 +22,9 @@
 #include <string>
 #include <vector>
 
+#include "msropm/analysis/experiments.hpp"
+#include "msropm/core/machine.hpp"
+#include "msropm/core/runner.hpp"
 #include "msropm/graph/builders.hpp"
 #include "msropm/graph/coloring.hpp"
 #include "msropm/phase/batch.hpp"
@@ -325,7 +328,7 @@ TEST_F(ChaosTest, PhaseBatchStopBeforeFirstStepLeavesStateUntouched) {
   util::StopSource source;
   source.request_stop();
   const util::StopToken token = source.token();
-  EXPECT_FALSE(batch.run(5e-10, rngs, nullptr, {}, &token));
+  EXPECT_FALSE(batch.run(5e-10, rngs, nullptr, &token));
   EXPECT_EQ(batch.theta_flat(), before);  // zero steps taken
 
   // Cancellation between windows: the batch object is fully reusable.
@@ -346,26 +349,71 @@ TEST_F(ChaosTest, PhaseBatchNeverFiringTokenIsBitIdentical) {
   util::StopSource source;  // never fires
   const util::StopToken token = source.token();
   EXPECT_TRUE(plain.run(2e-9, rngs_a));
-  EXPECT_TRUE(tokened.run(2e-9, rngs_b, nullptr, {}, &token));
+  EXPECT_TRUE(tokened.run(2e-9, rngs_b, nullptr, &token));
   EXPECT_EQ(plain.theta_flat(), tokened.theta_flat());
 }
 
-TEST_F(ChaosTest, PhaseBatchStepFaultEndsWindowEarlyAndRestoresLevels) {
+TEST_F(ChaosTest, PhaseBatchDeadlineMidWindowEndsEarlyAndRestoresLevels) {
   const auto g = graph::kings_graph_square(3);
   phase::NetworkParams params;
   phase::PhaseBatch batch(g, params, 1);
   std::vector<util::Rng> rngs{util::Rng(4)};
   batch.randomize_phases(0, rngs[0]);
+  batch.set_shil_active(0, true);
   batch.set_shil_level(0, 0.75);
+  const std::vector<double> before = batch.theta_flat();
 
-  ASSERT_TRUE(util::fault::configure("step:2"));
-  phase::GainRamp ramp;  // a ramp scales levels mid-window; they must restore
-  EXPECT_FALSE(batch.run(2e-9, rngs, &ramp, {}, nullptr));
+  // 10^7 steps: far longer than the 50 ms deadline, which therefore
+  // expires mid-window, while a ramp is scaling the level.
+  const util::StopToken token = util::StopToken::at_deadline(
+      util::StopToken::Clock::now() + std::chrono::milliseconds(50));
+  phase::GainRamp ramp;
+  EXPECT_FALSE(batch.run(1e7 * params.dt, rngs, &ramp, &token));
+  EXPECT_NE(batch.theta_flat(), before);  // a prefix of the window ran
   EXPECT_DOUBLE_EQ(batch.shil_level(0), 0.75);
 
-  util::fault::disarm();
   EXPECT_TRUE(batch.run(2e-9, rngs));
   for (const double theta : batch.phases(0)) EXPECT_TRUE(std::isfinite(theta));
+}
+
+// --- machine runner: the `step` fault site ---------------------------------
+
+TEST_F(ChaosTest, RunnerStepFaultEndsRunLikeACancellation) {
+  // The `step` site is polled between replica batches, next to the stop
+  // token: under step:2 the first batch completes, the second poll fires,
+  // and the summary is a cancelled run over that completed prefix.
+  const auto g = graph::kings_graph_square(4);
+  const core::MultiStagePottsMachine machine(g, analysis::default_machine_config());
+  core::RunnerOptions options;
+  options.iterations = 6;
+  options.batch_size = 2;
+  options.num_threads = 1;
+  options.seed = 5;
+  const core::RunSummary clean = core::run_iterations(machine, options);
+  ASSERT_EQ(clean.completed, options.iterations);
+  ASSERT_FALSE(clean.cancelled);
+
+  ASSERT_TRUE(util::fault::configure("step:2"));
+  const core::RunSummary faulted = core::run_iterations(machine, options);
+  EXPECT_EQ(util::fault::hits(util::FaultSite::kBatchStep), 1u);
+  EXPECT_TRUE(faulted.cancelled);
+  EXPECT_LT(faulted.completed, options.iterations);
+  EXPECT_EQ(faulted.completed, options.batch_size);
+  ASSERT_EQ(faulted.iterations.size(), faulted.completed);
+  for (std::size_t i = 0; i < faulted.completed; ++i) {
+    const core::MsropmResult& got = faulted.iterations[i].result;
+    const core::MsropmResult& want = clean.iterations[i].result;
+    EXPECT_EQ(got.colors, want.colors) << "iteration " << i;
+    ASSERT_EQ(got.stages.size(), want.stages.size()) << "iteration " << i;
+    for (std::size_t s = 0; s < got.stages.size(); ++s) {
+      EXPECT_EQ(got.stages[s].bits, want.stages[s].bits) << "iteration " << i;
+      EXPECT_EQ(got.stages[s].max_lock_residual, want.stages[s].max_lock_residual)
+          << "iteration " << i;
+    }
+    EXPECT_EQ(faulted.iterations[i].coloring_accuracy,
+              clean.iterations[i].coloring_accuracy)
+        << "iteration " << i;
+  }
 }
 
 // --- portfolio: retries, stalls, degradation ladder, terminal status -------

@@ -2,10 +2,11 @@
 """Behavioural contract of the two command-line tools, dimacs_solver and
 portfolio_sweep, driven as subprocesses on a generated 3x3 King's graph.
 
-Pins what scripted users depend on: verdict exit codes, exit 2 on every
-usage error (missing flag value, unknown or deleted flag, bad --jobs,
-unknown --strategies name, malformed --fault-spec or MSROPM_FAULT, a
-deleted fault site), one "last value wins" warning per repeated
+Pins what scripted users depend on: verdict exit codes (also when a `step`
+fault cancels the machine run), exit 2 on every usage error (missing flag
+value, unknown or deleted flag, a non-numeric or negative positional
+number, zero iterations, bad --jobs, unknown --strategies name, malformed
+--fault-spec or MSROPM_FAULT, a deleted fault site), one "last value wins" warning per repeated
 observability flag, metrics files written even when the input file is
 missing, and the --chromatic verdict line. Apart from that line, only exit
 codes, files and the warning substring are asserted, never message wording.
@@ -73,6 +74,12 @@ class CliContract(unittest.TestCase):
         self.assertExit(run(DIMACS, [self.graph, "4", "4", "1", "--sat"]), 10)
         self.assertExit(run(DIMACS, [self.graph, "2", "4", "1", "--sat"]), 20)
 
+    def test_dimacs_solver_step_fault_is_a_verdict_not_a_crash(self):
+        # step:1 cancels the machine run before its first batch: no
+        # iteration completes, and DSATUR still colors the graph.
+        self.assertExit(run(DIMACS, [self.graph, "4", "4", "1",
+                                     "--fault-spec", "step:1"]), 10)
+
     def test_dimacs_solver_chromatic(self):
         # The 3x3 King's graph holds a 4-clique and is 4-colorable, so its
         # chromatic number is exactly 4: it fits a palette of 4, not of 2.
@@ -100,6 +107,10 @@ class CliContract(unittest.TestCase):
                 DIMACS, [self.graph, "4", "4", "1", "--sat", "--preprocess"]),
             "dimacs deleted --no-preprocess": (
                 DIMACS, [self.graph, "4", "4", "1", "--sat", "--no-preprocess"]),
+            "dimacs zero iterations": (DIMACS, [self.graph, "4", "0"]),
+            "dimacs non-numeric iterations": (DIMACS, [self.graph, "4", "abc"]),
+            "dimacs non-numeric colors": (DIMACS, [self.graph, "four"]),
+            "dimacs negative seed": (DIMACS, [self.graph, "4", "4", "-1"]),
             "dimacs deleted fault site pre": (
                 DIMACS, [self.graph, "4", "4", "1", "--sat",
                          "--fault-spec", "pre:1"]),

@@ -65,8 +65,8 @@ void configure_replica(PhaseBatch& batch, std::size_t slot, std::size_t r) {
 }
 
 /// Batch-of-R stepping must be bit-identical to R independent batch-of-one
-/// runs consuming the same per-replica RNG streams — raw steps with noise
-/// and a ramped run() window.
+/// runs consuming the same per-replica RNG streams — a plain run() window
+/// with noise, then a ramped one.
 void expect_batch_matches_serial(std::size_t replicas, double noise,
                                  std::size_t side = 5, int raw_steps = 25,
                                  int run_steps = 40) {
@@ -88,12 +88,11 @@ void expect_batch_matches_serial(std::size_t replicas, double noise,
     serial_rngs.emplace_back(42 + r);
   }
 
-  // Raw steps.
-  for (int s = 0; s < raw_steps; ++s) {
-    batch.step(batch_rngs);
-    for (std::size_t r = 0; r < replicas; ++r) {
-      serial[r].step({&serial_rngs[r], 1});
-    }
+  // A plain window.
+  const double raw = static_cast<double>(raw_steps) * params.dt;
+  batch.run(raw, batch_rngs);
+  for (std::size_t r = 0; r < replicas; ++r) {
+    serial[r].run(raw, {&serial_rngs[r], 1});
   }
   for (std::size_t r = 0; r < replicas; ++r) {
     const auto theta = batch.phases(r);
@@ -103,7 +102,7 @@ void expect_batch_matches_serial(std::size_t replicas, double noise,
     }
   }
 
-  // A ramped run() window (exercises the unit-major path + SHIL ramp).
+  // A ramped window (exercises the SHIL ramp).
   const GainRamp ramp{0.0, 0.5};
   const double duration = static_cast<double>(run_steps) * params.dt;
   batch.run(duration, batch_rngs, &ramp);
@@ -183,9 +182,6 @@ void configure_mixed(PhaseBatch& batch, std::size_t slot, std::size_t r) {
   for (std::size_t e = r % 4; e < m; e += 4 + r % 3) mask[e] = 0;
   batch.set_edge_mask(slot, mask);
   batch.set_uniform_coupling(slot, r % 2 == 0 ? -1.0 : -0.75);
-  std::vector<std::uint8_t> enable(n, 1);
-  for (std::size_t i = r % 5; i < n; i += 3 + r % 4) enable[i] = 0;
-  batch.set_shil_enable(slot, enable);
   batch.set_uniform_shil_phase(slot, 0.2 * static_cast<double>(r));
   batch.set_couplings_active(slot, r != 1);      // lane 1: couplings off
   batch.set_shil_active(slot, r != 4);           // lane 4: SHIL off
@@ -218,10 +214,10 @@ TEST(PhaseBatch, MixedLaneGroupMatchesSoloRuns) {
 
   const GainRamp ramp{0.1, 0.6};
   batch.run(60.0 * params.dt, batch_rngs, &ramp);
-  batch.step(batch_rngs);
+  batch.run(params.dt, batch_rngs);
   for (std::size_t r = 0; r < replicas; ++r) {
     solo[r].run(60.0 * params.dt, {&solo_rngs[r], 1}, &ramp);
-    solo[r].step({&solo_rngs[r], 1});
+    solo[r].run(params.dt, {&solo_rngs[r], 1});
     const auto theta = batch.phases(r);
     const auto ref = solo[r].phases(0);
     for (std::size_t i = 0; i < theta.size(); ++i) {
@@ -230,40 +226,6 @@ TEST(PhaseBatch, MixedLaneGroupMatchesSoloRuns) {
     ASSERT_EQ(batch_rngs[r].state(), solo_rngs[r].state()) << "lane " << r;
     ASSERT_EQ(batch.coupling_energy(r), solo[r].coupling_energy(0));
     ASSERT_EQ(batch.shil_energy(r), solo[r].shil_energy(0));
-  }
-}
-
-TEST(PhaseBatch, LockstepObserverPathMatchesReplicaMajor) {
-  // 17 replicas: two full groups of 8 (or four of 4) plus singles. The
-  // observer path unpacks the groups after every step; both orders must
-  // land on identical phases, and the observer must see unpacked state.
-  const auto g = graph::kings_graph_square(7);
-  const NetworkParams params = tuned_params(2.0e3);
-  const std::size_t replicas = 17;
-  PhaseBatch plain(g, params, replicas);
-  PhaseBatch watched(g, params, replicas);
-  std::vector<util::Rng> plain_rngs, watched_rngs;
-  for (std::size_t r = 0; r < replicas; ++r) {
-    configure_mixed(plain, r, r);
-    configure_mixed(watched, r, r);
-    plain_rngs.emplace_back(70 + r);
-    watched_rngs.emplace_back(70 + r);
-  }
-  const GainRamp ramp{0.0, 0.5};
-  const double duration = 50.0 * params.dt;
-  plain.run(duration, plain_rngs, &ramp);
-  std::size_t calls = 0;
-  std::vector<double> last_seen;
-  watched.run(duration, watched_rngs, &ramp,
-              [&](double, const PhaseBatch& b) {
-                ++calls;
-                last_seen = b.theta_flat();
-              });
-  EXPECT_EQ(calls, 50u);
-  ASSERT_EQ(plain.theta_flat().size(), watched.theta_flat().size());
-  for (std::size_t k = 0; k < plain.theta_flat().size(); ++k) {
-    ASSERT_EQ(plain.theta_flat()[k], watched.theta_flat()[k]) << "entry " << k;
-    ASSERT_EQ(last_seen[k], watched.theta_flat()[k]) << "entry " << k;
   }
 }
 
@@ -342,7 +304,6 @@ TEST(PhaseBatch, NoiselessRunLeavesRngsUntouched) {
   }
   std::vector<std::array<std::uint64_t, 4>> before;
   for (const util::Rng& rng : rngs) before.push_back(rng.state());
-  batch.step(rngs);
   batch.run(30.0 * params.dt, rngs);
   for (std::size_t r = 0; r < 3; ++r) {
     EXPECT_EQ(rngs[r].state(), before[r]) << "replica " << r;
@@ -367,7 +328,7 @@ void expect_noise_increments_normal(std::size_t side, std::size_t first,
   double sum = 0.0;
   double sum_sq = 0.0;
   for (int s = 0; s < steps; ++s) {
-    batch.step(rngs);
+    batch.run(params.dt, rngs);
     const auto theta = batch.phases(0);
     for (std::size_t i = first; i < n; ++i) {
       const double z = (theta[i] - prev[i]) / scale;
@@ -420,11 +381,11 @@ std::vector<double> energy_gradient_drift(PhaseBatch& batch, std::size_t r) {
   return drift;
 }
 
-/// One noiseless step() must move replica r by dt times the model's drift,
+/// One noiseless step must move replica r by dt times the model's drift,
 /// (theta' - theta) / dt = -Kc * dE_c/dtheta - dE_s/dtheta, on the last lane
-/// of a lane group and on the single-lane replica after it. Mixed
+/// of a lane group and on the single-lane replica after it. Per-replica
 /// couplings, a partial mask and, with `shil`, order-2 SHIL at a partial
-/// level with per-node offsets and enables.
+/// level with per-node offsets.
 void expect_step_follows_energy_gradient(bool shil) {
   const auto g = graph::kings_graph_square(3);
   const NetworkParams params = tuned_params(0.0);
@@ -433,27 +394,20 @@ void expect_step_follows_energy_gradient(bool shil) {
   PhaseBatch batch(g, params, replicas);
   const std::size_t n = batch.size();
   const std::size_t m = g.num_edges();
-  std::vector<double> j(m);
   std::vector<std::uint8_t> mask(m, 1);
   for (std::size_t e = 0; e < m; ++e) {
-    j[e] = -1.0 + 0.4 * static_cast<double>(e % 5);
     if (e % 4 == 3) mask[e] = 0;
   }
   std::vector<double> psi(n);
-  std::vector<std::uint8_t> enable(n, 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    psi[i] = 0.3 * static_cast<double>(i);
-    if (i % 4 == 2) enable[i] = 0;
-  }
+  for (std::size_t i = 0; i < n; ++i) psi[i] = 0.3 * static_cast<double>(i);
   std::vector<util::Rng> rngs;
   for (std::size_t r = 0; r < replicas; ++r) {
     util::Rng init(40 + r);
     batch.randomize_phases(r, init);
-    batch.set_edge_couplings(r, j);
+    batch.set_uniform_coupling(r, -1.0 + 0.4 * static_cast<double>(r % 5));
     batch.set_edge_mask(r, mask);
     batch.set_couplings_active(r, true);
     batch.set_shil_phases(r, psi);
-    batch.set_shil_enable(r, enable);
     batch.set_shil_active(r, shil);
     batch.set_shil_level(r, 0.7);
     rngs.emplace_back(r);
@@ -465,7 +419,7 @@ void expect_step_follows_energy_gradient(bool shil) {
     before.emplace_back(batch.phases(r).begin(), batch.phases(r).end());
     drift.push_back(energy_gradient_drift(batch, r));
   }
-  batch.step(rngs);
+  batch.run(params.dt, rngs);
   const double tol = 1e-4 * params.coupling_gain;
   for (std::size_t c = 0; c < 2; ++c) {
     const auto after = batch.phases(checked[c]);
@@ -508,8 +462,9 @@ TEST(PhaseBatch, ReplicaStateIsIsolated) {
 
   const std::vector<double> before(batch.phases(1).begin(),
                                    batch.phases(1).end());
+  const double dt = tuned_params(0.0).dt;
   std::vector<util::Rng> rngs{util::Rng(1), util::Rng(2)};
-  batch.step(rngs);
+  batch.run(dt, rngs);
   const std::vector<double> after(batch.phases(1).begin(),
                                   batch.phases(1).end());
 
@@ -519,11 +474,11 @@ TEST(PhaseBatch, ReplicaStateIsIsolated) {
   redo.set_phases(1, before);
   redo.set_uniform_coupling(1, -1.0);
   redo.set_couplings_active(1, true);
-  redo.disable_all_edges(0);
+  redo.set_edge_mask(0, std::vector<std::uint8_t>(g.num_edges(), 0));
   redo.set_shil_active(0, true);
   redo.set_uniform_shil_phase(0, 1.0);
   std::vector<util::Rng> redo_rngs{util::Rng(99), util::Rng(2)};
-  redo.step(redo_rngs);
+  redo.run(dt, redo_rngs);
   const auto redo_after = redo.phases(1);
   for (std::size_t i = 0; i < redo_after.size(); ++i) {
     EXPECT_EQ(redo_after[i], after[i]);
@@ -543,7 +498,7 @@ TEST(PhaseBatch, ValidatesArguments) {
   EXPECT_THROW(batch.set_detune(0, std::vector<double>(2)),
                std::invalid_argument);
   std::vector<util::Rng> wrong(1, util::Rng(1));
-  EXPECT_THROW(batch.step(wrong), std::invalid_argument);
+  EXPECT_THROW(batch.run(tuned_params().dt, wrong), std::invalid_argument);
   EXPECT_THROW(PhaseBatch(g, tuned_params(), 0), std::invalid_argument);
   // Every per-replica accessor rejects r = num_replicas().
   const std::size_t past = batch.num_replicas();

@@ -90,8 +90,8 @@ class Solver {
           enqueue(learnt[0], ci);
         }
         decay_activities();
-        if (options_.conflict_limit != 0 &&
-            stats_.conflicts >= options_.conflict_limit) {
+        if (options_.budget.max_conflicts != 0 &&
+            stats_.conflicts >= options_.budget.max_conflicts) {
           return SolveResult::kUnknown;
         }
         if (until_restart > 0) --until_restart;
@@ -139,7 +139,7 @@ class Solver {
     num_vars_ = num_vars;
     watches_.assign(2 * num_vars, {});
     assigns_.assign(num_vars, LBool::kUndef);
-    polarity_.assign(num_vars, options_.default_polarity ? 1 : 0);
+    polarity_.assign(num_vars, kDefaultPolarity ? 1 : 0);
     level_.assign(num_vars, 0);
     reason_.assign(num_vars, kNoReason);
     activity_.assign(num_vars, 0.0);
@@ -371,7 +371,7 @@ class Solver {
   }
 
   void decay_activities() {
-    var_inc_ /= options_.activity_decay;
+    var_inc_ /= kVarActivityDecay;
     clause_inc_ /= 0.999;
   }
 
@@ -601,7 +601,7 @@ TEST(ArenaEquivalence, ConflictLimitSoundnessAndDeterminism) {
     const std::size_t vars = 30 + rng.uniform_index(20);
     const Cnf cnf = random_cnf(rng, vars, 5 * vars, 3);
     SolverOptions options = stress_options();
-    options.conflict_limit = 40 + 10 * static_cast<std::uint64_t>(t);
+    options.budget.max_conflicts = 40 + 10 * static_cast<std::uint64_t>(t);
     const std::string label = "climit trial=" + std::to_string(t);
 
     reference::Solver ref(cnf, options);

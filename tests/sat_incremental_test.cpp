@@ -78,7 +78,7 @@ TEST(MultiShot, SecondCallIsCheaperWithSharedLearnts) {
 }
 
 TEST(MultiShot, PerCallConflictBudgetMakesProgress) {
-  // conflict_limit is per call; learnt clauses persist, so repeatedly
+  // budget.max_conflicts is per call; learnt clauses persist, so repeatedly
   // calling solve() with a tiny budget must eventually refute PHP(4,3).
   const int pigeons = 4;
   const int holes = 3;
@@ -97,7 +97,7 @@ TEST(MultiShot, PerCallConflictBudgetMakesProgress) {
     }
   }
   SolverOptions options;
-  options.conflict_limit = 2;
+  options.budget.max_conflicts = 2;
   Solver s(cnf, options);
   SolveResult result = SolveResult::kUnknown;
   int calls = 0;

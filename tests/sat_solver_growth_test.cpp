@@ -74,12 +74,12 @@ TEST(ClauseDbGrowth, PeakGrowsSublinearlyInConflicts) {
   const Cnf cnf = conflict_heavy_cnf(2);
 
   SolverOptions small = reduction_heavy_options();
-  small.conflict_limit = 1000;
+  small.budget.max_conflicts = 1000;
   Solver first(cnf, small);
   ASSERT_EQ(first.solve(), SolveResult::kUnknown);
 
   SolverOptions large = reduction_heavy_options();
-  large.conflict_limit = 4000;
+  large.budget.max_conflicts = 4000;
   Solver second(cnf, large);
   const SolveResult r = second.solve();
   ASSERT_TRUE(r == SolveResult::kUnknown || r == SolveResult::kUnsat);
@@ -127,7 +127,7 @@ TEST(ClauseDbGrowth, BinaryWatchersSurviveGc) {
     }
     SolverOptions options = reduction_heavy_options();
     options.learnt_cap = 24;
-    options.conflict_limit = 3000;
+    options.budget.max_conflicts = 3000;
 
     Solver first(cnf, options);
     const SolveResult verdict = first.solve();
@@ -156,7 +156,7 @@ TEST(ClauseDbGrowth, NoStaleReferencesAfterReductions) {
   for (std::uint64_t seed = 3; seed < 8; ++seed) {
     const Cnf cnf = conflict_heavy_cnf(seed);
     SolverOptions options = reduction_heavy_options();
-    options.conflict_limit = 2500;
+    options.budget.max_conflicts = 2500;
     Solver solver(cnf, options);
     (void)solver.solve();
     EXPECT_GT(solver.stats().removed_learnts, 0u) << "seed=" << seed;

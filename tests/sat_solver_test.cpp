@@ -182,7 +182,7 @@ TEST(Solver, ConflictLimitReturnsUnknown) {
     }
   }
   SolverOptions opts;
-  opts.conflict_limit = 1;
+  opts.budget.max_conflicts = 1;
   Solver s(cnf, opts);
   EXPECT_EQ(s.solve(), SolveResult::kUnknown);
 }
