@@ -11,7 +11,8 @@
 //     report, both exports and the trace, all from ONE metrics snapshot so
 //     every surface agrees;
 //   - the top-level catch: an escaped exception (std::bad_alloc included)
-//     exits 3 with a diagnostic instead of std::terminate.
+//     exits 3 with a diagnostic instead of std::terminate;
+//   - the bound on a machine iteration count (kMaxIterations).
 //
 // Header-only: every examples/*.cpp is its own executable, so a shared
 // .cpp here would become a program.
@@ -29,6 +30,11 @@
 #include "msropm/util/fault_injector.hpp"
 
 namespace msropm::cli {
+
+/// Largest machine iteration count either CLI accepts. core::run_iterations
+/// allocates one result record per requested iteration before it runs any,
+/// so a larger count is a usage error (exit 2), not an out-of-memory crash.
+inline constexpr long long kMaxIterations = 100000;
 
 inline bool write_text_file(const std::string& path, const std::string& content) {
   std::ofstream file(path, std::ios::binary);

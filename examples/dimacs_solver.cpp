@@ -10,7 +10,8 @@
 //                 [--fault-spec SPEC]
 //
 // colors, iterations and seed are decimal integers; a negative or
-// non-numeric value, or zero iterations, is a usage error (exit 2).
+// non-numeric value, zero iterations or more than cli::kMaxIterations
+// (100000) is a usage error (exit 2).
 //
 // --trace records msropm::obs spans (SAT solves and their phases) and
 // writes a Chrome trace-event JSON on exit; --metrics enables the obs
@@ -125,6 +126,11 @@ int run_solver_cli(int argc, char** argv) {
       if (!value || *value < min || (positional == 0 && *value > UINT_MAX)) {
         std::fprintf(stderr, "error: %s must be an integer >= %lld, got '%s'\n",
                      kNames[positional], min, argv[i]);
+        return 2;
+      }
+      if (positional == 1 && *value > cli::kMaxIterations) {
+        std::fprintf(stderr, "error: iterations must be at most %lld, got '%s'\n",
+                     cli::kMaxIterations, argv[i]);
         return 2;
       }
       if (positional == 0) colors = static_cast<unsigned>(*value);

@@ -48,13 +48,13 @@ int main(int argc, char** argv) {
   const auto summary = core::run_iterations(machine, opts);
   const model::KCutAssignment parts(summary.best_coloring().begin(),
                                     summary.best_coloring().end());
-  const std::size_t machine_cut = model::kcut_value(g, parts);
+  const std::size_t machine_cut = model::cut_value(g, parts);
 
   util::Rng sa_rng(seed + 1);
   solvers::SaPottsOptions sa_opts;
   const auto sa = solvers::solve_sa_potts(g, sa_opts, sa_rng);
   const model::KCutAssignment sa_parts(sa.colors.begin(), sa.colors.end());
-  const std::size_t sa_cut = model::kcut_value(g, sa_parts);
+  const std::size_t sa_cut = model::cut_value(g, sa_parts);
 
   std::printf("\n%-28s %-10s %-12s\n", "solver", "cut", "vs random");
   std::printf("%-28s %-10zu %+.1f%%\n", "MSROPM (best of 40, 60 ns)",

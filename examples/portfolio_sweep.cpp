@@ -20,8 +20,8 @@
 //                  repeat (each slot gets its own seed stream). "msropm" runs
 //                  the paper's machine as a strategy (best-of-40 batched
 //                  Monte-Carlo iterations; "msropm:N" overrides the iteration
-//                  budget), so the report compares machine rows against the
-//                  SAT-side strategies on the same instances
+//                  budget, N in [1, 100000]), so the report compares machine
+//                  rows against the SAT-side strategies on the same instances
 //   --schedule     queue order: "strategy" (cheap probes first, default) or
 //                  "instance" (all strategies of an instance race)
 //   --csv          emit the report as CSV instead of an aligned table
@@ -96,6 +96,11 @@ bool parse_strategy_token(const std::string& token,
   const auto kind = portfolio::strategy_from_string(util::trim(name));
   if (!kind) return false;
   if (budget && *kind != portfolio::StrategyKind::kMsropm) return false;
+  if (budget && *budget > cli::kMaxIterations) {
+    std::fprintf(stderr, "error: msropm iterations must be at most %lld\n",
+                 cli::kMaxIterations);
+    return false;
+  }
   out.kind = *kind;
   if (budget) out.msropm_iterations = static_cast<std::size_t>(*budget);
   return true;
@@ -108,7 +113,7 @@ bool parse_strategy_list(const char* arg,
   for (const std::string& token : tokens) {
     portfolio::StrategyConfig config;
     if (!parse_strategy_token(token, config)) {
-      std::fprintf(stderr, "unknown strategy: '%s'\n", token.c_str());
+      std::fprintf(stderr, "invalid strategy: '%s'\n", token.c_str());
       return false;
     }
     out.push_back(config);

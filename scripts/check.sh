@@ -104,10 +104,12 @@ fi
 # <= 8 ns per fault point.
 if [ "${CHECK_CHAOS:-0}" = "1" ] && [ "${SANITIZE}" = "OFF" ]; then
   run_labelled build-asan ON chaos
-  cmake --build build-asan -j "${JOBS}" --target dimacs_solver
+  cmake --build build-asan -j "${JOBS}" --target dimacs_solver portfolio_sweep
   # Fixed seed matrix through the CLI: exit 10/20/0 are legitimate verdicts
   # under chaos, 2 is a usage error we did not make, 3 would mean an escaped
-  # exception, anything else (e.g. 139) a crash.
+  # exception, anything else (e.g. 139) a crash. The portfolio's msropm
+  # attempt rides along under the machine-step specs: exit 0 (decided) or 1
+  # (unknown) only.
   python3 - <<'EOF'
 import subprocess, sys, tempfile, os
 specs = ["alloc:1", "propagate:1:3", "analyze:2", "gc:1", "step:1",
@@ -129,7 +131,17 @@ for spec in specs:
             sys.stderr.write(f"chaos CLI matrix: {' '.join(cmd)} exited "
                              f"{r.returncode}\n{r.stderr.decode()}\n")
             sys.exit(1)
-print(f"chaos CLI matrix: {2*len(specs)} fault-injected runs, all clean exits")
+sweep_specs = ["step:1", "all@0.2,seed=11"]
+for spec in sweep_specs:
+    cmd = ["./build-asan/portfolio_sweep", "--kings", "6", "--strategies",
+           "msropm", "--fault-spec", spec]
+    r = subprocess.run(cmd, capture_output=True)
+    if r.returncode not in (0, 1):
+        sys.stderr.write(f"chaos CLI matrix: {' '.join(cmd)} exited "
+                         f"{r.returncode}\n{r.stderr.decode()}\n")
+        sys.exit(1)
+print(f"chaos CLI matrix: {2*len(specs) + len(sweep_specs)} fault-injected "
+      "runs, all clean exits")
 EOF
   cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_micro_perf
   "./${BUILD_DIR}/bench_micro_perf" \

@@ -31,7 +31,6 @@ core::MsropmConfig default_machine_config() {
   // from the step-size study in bench/bench_ablation_schedule.cpp: accuracy
   // holds up to 160 ps. 50 ps keeps dt * shil_gain < 0.1 (0.08) and every
   // 5/20 ns window a whole number of steps; 80 ps would break both.
-  config.network.natural_frequency_hz = 1.3e9;
   config.network.coupling_gain = 8.0e8;   // rad/s
   config.network.shil_gain = 1.6e9;       // rad/s
   config.network.shil_order = 2;
@@ -39,7 +38,6 @@ core::MsropmConfig default_machine_config() {
   config.network.dt = 5.0e-11;            // 400 steps per 20 ns anneal
 
   config.shil_ramp = phase::GainRamp{0.0, 0.5};
-  config.couplings_during_lock = true;
   return config;
 }
 

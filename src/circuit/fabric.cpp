@@ -1,5 +1,6 @@
 #include "msropm/circuit/fabric.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -25,6 +26,58 @@ double measure_shil_lock_offset_fraction(const FabricParams& params) {
 
 }  // namespace
 
+double measure_ring_frequency(const InverterParams& p, unsigned stages,
+                              double dt, double duration) {
+  const graph::Graph g(1);
+  FabricParams params;
+  params.stages = stages;
+  params.inverter = p;
+  params.dt = dt;
+  RoscFabric ring(g, params);  // couplings and SHIL start off
+  // Warm up past the startup transient, then average the period over every
+  // rising edge in the measurement window.
+  const auto warmup_steps = static_cast<std::size_t>(0.25 * duration / dt);
+  for (std::size_t s = 0; s < warmup_steps; ++s) ring.step();
+  const auto steps = static_cast<std::size_t>(0.75 * duration / dt);
+  const double mid = 0.5 * p.vdd;
+  double t = 0.0;
+  double prev = ring.output(0);
+  double first_cross = -1.0;
+  double last_cross = -1.0;
+  std::size_t crossings = 0;
+  for (std::size_t s = 0; s < steps; ++s) {
+    ring.step();
+    t += dt;
+    const double cur = ring.output(0);
+    if (prev < mid && cur >= mid) {
+      const double tc = t - dt + dt * (mid - prev) / (cur - prev);
+      if (first_cross < 0.0) first_cross = tc;
+      last_cross = tc;
+      ++crossings;
+    }
+    prev = cur;
+  }
+  if (crossings < 2) return 0.0;
+  return static_cast<double>(crossings - 1) / (last_cross - first_cross);
+}
+
+InverterParams calibrate_for_frequency_simulated(double f_target_hz,
+                                                 unsigned stages,
+                                                 InverterParams base,
+                                                 double dt) {
+  InverterParams p = base;
+  // Frequency scales almost exactly as 1/tau, so fixed-point iteration on
+  // tau *= f/f_target converges in 2-3 rounds.
+  for (int iter = 0; iter < 4; ++iter) {
+    const double f = measure_ring_frequency(p, stages, dt);
+    if (f <= 0.0) break;
+    const double ratio = f / f_target_hz;
+    if (std::abs(ratio - 1.0) < 1e-4) break;
+    p.tau *= ratio;
+  }
+  return p;
+}
+
 FabricParams FabricParams::paper_defaults() {
   static const FabricParams cached = [] {
     FabricParams p;
@@ -44,7 +97,6 @@ RoscFabric::RoscFabric(const graph::Graph& g, FabricParams params)
     : graph_(&g),
       params_(params),
       v_(g.num_nodes() * params.stages, 0.0),
-      osc_enable_(g.num_nodes(), 1),
       edge_enable_(g.num_edges(), 1),
       shil_sel_(g.num_nodes(), 0),
       startup_delay_(g.num_nodes(), 0.0),
@@ -70,7 +122,7 @@ double RoscFabric::voltage(std::size_t osc, std::size_t stage) const {
 
 double RoscFabric::output(std::size_t osc) const {
   if (osc >= num_oscillators()) throw std::out_of_range("RoscFabric::output");
-  return v_[index(osc, RingOscillator::output_tap())];
+  return v_[index(osc, kOutputTap)];
 }
 
 void RoscFabric::randomize(util::Rng& rng) {
@@ -89,20 +141,11 @@ void RoscFabric::stagger_startup(util::Rng& rng, double max_delay_s) {
   }
 }
 
-void RoscFabric::set_oscillator_enable(std::size_t osc, bool on) {
-  if (osc >= num_oscillators()) throw std::out_of_range("set_oscillator_enable");
-  osc_enable_[osc] = on ? 1 : 0;
-}
-
 void RoscFabric::set_edge_enable(std::vector<std::uint8_t> mask) {
   if (mask.size() != edge_enable_.size()) {
     throw std::invalid_argument("RoscFabric::set_edge_enable: size mismatch");
   }
   edge_enable_ = std::move(mask);
-}
-
-void RoscFabric::enable_all_edges() {
-  std::fill(edge_enable_.begin(), edge_enable_.end(), std::uint8_t{1});
 }
 
 void RoscFabric::set_shil_select(std::vector<std::uint8_t> sel) {
@@ -135,18 +178,19 @@ void RoscFabric::derivative(const std::vector<double>& v, double t,
   dvdt.assign(v.size(), 0.0);
 
   for (std::size_t o = 0; o < n_osc; ++o) {
-    const bool on = global_enable_ && osc_enable_[o] && t >= startup_delay_[o];
+    const bool on = t >= startup_delay_[o];
     for (std::size_t s = 0; s < stages; ++s) {
       const std::size_t i = index(o, s);
       if (on) {
         const std::size_t prev = index(o, (s + stages - 1) % stages);
         dvdt[i] = inverter_dvdt(v[prev], v[i], inv);
       } else {
-        // Disabled ring: enable gating parks the loop at the alternating
-        // rail pattern (as a real gated ring does). Releasing from this
-        // asymmetric state restarts oscillation immediately; releasing from
-        // the all-equal state would leave the ring on its symmetric
-        // invariant manifold, dead at the VTC fixed point.
+        // Ring not yet released by stagger_startup(): enable gating parks the
+        // loop at the alternating rail pattern (as a real gated ring does).
+        // Releasing from this asymmetric state restarts oscillation
+        // immediately; releasing from the all-equal state would leave the
+        // ring on its symmetric invariant manifold, dead at the VTC fixed
+        // point.
         const double target = (s % 2 == 0) ? inv.vdd : 0.0;
         dvdt[i] = (target - v[i]) / (4.0 * inv.tau);
       }
@@ -160,8 +204,8 @@ void RoscFabric::derivative(const std::vector<double>& v, double t,
     const auto edges = graph_->edges();
     for (std::size_t e = 0; e < edges.size(); ++e) {
       if (!edge_enable_[e]) continue;
-      const std::size_t iu = index(edges[e].u, RingOscillator::output_tap());
-      const std::size_t iv = index(edges[e].v, RingOscillator::output_tap());
+      const std::size_t iu = index(edges[e].u, kOutputTap);
+      const std::size_t iv = index(edges[e].v, kOutputTap);
       dvdt[iu] += g * (inverter_vtc(v[iv], inv) - v[iu]) / inv.tau;
       dvdt[iv] += g * (inverter_vtc(v[iu], inv) - v[iv]) / inv.tau;
     }
@@ -172,8 +216,7 @@ void RoscFabric::derivative(const std::vector<double>& v, double t,
     // square wave is active.
     const double gs = params_.shil_strength;
     for (std::size_t o = 0; o < n_osc; ++o) {
-      if (!osc_enable_[o]) continue;
-      const std::size_t i = index(o, RingOscillator::output_tap());
+      const std::size_t i = index(o, kOutputTap);
       const double wave = shil_wave(o, t);
       if (wave > 0.0) dvdt[i] += gs * wave * (inv.vdd - v[i]) / inv.tau;
     }

@@ -5,18 +5,23 @@
 // graph edge joining the output taps; one SHIL injector per oscillator
 // (PMOS pull-up gated by a 2*f0 square wave, selected between SHIL 1 and the
 // half-period-delayed SHIL 2 by SHIL_SEL). Control surface mirrors the
-// paper's signal names:
+// paper's signal names, limited to what the control sequence drives:
 //
-//   G_EN / L_EN  : global & per-ROSC oscillator enables
+//   couplings    : global B2B coupling gate
 //   (coupling) L_EN / P_EN : per-edge coupling enables (problem mapping and
 //                  stage-1 partitioning share one mask here)
 //   SHIL_EN      : global SHIL gate
 //   SHIL_SEL     : per-ROSC selection of SHIL 1 (0) or SHIL 2 (1)
 //
+// Rings have no enable of their own; stagger_startup() parks each one at the
+// reset pattern until its random release instant.
+//
 // Integration is fixed-step RK4 over all stage voltages with the SHIL square
-// wave evaluated at substep times. This engine is used for the Fig. 3
-// waveform reproduction and small-problem cross-validation of the
-// phase-domain engine; the 2116-node runs use src/phase.
+// wave evaluated at substep times; it is the only ring integrator in the
+// project (a lone ring is a one-node fabric, as in measure_ring_frequency).
+// This engine is used for the Fig. 3 waveform reproduction and
+// small-problem cross-validation of the phase-domain engine; the 2116-node
+// runs use src/phase.
 
 #include <cstdint>
 #include <functional>
@@ -56,8 +61,30 @@ struct FabricParams {
   [[nodiscard]] static FabricParams paper_defaults();
 };
 
+/// Free-running frequency of an n-stage ring measured from a transient
+/// simulation of a one-node fabric (couplings and SHIL off): rising-edge
+/// crossings averaged over the tail of `duration`. This is the ground truth
+/// that the analytic estimate approximates.
+[[nodiscard]] double measure_ring_frequency(const InverterParams& p,
+                                            unsigned stages,
+                                            double dt = 1.0e-12,
+                                            double duration = 30.0e-9);
+
+/// Refine `base.tau` with secant iterations on the *simulated* frequency so
+/// the ring free-runs at f_target to within ~0.01%. Zero residual detuning
+/// is what lets the 2f SHIL capture the ring (the Adler lock range must
+/// exceed the detuning, and the paper's ROSC is designed exactly at
+/// f0 = f_SHIL / 2).
+[[nodiscard]] InverterParams calibrate_for_frequency_simulated(
+    double f_target_hz, unsigned stages, InverterParams base,
+    double dt = 1.0e-12);
+
 class RoscFabric {
  public:
+  /// Stage whose output is the ring's tap for coupling, injection and
+  /// readout (Vout<1> in paper Fig. 4a).
+  static constexpr std::size_t kOutputTap = 0;
+
   RoscFabric(const graph::Graph& g, FabricParams params);
 
   [[nodiscard]] const graph::Graph& graph() const noexcept { return *graph_; }
@@ -79,13 +106,9 @@ class RoscFabric {
   void stagger_startup(util::Rng& rng, double max_delay_s);
 
   // --- control surface -----------------------------------------------------
-  void set_global_enable(bool on) noexcept { global_enable_ = on; }
-  [[nodiscard]] bool global_enable() const noexcept { return global_enable_; }
-  void set_oscillator_enable(std::size_t osc, bool on);
   void set_couplings_enabled(bool on) noexcept { couplings_enabled_ = on; }
   [[nodiscard]] bool couplings_enabled() const noexcept { return couplings_enabled_; }
   void set_edge_enable(std::vector<std::uint8_t> mask);
-  void enable_all_edges();
   [[nodiscard]] const std::vector<std::uint8_t>& edge_enable() const noexcept {
     return edge_enable_;
   }
@@ -128,11 +151,9 @@ class RoscFabric {
   const graph::Graph* graph_;
   FabricParams params_;
   std::vector<double> v_;
-  std::vector<std::uint8_t> osc_enable_;
   std::vector<std::uint8_t> edge_enable_;
   std::vector<std::uint8_t> shil_sel_;
   std::vector<double> startup_delay_;
-  bool global_enable_ = true;
   bool couplings_enabled_ = false;
   bool shil_enabled_ = false;
   double time_ = 0.0;

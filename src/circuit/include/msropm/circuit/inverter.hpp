@@ -35,13 +35,15 @@ struct InverterParams {
 
 /// Estimated free-running frequency of an n-stage ring built from this
 /// inverter (first-order estimate 1 / (2 * n * t_d), t_d ~ tau * ln 2 plus a
-/// slope correction). Used as a calibration starting point; tests measure
-/// the true frequency from simulated zero crossings.
+/// slope correction). Used as a calibration starting point;
+/// measure_ring_frequency (fabric.hpp) measures the true frequency from
+/// simulated zero crossings.
 [[nodiscard]] double estimate_ring_frequency(const InverterParams& p,
                                              unsigned stages) noexcept;
 
 /// Choose tau so an n-stage ring oscillates near f_target (inverse of the
-/// estimate; refined empirically by the calibration test).
+/// estimate). FabricParams::paper_defaults() refines it on the simulated
+/// ring with calibrate_for_frequency_simulated (fabric.hpp).
 [[nodiscard]] InverterParams calibrate_for_frequency(double f_target_hz,
                                                      unsigned stages,
                                                      InverterParams base = {}) noexcept;

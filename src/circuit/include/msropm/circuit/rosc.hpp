@@ -1,63 +1,10 @@
 #pragma once
-// Single ring oscillator: an odd chain of behavioural inverters closed into
-// a loop (11 stages in the paper, ~1.3 GHz). State is one voltage per stage
-// output. Provides phase extraction from rising-edge crossings of the
-// designated output tap (Vout<1> in paper Fig. 4a).
-
-#include <cstddef>
-#include <vector>
-
-#include "msropm/circuit/inverter.hpp"
-#include "msropm/util/rng.hpp"
+// Phase extraction for one ring oscillator: rising-edge crossings of its
+// output tap (Vout<1> in paper Fig. 4a) give the period and the phase
+// against the REF clock. The ring itself is integrated by RoscFabric
+// (fabric.hpp), one node per ring.
 
 namespace msropm::circuit {
-
-class RingOscillator {
- public:
-  /// stages must be odd (even rings latch instead of oscillating).
-  RingOscillator(unsigned stages, InverterParams params);
-
-  [[nodiscard]] unsigned stages() const noexcept {
-    return static_cast<unsigned>(v_.size());
-  }
-  [[nodiscard]] const InverterParams& params() const noexcept { return params_; }
-  [[nodiscard]] const std::vector<double>& voltages() const noexcept { return v_; }
-  [[nodiscard]] double output() const noexcept { return v_.front(); }
-  /// Output tap index used for coupling/injection (stage 0).
-  [[nodiscard]] static constexpr std::size_t output_tap() noexcept { return 0; }
-
-  void set_voltages(std::vector<double> v);
-  /// Random rail-to-rail initial voltages (random startup instant).
-  void randomize(util::Rng& rng);
-
-  /// dV/dt of every stage from ring topology alone (no external currents).
-  void derivative(const std::vector<double>& v, std::vector<double>& dvdt) const;
-
-  /// Integrate standalone with RK4 (used by single-ROSC tests).
-  void step_rk4(double dt);
-
- private:
-  InverterParams params_;
-  std::vector<double> v_;
-  mutable std::vector<double> k1_, k2_, k3_, k4_, tmp_;
-};
-
-/// Free-running frequency of an n-stage ring measured from a transient
-/// simulation (rising-edge crossings averaged over the tail of `duration`).
-/// This is the ground truth that the analytic estimate approximates.
-[[nodiscard]] double measure_ring_frequency(const InverterParams& p,
-                                            unsigned stages,
-                                            double dt = 1.0e-12,
-                                            double duration = 30.0e-9);
-
-/// Refine `base.tau` with secant iterations on the *simulated* frequency so
-/// the ring free-runs at f_target to within ~0.01%. Zero residual detuning
-/// is what lets the 2f SHIL capture the ring (the Adler lock range must
-/// exceed the detuning, and the paper's ROSC is designed exactly at
-/// f0 = f_SHIL / 2).
-[[nodiscard]] InverterParams calibrate_for_frequency_simulated(
-    double f_target_hz, unsigned stages, InverterParams base,
-    double dt = 1.0e-12);
 
 /// Online phase estimator from rising midpoint crossings of a waveform.
 /// Feed (t, value) samples; after two crossings the period and phase are

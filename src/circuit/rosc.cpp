@@ -2,103 +2,8 @@
 
 #include <cmath>
 #include <numbers>
-#include <stdexcept>
 
 namespace msropm::circuit {
-
-RingOscillator::RingOscillator(unsigned stages, InverterParams params)
-    : params_(params), v_(stages, 0.0) {
-  if (stages < 3 || stages % 2 == 0) {
-    throw std::invalid_argument("RingOscillator: stages must be odd and >= 3");
-  }
-  // Deterministic non-degenerate start: alternate rails.
-  for (std::size_t i = 0; i < v_.size(); ++i) {
-    v_[i] = (i % 2 == 0) ? params_.vdd : 0.0;
-  }
-}
-
-void RingOscillator::set_voltages(std::vector<double> v) {
-  if (v.size() != v_.size()) {
-    throw std::invalid_argument("RingOscillator::set_voltages: size mismatch");
-  }
-  v_ = std::move(v);
-}
-
-void RingOscillator::randomize(util::Rng& rng) {
-  for (double& vi : v_) vi = rng.uniform(0.0, params_.vdd);
-}
-
-void RingOscillator::derivative(const std::vector<double>& v,
-                                std::vector<double>& dvdt) const {
-  const std::size_t n = v.size();
-  dvdt.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t prev = (i + n - 1) % n;
-    dvdt[i] = inverter_dvdt(v[prev], v[i], params_);
-  }
-}
-
-void RingOscillator::step_rk4(double dt) {
-  const std::size_t n = v_.size();
-  derivative(v_, k1_);
-  tmp_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) tmp_[i] = v_[i] + 0.5 * dt * k1_[i];
-  derivative(tmp_, k2_);
-  for (std::size_t i = 0; i < n; ++i) tmp_[i] = v_[i] + 0.5 * dt * k2_[i];
-  derivative(tmp_, k3_);
-  for (std::size_t i = 0; i < n; ++i) tmp_[i] = v_[i] + dt * k3_[i];
-  derivative(tmp_, k4_);
-  for (std::size_t i = 0; i < n; ++i) {
-    v_[i] += dt / 6.0 * (k1_[i] + 2.0 * k2_[i] + 2.0 * k3_[i] + k4_[i]);
-  }
-}
-
-double measure_ring_frequency(const InverterParams& p, unsigned stages,
-                              double dt, double duration) {
-  RingOscillator ring(stages, p);
-  // Warm up past the startup transient, then average the period over every
-  // rising edge in the measurement window.
-  const auto warmup_steps = static_cast<std::size_t>(0.25 * duration / dt);
-  for (std::size_t s = 0; s < warmup_steps; ++s) ring.step_rk4(dt);
-  const auto steps = static_cast<std::size_t>(0.75 * duration / dt);
-  const double mid = 0.5 * p.vdd;
-  double t = 0.0;
-  double prev = ring.output();
-  double first_cross = -1.0;
-  double last_cross = -1.0;
-  std::size_t crossings = 0;
-  for (std::size_t s = 0; s < steps; ++s) {
-    ring.step_rk4(dt);
-    t += dt;
-    const double cur = ring.output();
-    if (prev < mid && cur >= mid) {
-      const double tc = t - dt + dt * (mid - prev) / (cur - prev);
-      if (first_cross < 0.0) first_cross = tc;
-      last_cross = tc;
-      ++crossings;
-    }
-    prev = cur;
-  }
-  if (crossings < 2) return 0.0;
-  return static_cast<double>(crossings - 1) / (last_cross - first_cross);
-}
-
-InverterParams calibrate_for_frequency_simulated(double f_target_hz,
-                                                 unsigned stages,
-                                                 InverterParams base,
-                                                 double dt) {
-  InverterParams p = base;
-  // Frequency scales almost exactly as 1/tau, so fixed-point iteration on
-  // tau *= f/f_target converges in 2-3 rounds.
-  for (int iter = 0; iter < 4; ++iter) {
-    const double f = measure_ring_frequency(p, stages, dt);
-    if (f <= 0.0) break;
-    const double ratio = f / f_target_hz;
-    if (std::abs(ratio - 1.0) < 1e-4) break;
-    p.tau *= ratio;
-  }
-  return p;
-}
 
 void EdgePhaseDetector::observe(double t, double value) noexcept {
   if (has_prev_ && prev_v_ < midpoint_ && value >= midpoint_) {

@@ -4,9 +4,10 @@
 // After the stage-1 max-cut readout, the MSROPM disables couplings whose
 // endpoints locked to different phases (the P_EN mechanism, paper Sec. 3.3).
 // Architecturally the fabric then behaves as the disjoint union of the
-// induced subgraphs. These helpers express that partition both ways:
-//  - as a coupling mask over the original edge set (what the hardware does),
-//  - as explicit induced subgraphs with id maps (what the analysis needs).
+// induced subgraphs. These helpers express that partition as explicit
+// induced subgraphs with id maps and lift per-subgraph labels back; the
+// machine builds its coupling mask itself, and model::cut_value counts the
+// cut.
 
 #include <cstdint>
 #include <vector>
@@ -20,15 +21,6 @@ struct InducedSubgraph {
   Graph graph;
   std::vector<NodeId> to_original;  // local id -> original id
 };
-
-/// Per-edge mask: mask[e] is true when edge e's endpoints share a label
-/// (coupling stays ON inside a partition, is cut across partitions).
-[[nodiscard]] std::vector<std::uint8_t> intra_partition_edge_mask(
-    const Graph& g, const std::vector<std::uint8_t>& labels);
-
-/// Number of edges whose endpoints have different labels (the cut size).
-[[nodiscard]] std::size_t cut_size(const Graph& g,
-                                   const std::vector<std::uint8_t>& labels);
 
 /// Induced subgraphs, one per distinct label value 0..max_label.
 [[nodiscard]] std::vector<InducedSubgraph> split_by_labels(

@@ -4,30 +4,6 @@
 
 namespace msropm::graph {
 
-std::vector<std::uint8_t> intra_partition_edge_mask(
-    const Graph& g, const std::vector<std::uint8_t>& labels) {
-  if (labels.size() != g.num_nodes()) {
-    throw std::invalid_argument("intra_partition_edge_mask: label size mismatch");
-  }
-  std::vector<std::uint8_t> mask(g.num_edges());
-  const auto edges = g.edges();
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    mask[e] = static_cast<std::uint8_t>(labels[edges[e].u] == labels[edges[e].v]);
-  }
-  return mask;
-}
-
-std::size_t cut_size(const Graph& g, const std::vector<std::uint8_t>& labels) {
-  if (labels.size() != g.num_nodes()) {
-    throw std::invalid_argument("cut_size: label size mismatch");
-  }
-  std::size_t cut = 0;
-  for (const Edge& e : g.edges()) {
-    cut += (labels[e.u] != labels[e.v]) ? 1 : 0;
-  }
-  return cut;
-}
-
 std::vector<InducedSubgraph> split_by_labels(const Graph& g,
                                              const std::vector<std::uint8_t>& labels,
                                              std::size_t num_labels) {

@@ -14,13 +14,11 @@ namespace msropm::model {
 /// Side assignment for a cut: 0 or 1 per node.
 using CutAssignment = std::vector<std::uint8_t>;
 
-/// Number of cut edges under the assignment.
+/// Number of edges whose endpoints carry different labels. Counts a 2-way
+/// cut and a K-way cut (KCutAssignment) alike; for a K-way partition it
+/// equals the number of *satisfied* edges of the same assignment read as a
+/// K-coloring, which is why the MSROPM solves both problems with one flow.
 [[nodiscard]] std::size_t cut_value(const graph::Graph& g, const CutAssignment& sides);
-
-/// Cut value restricted to edges where mask[e] != 0.
-[[nodiscard]] std::size_t cut_value_masked(const graph::Graph& g,
-                                           const CutAssignment& sides,
-                                           const std::vector<std::uint8_t>& edge_mask);
 
 /// Exact maximum cut by exhaustive search. Only feasible for
 /// g.num_nodes() <= ~24; throws std::invalid_argument beyond 26 nodes.
@@ -42,15 +40,9 @@ using CutAssignment = std::vector<std::uint8_t>;
 
 // --- max-K-cut (the Potts-native COP the paper names alongside coloring) --
 
-/// K-way partition labels: one value in [0, K) per node.
+/// K-way partition labels: one value in [0, K) per node. Max-K-cut
+/// maximizes cut_value() over these.
 using KCutAssignment = std::vector<std::uint8_t>;
-
-/// Number of edges whose endpoints lie in different parts. Max-K-cut
-/// maximizes this; note it equals the number of *satisfied* edges of the
-/// same assignment read as a K-coloring, which is why the MSROPM solves
-/// both problems with one flow.
-[[nodiscard]] std::size_t kcut_value(const graph::Graph& g,
-                                     const KCutAssignment& parts);
 
 /// Exact maximum K-cut by exhaustive search (K^n states); only feasible for
 /// tiny graphs. Throws std::invalid_argument beyond 16 nodes or K > 8.

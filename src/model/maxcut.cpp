@@ -16,22 +16,6 @@ std::size_t cut_value(const graph::Graph& g, const CutAssignment& sides) {
   return cut;
 }
 
-std::size_t cut_value_masked(const graph::Graph& g, const CutAssignment& sides,
-                             const std::vector<std::uint8_t>& edge_mask) {
-  if (sides.size() != g.num_nodes()) {
-    throw std::invalid_argument("cut_value_masked: assignment size mismatch");
-  }
-  if (edge_mask.size() != g.num_edges()) {
-    throw std::invalid_argument("cut_value_masked: mask size mismatch");
-  }
-  std::size_t cut = 0;
-  const auto edges = g.edges();
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    if (edge_mask[k] && sides[edges[k].u] != sides[edges[k].v]) ++cut;
-  }
-  return cut;
-}
-
 std::pair<std::size_t, CutAssignment> max_cut_bruteforce(const graph::Graph& g) {
   const std::size_t n = g.num_nodes();
   if (n > 26) throw std::invalid_argument("max_cut_bruteforce: graph too large");
@@ -77,17 +61,6 @@ std::vector<Spin> spins_from_cut(const CutAssignment& sides) {
   return spins;
 }
 
-std::size_t kcut_value(const graph::Graph& g, const KCutAssignment& parts) {
-  if (parts.size() != g.num_nodes()) {
-    throw std::invalid_argument("kcut_value: size mismatch");
-  }
-  std::size_t cut = 0;
-  for (const auto& e : g.edges()) {
-    if (parts[e.u] != parts[e.v]) ++cut;
-  }
-  return cut;
-}
-
 std::pair<std::size_t, KCutAssignment> max_kcut_bruteforce(
     const graph::Graph& g, unsigned k) {
   const std::size_t n = g.num_nodes();
@@ -101,11 +74,11 @@ std::pair<std::size_t, KCutAssignment> max_kcut_bruteforce(
   KCutAssignment parts(n, 0);
   for (std::uint64_t s = 0; s < states; ++s) {
     std::uint64_t x = s;
-    for (std::size_t i = 0; i < n; ++i) {
-      parts[i] = static_cast<std::uint8_t>(x % k);
+    for (std::uint8_t& part : parts) {
+      part = static_cast<std::uint8_t>(x % k);
       x /= k;
     }
-    const std::size_t cut = kcut_value(g, parts);
+    const std::size_t cut = cut_value(g, parts);
     if (cut > best) {
       best = cut;
       best_parts = parts;

@@ -8,6 +8,14 @@
 
 namespace msropm::core {
 
+namespace {
+
+/// Each readout samples this far into its lock window (as a fraction of the
+/// window); the rest of the window runs after the readout.
+constexpr double kReadoutPoint = 0.9;
+
+}  // namespace
+
 CircuitMsropm::CircuitMsropm(const graph::Graph& g, CircuitMsropmConfig config)
     : graph_(&g), config_(config) {
   if (!config_.schedule.valid()) {
@@ -21,21 +29,6 @@ CircuitMsropmResult CircuitMsropm::solve(
   const graph::Graph& g = *graph_;
   const std::size_t n = g.num_nodes();
   circuit::RoscFabric fabric(g, config_.fabric);
-  // Defect handling: dead cells are held off and every coupling incident to
-  // one is gated for the whole run (its parked output must not statically
-  // bias live neighbors).
-  std::vector<std::uint8_t> alive(n, 1);
-  for (const std::size_t dead : config_.disabled_oscillators) {
-    fabric.set_oscillator_enable(dead, false);
-    alive.at(dead) = 0;
-  }
-  std::vector<std::uint8_t> base_mask(g.num_edges(), 1);
-  {
-    const auto all_edges = g.edges();
-    for (std::size_t e = 0; e < all_edges.size(); ++e) {
-      base_mask[e] = alive[all_edges[e].u] && alive[all_edges[e].v];
-    }
-  }
 
   const auto notify = [&](const char* label) {
     if (observer) observer(label, fabric);
@@ -48,8 +41,7 @@ CircuitMsropmResult CircuitMsropm::solve(
   notify("init");
   fabric.run(config_.schedule.init_s, on_step);
 
-  // --- stage 1 anneal: all (live) couplings on (Fig. 3a) -------------------
-  fabric.set_edge_enable(base_mask);
+  // --- stage 1 anneal: all couplings on (Fig. 3a) --------------------------
   fabric.set_couplings_enabled(true);
   notify("stage1_anneal");
   fabric.run(config_.schedule.anneal_s, on_step);
@@ -58,7 +50,7 @@ CircuitMsropmResult CircuitMsropm::solve(
   fabric.set_shil_select_uniform(0);
   fabric.set_shil_enabled(true);
   notify("stage1_shil");
-  fabric.run(config_.schedule.discretize_s * config_.readout_point, on_step);
+  fabric.run(config_.schedule.discretize_s * kReadoutPoint, on_step);
 
   // Stage-1 readout with binary resolution: bit = locked lobe (0deg vs
   // 180deg). Buckets 0..3 of a 4-ary readout fold to bits via bucket/2
@@ -69,19 +61,15 @@ CircuitMsropmResult CircuitMsropm::solve(
   CircuitMsropmResult result;
   result.stage1_bits.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (!readout1.captured(i)) {
-      // Dead cell: no edge ever reached the DFFs. Latch bit 0 and record.
-      result.stage1_bits[i] = 0;
-      result.dead_oscillators.push_back(i);
-      continue;
-    }
-    result.stage1_bits[i] = static_cast<std::uint8_t>(readout1.bucket(i));
+    // No edge reached the DFFs yet: latch bit 0.
+    result.stage1_bits[i] =
+        readout1.captured(i) ? static_cast<std::uint8_t>(readout1.bucket(i)) : 0;
   }
-  fabric.run(config_.schedule.discretize_s * (1.0 - config_.readout_point),
+  fabric.run(config_.schedule.discretize_s * (1.0 - kReadoutPoint),
              on_step);
 
   // --- partition (P_EN) + SHIL_SEL from the readout ------------------------
-  std::vector<std::uint8_t> mask = base_mask;
+  std::vector<std::uint8_t> mask(g.num_edges(), 1);
   const auto edges = g.edges();
   for (std::size_t e = 0; e < edges.size(); ++e) {
     const bool same =
@@ -109,7 +97,7 @@ CircuitMsropmResult CircuitMsropm::solve(
   // --- stage 2 lock: SHIL 1 / SHIL 2 per partition (Fig. 3e) -------------
   fabric.set_shil_enabled(true);
   notify("stage2_shil");
-  fabric.run(config_.schedule.discretize_s * config_.readout_point, on_step);
+  fabric.run(config_.schedule.discretize_s * kReadoutPoint, on_step);
 
   // Final readout: each oscillator's DFF pair samples against the lobe
   // references of its *own* SHIL (group A: REF_1/REF_3 at 0/180 deg; group
@@ -135,7 +123,7 @@ CircuitMsropmResult CircuitMsropm::solve(
         static_cast<graph::Color>(color_from_bits(StageBits{b1, b2}));
   }
   result.final_phases = fabric.phases();
-  fabric.run(config_.schedule.discretize_s * (1.0 - config_.readout_point),
+  fabric.run(config_.schedule.discretize_s * (1.0 - kReadoutPoint),
              on_step);
   notify("done");
   return result;

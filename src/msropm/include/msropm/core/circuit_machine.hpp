@@ -25,23 +25,14 @@ namespace msropm::core {
 struct CircuitMsropmConfig {
   circuit::FabricParams fabric = circuit::FabricParams::paper_defaults();
   StageSchedule schedule{};
-  /// Extra settling before each readout as a fraction of the lock window.
-  double readout_point = 0.9;
-  /// Defect injection: oscillators held off for the whole run (dead cells
-  /// on a fabricated array). Their couplings are gated, they produce no
-  /// readout edges, and they are reported in dead_oscillators with color 0.
-  std::vector<std::size_t> disabled_oscillators{};
 };
+
 
 struct CircuitMsropmResult {
   graph::Coloring colors;                  ///< 4-coloring from final readout
   std::vector<std::uint8_t> stage1_bits;   ///< 0 = locked near 0deg, 1 = 180deg
   std::size_t stage1_cut = 0;
   std::vector<double> final_phases;        ///< measured phases [rad]
-  /// Oscillators that never produced a readout edge (disabled or defective);
-  /// they carry bit 0 / color 0 and should be excluded from accuracy over
-  /// their incident edges.
-  std::vector<std::size_t> dead_oscillators{};
 };
 
 /// Observer called at each control transition: (label, fabric).

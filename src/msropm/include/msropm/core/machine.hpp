@@ -45,9 +45,6 @@ struct MsropmConfig {
   phase::NetworkParams network{};           ///< oscillator/coupling physics
   StageSchedule schedule{};                 ///< paper 60 ns timing
   phase::GainRamp shil_ramp{0.0, 0.4};      ///< SHIL ramp within lock window
-  /// Short SHIL-assisted settling also anneals couplings; keep couplings on
-  /// during the lock window (matches Fig. 3 where couplings stay on).
-  bool couplings_during_lock = true;
 
   [[nodiscard]] unsigned num_stages() const { return stages_for_colors(num_colors); }
   [[nodiscard]] double total_time_s() const {

@@ -91,9 +91,9 @@ std::vector<MsropmResult> MultiStagePottsMachine::solve_batch(
     net.run(config_.schedule.anneal_s, rngs);
     if (observer) observer(stage, "anneal", net);
 
-    // --- lock: ramped SHIL binarizes each group ----------------------
+    // --- lock: ramped SHIL binarizes each group; couplings stay on, so
+    // the short SHIL-assisted settling also anneals (as in Fig. 3) --------
     for (std::size_t r = 0; r < replicas; ++r) {
-      net.set_couplings_active(r, config_.couplings_during_lock);
       net.set_shil_active(r, true);
       net.set_shil_level(r, 1.0);
     }

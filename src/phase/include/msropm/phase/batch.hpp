@@ -87,7 +87,6 @@ struct SimdKernels;
 
 /// Static parameters of a phase-domain simulation.
 struct NetworkParams {
-  double natural_frequency_hz = 1.3e9;  ///< paper Sec. 3.3 (reporting only)
   double coupling_gain = 8.0e8;         ///< Kc [rad/s]
   double shil_gain = 1.2e9;             ///< Ks at full strength [rad/s]
   unsigned shil_order = 2;              ///< 2 for MSROPM

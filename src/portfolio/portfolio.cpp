@@ -151,8 +151,17 @@ StrategyRun run_msropm(const graph::Graph& g, unsigned num_colors,
   runner_options.stop = token;
   const core::RunSummary summary = core::run_iterations(machine, runner_options);
   run.cancelled = summary.cancelled;
-  if (summary.completed == 0) return run;  // cancelled before any iteration
-  accept_if_proper(g, num_colors, graph::Coloring(summary.best_coloring()), run);
+  if (summary.completed > 0) {
+    accept_if_proper(g, num_colors, graph::Coloring(summary.best_coloring()),
+                     run);
+  }
+  // A cancellation the token did not ask for can only be the runner's `step`
+  // fault: record it as injected so the watchdog retries the attempt, unless
+  // the completed prefix already colored the graph.
+  if (run.cancelled && !token.stop_requested() &&
+      run.verdict == Verdict::kUnknown) {
+    run.limit = util::LimitReason::kInjected;
+  }
   return run;
 }
 

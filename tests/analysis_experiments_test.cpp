@@ -31,7 +31,6 @@ TEST(DefaultConfig, MatchesPaperDesignPoint) {
   const auto cfg = analysis::default_machine_config();
   EXPECT_EQ(cfg.num_colors, 4u);
   EXPECT_EQ(cfg.num_stages(), 2u);
-  EXPECT_DOUBLE_EQ(cfg.network.natural_frequency_hz, 1.3e9);
   EXPECT_EQ(cfg.network.shil_order, 2u);
   EXPECT_NEAR(cfg.total_time_s(), 60e-9, 1e-15);
 }

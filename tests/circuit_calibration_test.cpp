@@ -8,7 +8,6 @@
 #include <numbers>
 
 #include "msropm/circuit/fabric.hpp"
-#include "msropm/circuit/rosc.hpp"
 #include "msropm/graph/graph.hpp"
 #include "msropm/util/rng.hpp"
 

@@ -119,36 +119,29 @@ TEST(Fabric, ShilWaveTiming) {
   EXPECT_DOUBLE_EQ(fabric.shil_wave(1, 0.6 * period), 1.0);
 }
 
-TEST(Fabric, DisabledOscillatorParksAtResetPattern) {
-  // L_EN off: the ring parks at the alternating rail pattern (a gated ring
-  // holds definite logic levels) and stops oscillating; others keep running.
+TEST(Fabric, StaggeredRingParksAtResetPatternUntilReleased) {
+  // Before its release instant a ring is held at the alternating rail
+  // pattern (a gated ring holds definite logic levels) and produces no
+  // edges; once released it oscillates.
   const auto g = graph::Graph(2);
   RoscFabric fabric(g, FabricParams::paper_defaults());
   util::Rng rng(3);
-  fabric.randomize(rng);
-  fabric.set_oscillator_enable(1, false);
-  fabric.run(5e-9);
-  const double vdd = fabric.params().inverter.vdd;
-  EXPECT_NEAR(fabric.output(1), vdd, 0.05);      // stage 0 parks high
-  EXPECT_NEAR(fabric.voltage(1, 1), 0.0, 0.05);  // stage 1 parks low
-  EXPECT_GT(fabric.measured_frequency(0), 1.0e9);  // osc 0 still alive
-  // Parked ring produces no further rising edges: frequency measured from
-  // its (at most one) startup crossing stays far from the running rings.
-  const double f1 = fabric.measured_frequency(1);
-  EXPECT_TRUE(f1 == 0.0 || f1 < 0.5e9) << f1;
-}
-
-TEST(Fabric, GlobalEnableParksEverything) {
-  const auto g = graph::Graph(2);
-  RoscFabric fabric(g, FabricParams::paper_defaults());
-  fabric.set_global_enable(false);
+  fabric.stagger_startup(rng, 1.0);  // releases fall far beyond this window
+  fabric.randomize(rng);             // knock both rings off the pattern
   fabric.run(5e-9);
   const double vdd = fabric.params().inverter.vdd;
   for (std::size_t o = 0; o < 2; ++o) {
     for (std::size_t s = 0; s < 11; ++s) {
       const double target = (s % 2 == 0) ? vdd : 0.0;
-      EXPECT_NEAR(fabric.voltage(o, s), target, 0.05);
+      EXPECT_NEAR(fabric.voltage(o, s), target, 0.05) << o << "/" << s;
     }
+    // The pull to the pattern is monotone: at most one crossing, no period.
+    EXPECT_EQ(fabric.measured_frequency(o), 0.0) << o;
+  }
+  fabric.stagger_startup(rng, 1e-9);
+  fabric.run(10e-9);
+  for (std::size_t o = 0; o < 2; ++o) {
+    EXPECT_GT(fabric.measured_frequency(o), 1.0e9) << o;
   }
 }
 
@@ -195,7 +188,6 @@ TEST(Fabric, ValidatesArguments) {
   EXPECT_THROW((void)fabric.voltage(2, 0), std::out_of_range);
   EXPECT_THROW((void)fabric.voltage(0, 11), std::out_of_range);
   EXPECT_THROW((void)fabric.output(5), std::out_of_range);
-  EXPECT_THROW(fabric.set_oscillator_enable(9, true), std::out_of_range);
   EXPECT_THROW(fabric.set_edge_enable({1, 1}), std::invalid_argument);
   EXPECT_THROW(fabric.set_shil_select({0}), std::invalid_argument);
   auto bad = FabricParams::paper_defaults();

@@ -1,91 +1,65 @@
-// Tests for the standalone ring oscillator and edge-phase detection.
+// Tests for a lone ring oscillator (a one-node fabric) and edge-phase
+// detection.
 #include "msropm/circuit/rosc.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
 
-#include "msropm/util/rng.hpp"
+#include "msropm/circuit/fabric.hpp"
+#include "msropm/graph/graph.hpp"
 
 namespace {
 
 using namespace msropm::circuit;
 
-TEST(RingOscillator, RejectsEvenOrTinyRings) {
-  const InverterParams p;
-  EXPECT_THROW(RingOscillator(4, p), std::invalid_argument);
-  EXPECT_THROW(RingOscillator(1, p), std::invalid_argument);
-  EXPECT_NO_THROW(RingOscillator(3, p));
-  EXPECT_NO_THROW(RingOscillator(11, p));
+/// A lone ring is a one-node fabric (couplings and SHIL start off).
+RoscFabric lone_ring(const msropm::graph::Graph& one_node, unsigned stages,
+                     const InverterParams& inverter) {
+  FabricParams params;
+  params.stages = stages;
+  params.inverter = inverter;
+  params.dt = 1e-12;
+  return RoscFabric(one_node, params);
 }
 
-TEST(RingOscillator, OscillatesRailToRail) {
-  auto params = calibrate_for_frequency(1.3e9, 11);
-  RingOscillator osc(11, params);
-  const double dt = 1e-12;
+TEST(OneNodeFabric, RejectsEvenOrTinyRings) {
+  const msropm::graph::Graph g(1);
+  const InverterParams p;
+  EXPECT_THROW(lone_ring(g, 4, p), std::invalid_argument);
+  EXPECT_THROW(lone_ring(g, 1, p), std::invalid_argument);
+  EXPECT_NO_THROW(lone_ring(g, 3, p));
+  EXPECT_NO_THROW(lone_ring(g, 11, p));
+}
+
+TEST(OneNodeFabric, OscillatesRailToRail) {
+  const msropm::graph::Graph g(1);
+  const auto params = calibrate_for_frequency(1.3e9, 11);
+  RoscFabric ring = lone_ring(g, 11, params);
   double vmin = 1.0;
   double vmax = 0.0;
   // Skip startup transient, then observe two periods.
-  for (int i = 0; i < 3000; ++i) osc.step_rk4(dt);
+  for (int i = 0; i < 3000; ++i) ring.step();
   for (int i = 0; i < 2000; ++i) {
-    osc.step_rk4(dt);
-    vmin = std::min(vmin, osc.output());
-    vmax = std::max(vmax, osc.output());
+    ring.step();
+    vmin = std::min(vmin, ring.output(0));
+    vmax = std::max(vmax, ring.output(0));
   }
   EXPECT_LT(vmin, 0.15 * params.vdd);
   EXPECT_GT(vmax, 0.85 * params.vdd);
 }
 
-TEST(RingOscillator, FrequencyNearPaperTarget) {
+TEST(OneNodeFabric, FrequencyNearPaperTarget) {
   // 11-stage ring calibrated for the paper's 1.3 GHz; the behavioural model
   // must land within 25% (tests measure, benches report the exact value).
-  auto params = calibrate_for_frequency(1.3e9, 11);
-  RingOscillator osc(11, params);
-  EdgePhaseDetector det(params.vdd / 2);
-  const double dt = 1e-12;
-  double t = 0.0;
-  for (int i = 0; i < 12000; ++i) {
-    osc.step_rk4(dt);
-    t += dt;
-    det.observe(t, osc.output());
-  }
-  ASSERT_TRUE(det.has_period());
-  EXPECT_NEAR(det.frequency(), 1.3e9, 1.3e9 * 0.25);
-}
-
-TEST(RingOscillator, MoreStagesOscillateSlower) {
-  const InverterParams p = calibrate_for_frequency(1.3e9, 11);
-  auto measure = [&p](unsigned stages) {
-    RingOscillator osc(stages, p);
-    EdgePhaseDetector det(p.vdd / 2);
-    double t = 0.0;
-    for (int i = 0; i < 20000; ++i) {
-      osc.step_rk4(1e-12);
-      t += 1e-12;
-      det.observe(t, osc.output());
-    }
-    return det.frequency();
-  };
-  EXPECT_GT(measure(5), measure(11));
-}
-
-TEST(RingOscillator, RandomizeSetsVoltagesInRails) {
-  msropm::util::Rng rng(3);
-  RingOscillator osc(11, InverterParams{});
-  osc.randomize(rng);
-  for (double v : osc.voltages()) {
-    EXPECT_GE(v, 0.0);
-    EXPECT_LE(v, 1.0);
-  }
-}
-
-TEST(RingOscillator, SetVoltagesValidatesSize) {
-  RingOscillator osc(3, InverterParams{});
-  EXPECT_THROW(osc.set_voltages({0.1, 0.2}), std::invalid_argument);
-  osc.set_voltages({0.1, 0.2, 0.3});
-  EXPECT_DOUBLE_EQ(osc.voltages()[2], 0.3);
+  const msropm::graph::Graph g(1);
+  RoscFabric ring = lone_ring(g, 11, calibrate_for_frequency(1.3e9, 11));
+  for (int i = 0; i < 12000; ++i) ring.step();
+  ASSERT_TRUE(ring.detector(0).has_period());
+  EXPECT_NEAR(ring.measured_frequency(0), 1.3e9, 1.3e9 * 0.25);
 }
 
 TEST(EdgePhaseDetector, DetectsRisingCrossings) {

@@ -3,13 +3,16 @@
 portfolio_sweep, driven as subprocesses on a generated 3x3 King's graph.
 
 Pins what scripted users depend on: verdict exit codes (also when a `step`
-fault cancels the machine run), exit 2 on every usage error (missing flag
-value, unknown or deleted flag, a non-numeric or negative positional
-number, zero iterations, bad --jobs, unknown --strategies name, malformed
---fault-spec or MSROPM_FAULT, a deleted fault site), one "last value wins" warning per repeated
-observability flag, metrics files written even when the input file is
-missing, and the --chromatic verdict line. Apart from that line, only exit
-codes, files and the warning substring are asserted, never message wording.
+fault cancels the machine run, in dimacs_solver and in the portfolio's
+msropm attempt), exit 2 on every usage error (missing flag value, unknown or
+deleted flag, a non-numeric or negative positional number, zero iterations
+or more than the shared iteration bound, bad --jobs, unknown --strategies
+name, malformed --fault-spec or MSROPM_FAULT, a deleted fault site), one
+"last value wins" warning per repeated observability flag, metrics files
+written even when the input file is missing, and the --chromatic verdict
+line. Apart from that line, the "colored" row, the iteration bound's value
+and the warning substring, only exit codes and files are asserted, never
+message wording.
 
 Usage: cli_contract_test.py DIMACS_SOLVER PORTFOLIO_SWEEP OBS
 where OBS is the MSROPM_OBS setting the binaries were built with (ON/OFF).
@@ -94,6 +97,14 @@ class CliContract(unittest.TestCase):
     def test_portfolio_sweep_decides_everything(self):
         self.assertExit(run(SWEEP, ["--kings", "4", "--kings-unsat", "4"]), 0)
 
+    def test_portfolio_sweep_retries_msropm_after_step_fault(self):
+        # step:1 cancels the first machine run before its first batch; the
+        # watchdog retries the attempt as injected, and the retry colors.
+        proc = run(SWEEP, ["--kings", "6", "--strategies", "msropm",
+                           "--fault-spec", "step:1"])
+        self.assertExit(proc, 0)
+        self.assertIn("colored", proc.stdout)
+
     # --- usage errors ------------------------------------------------------
 
     def test_usage_errors_exit_2(self):
@@ -130,6 +141,16 @@ class CliContract(unittest.TestCase):
         for name, (binary, args) in cases.items():
             with self.subTest(case=name):
                 self.assertExit(run(binary, args), 2)
+
+    def test_iteration_count_over_the_bound_exits_2(self):
+        # Both CLIs share one iteration bound and name it in the diagnostic.
+        for binary, args in (
+                (DIMACS, [self.graph, "4", "1000000000000", "7"]),
+                (SWEEP, ["--strategies", "msropm:1000000000000"])):
+            with self.subTest(binary=os.path.basename(binary)):
+                proc = run(binary, args)
+                self.assertExit(proc, 2)
+                self.assertIn("100000", proc.stderr)
 
     def test_malformed_fault_env_exits_2(self):
         env = {"MSROPM_FAULT": BAD_FAULT_SPEC}

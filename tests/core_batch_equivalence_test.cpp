@@ -48,7 +48,6 @@ MsropmConfig machine_config(double noise, double mismatch_hz) {
   config.network.frequency_mismatch_stddev_hz = mismatch_hz;
   config.network.dt = 2.0e-11;
   config.shil_ramp = phase::GainRamp{0.0, 0.5};
-  config.couplings_during_lock = true;
   return config;
 }
 
@@ -112,7 +111,7 @@ MsropmResult reference_solve(const MultiStagePottsMachine& machine,
     if (observer) observer(stage, "anneal", net);
 
     // --- lock: ramped SHIL binarizes each group ----------------------
-    net.set_couplings_active(0, config_.couplings_during_lock);
+    net.set_couplings_active(0, true);
     net.set_shil_active(0, true);
     net.set_shil_level(0, 1.0);
     net.run(config_.schedule.discretize_s, rngs, &config_.shil_ramp);

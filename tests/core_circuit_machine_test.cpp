@@ -116,48 +116,4 @@ TEST(CircuitMachine, ReasonableQualityOnTinyProblem) {
   EXPECT_GE(best, 0.8);
 }
 
-
-TEST(CircuitMachine, DeadOscillatorReportedAndIsolated) {
-  // Failure injection: one defective cell. The run must complete, report
-  // the dead cell, and still color the surviving sub-graph sensibly.
-  const auto g = graph::kings_graph(3, 3);
-  auto cfg = quick_config();
-  cfg.disabled_oscillators = {4};  // center cell (highest degree)
-  CircuitMsropm machine(g, cfg);
-  util::Rng rng(17);
-  const auto r = machine.solve(rng);
-  ASSERT_EQ(r.dead_oscillators, std::vector<std::size_t>{4});
-  EXPECT_EQ(r.colors[4], 0);  // dead cells latch color 0 by convention
-  // Live-live edges only: quality should not collapse.
-  std::size_t live_edges = 0;
-  std::size_t live_proper = 0;
-  for (const auto& e : g.edges()) {
-    if (e.u == 4 || e.v == 4) continue;
-    ++live_edges;
-    if (r.colors[e.u] != r.colors[e.v]) ++live_proper;
-  }
-  ASSERT_GT(live_edges, 0u);
-  EXPECT_GE(static_cast<double>(live_proper) / live_edges, 0.5);
-}
-
-TEST(CircuitMachine, AllOscillatorsDeadStillTerminates) {
-  const auto g = graph::path_graph(2);
-  auto cfg = quick_config();
-  cfg.disabled_oscillators = {0, 1};
-  CircuitMsropm machine(g, cfg);
-  util::Rng rng(3);
-  const auto r = machine.solve(rng);
-  EXPECT_EQ(r.dead_oscillators.size(), 2u);
-  EXPECT_EQ(r.colors, graph::Coloring({0, 0}));
-}
-
-TEST(CircuitMachine, DisabledOscillatorOutOfRangeThrows) {
-  const auto g = graph::path_graph(2);
-  auto cfg = quick_config();
-  cfg.disabled_oscillators = {7};
-  CircuitMsropm machine(g, cfg);
-  util::Rng rng(3);
-  EXPECT_THROW((void)machine.solve(rng), std::out_of_range);
-}
-
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for partition support (P_EN masking, induced subgraphs, merging).
+// Tests for partition support (induced subgraphs, merging).
 #include "msropm/graph/partition.hpp"
 
 #include <gtest/gtest.h>
@@ -11,29 +11,6 @@
 namespace {
 
 using namespace msropm::graph;
-
-TEST(PartitionMask, IntraEdgesStayOn) {
-  const Graph g = path_graph(4);  // edges 01,12,23
-  const std::vector<std::uint8_t> labels{0, 0, 1, 1};
-  const auto mask = intra_partition_edge_mask(g, labels);
-  ASSERT_EQ(mask.size(), 3u);
-  EXPECT_EQ(mask[0], 1);  // 0-1 same side
-  EXPECT_EQ(mask[1], 0);  // 1-2 cut
-  EXPECT_EQ(mask[2], 1);  // 2-3 same side
-}
-
-TEST(PartitionMask, SizeMismatchThrows) {
-  const Graph g = path_graph(3);
-  EXPECT_THROW(intra_partition_edge_mask(g, {0, 1}), std::invalid_argument);
-  EXPECT_THROW((void)cut_size(g, {0}), std::invalid_argument);
-}
-
-TEST(CutSize, CountsCrossingEdges) {
-  const Graph g = complete_graph(4);
-  EXPECT_EQ(cut_size(g, {0, 0, 1, 1}), 4u);
-  EXPECT_EQ(cut_size(g, {0, 0, 0, 0}), 0u);
-  EXPECT_EQ(cut_size(g, {0, 1, 1, 1}), 3u);
-}
 
 TEST(SplitByLabels, ProducesInducedSubgraphs) {
   const Graph g = cycle_graph(6);
@@ -95,16 +72,17 @@ TEST(MergeLabels, SizeMismatchThrows) {
   EXPECT_THROW(merge_labels(2, parts, vals), std::invalid_argument);
 }
 
-TEST(Partition, MaskAndSplitConsistent) {
-  // Edges cut by the mask = edges that vanish from the induced subgraphs.
+TEST(Partition, SplitKeepsExactlyTheIntraPartitionEdges) {
+  // Edges whose endpoints share a label survive in the induced subgraphs;
+  // edges across the cut vanish.
   const Graph g = kings_graph(3, 3);
   const std::vector<std::uint8_t> labels{0, 1, 0, 1, 0, 1, 0, 1, 0};
-  const auto mask = intra_partition_edge_mask(g, labels);
   std::size_t kept = 0;
-  for (auto m : mask) kept += m;
+  for (const Edge& e : g.edges()) kept += labels[e.u] == labels[e.v] ? 1 : 0;
+  ASSERT_GT(kept, 0u);
+  ASSERT_LT(kept, g.num_edges());
   const auto parts = split_by_labels(g, labels, 2);
   EXPECT_EQ(parts[0].graph.num_edges() + parts[1].graph.num_edges(), kept);
-  EXPECT_EQ(kept + cut_size(g, labels), g.num_edges());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for the solver portfolio and the batch sweep engine: strategy
 // plumbing, fixed-seed determinism, verdict identity across worker counts,
-// UNSAT proofs, timeouts, and the report table.
+// UNSAT proofs, timeouts, the watchdog retry of an injected machine fault,
+// and the report table.
 #include "msropm/portfolio/portfolio.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "msropm/graph/builders.hpp"
 #include "msropm/graph/coloring.hpp"
 #include "msropm/portfolio/sweep.hpp"
+#include "msropm/util/fault_injector.hpp"
 #include "msropm/util/rng.hpp"
 
 namespace {
@@ -123,6 +125,29 @@ TEST(Portfolio, MsropmStrategyReturnsOnlyProperColorings) {
     ASSERT_TRUE(result.coloring.has_value());
     EXPECT_TRUE(graph::is_proper_coloring(g, *result.coloring, 4));
   }
+}
+
+TEST(Portfolio, MsropmStepFaultIsRetriedAsInjected) {
+  // step:1 cancels the first machine run before its first batch while the
+  // attempt's stop token never trips: the attempt is an injected fault, so
+  // the watchdog retries it once and the retry runs to the end.
+  struct Disarm {
+    ~Disarm() { util::fault::disarm(); }
+  } disarm_on_exit;
+  const auto g = graph::kings_graph_square(6);
+  PortfolioOptions options;
+  options.strategies.assign(1, portfolio::StrategyConfig{});
+  options.strategies[0].kind = StrategyKind::kMsropm;
+  options.strategies[0].msropm_iterations = 8;
+  options.retry_backoff_ms = 0;
+  ASSERT_TRUE(util::fault::configure("step:1"));
+  const PortfolioResult result = portfolio::solve_portfolio(g, 4, options);
+  EXPECT_EQ(util::fault::hits(util::FaultSite::kBatchStep), 1u);
+  ASSERT_EQ(result.outcomes.size(), 1u);
+  const auto& outcome = result.outcomes[0];
+  EXPECT_EQ(outcome.retries, 1u);
+  EXPECT_FALSE(outcome.cancelled);
+  EXPECT_EQ(outcome.limit, util::LimitReason::kNone);
 }
 
 TEST(Portfolio, ValidatesArguments) {
