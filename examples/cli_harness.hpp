@@ -26,15 +26,16 @@
 #include <string>
 #include <utility>
 
+#include "msropm/core/runner.hpp"
 #include "msropm/obs/obs.hpp"
 #include "msropm/util/fault_injector.hpp"
 
 namespace msropm::cli {
 
-/// Largest machine iteration count either CLI accepts. core::run_iterations
-/// allocates one result record per requested iteration before it runs any,
-/// so a larger count is a usage error (exit 2), not an out-of-memory crash.
-inline constexpr long long kMaxIterations = 100000;
+/// Largest machine iteration count either CLI accepts: core::kMaxIterations,
+/// checked at the command line so a larger count is a usage error (exit 2).
+inline constexpr long long kMaxIterations =
+    static_cast<long long>(core::kMaxIterations);
 
 inline bool write_text_file(const std::string& path, const std::string& content) {
   std::ofstream file(path, std::ios::binary);

@@ -4,8 +4,11 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
+#include "msropm/obs/obs.hpp"
 #include "msropm/util/strings.hpp"
+#include "msropm/util/tokenizer.hpp"
 
 namespace msropm::graph {
 
@@ -23,38 +26,48 @@ constexpr long long kMaxDeclaredEdges = 1LL << 31;  // 2G edge records
                            std::to_string(line_no) + ": " + what);
 }
 
-}  // namespace
-
-Graph read_dimacs(std::istream& in) {
+// Parse a whole buffer. `io_error` marks a stream read that died part way
+// (the text then ends at its last complete line): it is reported after the
+// lines that were read, ahead of the end-of-input checks.
+Graph parse_dimacs(std::string_view text, bool io_error) {
+  static const obs::MetricId parse_timer = obs::timer("graph.parse");
+  obs::Span span("graph.parse", parse_timer);
+  span.arg("bytes", text.size());
   std::optional<GraphBuilder> builder;
   std::size_t declared_edges = 0;
   std::size_t edge_records = 0;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto trimmed = util::trim(line);
-    if (trimmed.empty() || trimmed[0] == 'c') continue;
-    const auto tokens = util::split_ws(trimmed);
-    if (tokens[0] == "p") {
+  util::LineTokenizer lines(text);
+  while (lines.next_line()) {
+    const std::size_t line_no = lines.line_no();
+    const std::string_view record = lines.next_token();
+    if (record.empty() || record[0] == 'c') continue;
+    if (record == "p") {
       if (builder) fail(line_no, "duplicate problem line");
-      if (tokens.size() != 4 || (tokens[1] != "edge" && tokens[1] != "col")) {
+      const auto kind = lines.next_token();
+      const auto n_token = lines.next_token();
+      const auto m_token = lines.next_token();
+      if (m_token.empty() || !lines.next_token().empty() ||
+          (kind != "edge" && kind != "col")) {
         fail(line_no, "expected 'p edge <n> <m>'");
       }
       // parse_int rejects anything that overflows long long outright; the
       // explicit caps below reject in-range-but-absurd declarations.
-      const auto n = util::parse_int(tokens[2]);
-      const auto m = util::parse_int(tokens[3]);
+      const auto n = util::parse_int(n_token);
+      const auto m = util::parse_int(m_token);
       if (!n || !m || *n < 0 || *m < 0) fail(line_no, "bad node/edge counts");
       if (*n > kMaxDeclaredNodes) fail(line_no, "node count too large");
       if (*m > kMaxDeclaredEdges) fail(line_no, "edge count too large");
       builder.emplace(static_cast<std::size_t>(*n));
       declared_edges = static_cast<std::size_t>(*m);
-    } else if (tokens[0] == "e") {
+    } else if (record == "e") {
       if (!builder) fail(line_no, "edge before problem line");
-      if (tokens.size() != 3) fail(line_no, "expected 'e <u> <v>'");
-      const auto u = util::parse_int(tokens[1]);
-      const auto v = util::parse_int(tokens[2]);
+      const auto u_token = lines.next_token();
+      const auto v_token = lines.next_token();
+      if (v_token.empty() || !lines.next_token().empty()) {
+        fail(line_no, "expected 'e <u> <v>'");
+      }
+      const auto u = util::parse_int(u_token);
+      const auto v = util::parse_int(v_token);
       if (!u || !v) fail(line_no, "bad edge endpoints");
       const auto n = static_cast<long long>(builder->num_nodes());
       if (*u < 1 || *u > n || *v < 1 || *v > n) fail(line_no, "endpoint out of range");
@@ -62,12 +75,12 @@ Graph read_dimacs(std::istream& in) {
       builder->add_edge(static_cast<NodeId>(*u - 1), static_cast<NodeId>(*v - 1));
       ++edge_records;
     } else {
-      fail(line_no, "unknown record '" + tokens[0] + "'");
+      fail(line_no, "unknown record '" + std::string(record) + "'");
     }
   }
   // Distinguish EOF from an I/O error mid-file: a read that died partway
   // must not be handed back as a (silently smaller) valid graph.
-  if (in.bad()) {
+  if (io_error) {
     throw std::runtime_error("DIMACS parse error: I/O error while reading");
   }
   if (!builder) throw std::runtime_error("DIMACS parse error: no problem line");
@@ -86,9 +99,15 @@ Graph read_dimacs(std::istream& in) {
   return builder->build();
 }
 
+}  // namespace
+
+Graph read_dimacs(std::istream& in) {
+  const std::string text = util::read_complete_lines(in);
+  return parse_dimacs(text, in.bad());
+}
+
 Graph read_dimacs_string(const std::string& content) {
-  std::istringstream in(content);
-  return read_dimacs(in);
+  return parse_dimacs(content, false);
 }
 
 Graph read_dimacs_file(const std::string& path) {

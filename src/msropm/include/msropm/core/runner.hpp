@@ -22,6 +22,11 @@
 
 namespace msropm::core {
 
+/// Largest iteration count run_iterations accepts. It sizes one result
+/// record per requested iteration before it runs any, so a larger count is
+/// rejected up front instead of failing to allocate.
+inline constexpr std::size_t kMaxIterations = 100000;
+
 struct IterationOutcome {
   MsropmResult result;
   double coloring_accuracy = 0.0;  ///< satisfied edges / total edges
@@ -69,7 +74,8 @@ struct RunnerOptions {
   util::StopToken stop{};
 };
 
-/// Run the machine `options.iterations` times and summarize.
+/// Run the machine `options.iterations` times and summarize. Throws
+/// std::invalid_argument when `options.iterations` exceeds kMaxIterations.
 [[nodiscard]] RunSummary run_iterations(const MultiStagePottsMachine& machine,
                                         const RunnerOptions& options);
 

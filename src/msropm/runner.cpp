@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "msropm/util/fault_injector.hpp"
@@ -26,6 +28,10 @@ std::vector<double> RunSummary::stage1_cut_series() const {
 RunSummary run_iterations(const MultiStagePottsMachine& machine,
                           const RunnerOptions& options) {
   const std::size_t iters = options.iterations;
+  if (iters > kMaxIterations) {
+    throw std::invalid_argument("run_iterations: more than " +
+                                std::to_string(kMaxIterations) + " iterations");
+  }
   const std::size_t batch = std::max<std::size_t>(1, options.batch_size);
   RunSummary summary;
   summary.iterations.resize(iters);

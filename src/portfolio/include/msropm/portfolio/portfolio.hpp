@@ -59,6 +59,7 @@ struct StrategyConfig {
   StrategyKind kind = StrategyKind::kDsatur;
   /// MSROPM: Monte-Carlo iteration budget (the paper's best-of-40), driven
   /// through core::run_iterations' batched solve path in one worker thread.
+  /// At most core::kMaxIterations (run_portfolio_batch rejects more).
   std::size_t msropm_iterations = 40;
 };
 
@@ -186,7 +187,8 @@ struct PortfolioJob {
 
 /// Run the portfolio over a batch of instances on one shared worker pool.
 /// Returns one PortfolioResult per job, in job order. Throws
-/// std::invalid_argument on an empty strategy list, a null graph, or
+/// std::invalid_argument on an empty strategy list, an msropm slot whose
+/// msropm_iterations exceeds core::kMaxIterations, a null graph, or
 /// num_colors outside [2, 255].
 [[nodiscard]] std::vector<PortfolioResult> run_portfolio_batch(
     const std::vector<PortfolioJob>& jobs, const PortfolioOptions& options,

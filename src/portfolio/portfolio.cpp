@@ -5,6 +5,7 @@
 #include <chrono>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -289,6 +290,14 @@ std::vector<PortfolioResult> run_portfolio_batch(
     Schedule schedule) {
   if (options.strategies.empty()) {
     throw std::invalid_argument("portfolio: strategy list is empty");
+  }
+  for (const StrategyConfig& config : options.strategies) {
+    if (config.kind == StrategyKind::kMsropm &&
+        config.msropm_iterations > core::kMaxIterations) {
+      throw std::invalid_argument(
+          "portfolio: msropm_iterations must be at most " +
+          std::to_string(core::kMaxIterations));
+    }
   }
   for (const PortfolioJob& job : jobs) {
     if (job.graph == nullptr) {

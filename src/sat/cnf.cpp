@@ -2,8 +2,10 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "msropm/util/strings.hpp"
+#include "msropm/util/tokenizer.hpp"
 
 namespace msropm::sat {
 
@@ -36,27 +38,31 @@ bool Cnf::satisfied_by(const std::vector<std::uint8_t>& assignment) const {
   return true;
 }
 
-Cnf read_dimacs_cnf(std::istream& in) {
-  std::string line;
-  std::size_t line_no = 0;
+namespace {
+
+Cnf parse_dimacs_cnf(std::string_view text) {
   bool have_header = false;
   bool eof_marker = false;
   std::size_t declared_vars = 0;
   std::size_t declared_clauses = 0;
   Cnf cnf;
   Clause current;
-  while (!eof_marker && std::getline(in, line)) {
-    ++line_no;
-    const auto trimmed = util::trim(line);
-    if (trimmed.empty() || trimmed[0] == 'c') continue;
-    const auto tokens = util::split_ws(trimmed);
-    if (tokens[0] == "p") {
-      if (have_header || tokens.size() != 4 || tokens[1] != "cnf") {
+  util::LineTokenizer lines(text);
+  while (!eof_marker && lines.next_line()) {
+    const std::size_t line_no = lines.line_no();
+    std::string_view token = lines.next_token();
+    if (token.empty() || token[0] == 'c') continue;
+    if (token == "p") {
+      const auto kind = lines.next_token();
+      const auto v_token = lines.next_token();
+      const auto c_token = lines.next_token();
+      if (have_header || c_token.empty() || !lines.next_token().empty() ||
+          kind != "cnf") {
         throw std::runtime_error("DIMACS CNF: bad problem line at line " +
                                  std::to_string(line_no));
       }
-      const auto v = util::parse_int(tokens[2]);
-      const auto c = util::parse_int(tokens[3]);
+      const auto v = util::parse_int(v_token);
+      const auto c = util::parse_int(c_token);
       if (!v || !c || *v < 0 || *c < 0 ||
           static_cast<unsigned long long>(*v) > kMaxVars) {
         throw std::runtime_error("DIMACS CNF: bad counts at line " +
@@ -72,14 +78,14 @@ Cnf read_dimacs_cnf(std::istream& in) {
       throw std::runtime_error("DIMACS CNF: clause before header at line " +
                                std::to_string(line_no));
     }
-    for (const auto& tok : tokens) {
-      if (tok == "%") {
+    for (; !token.empty(); token = lines.next_token()) {
+      if (token == "%") {
         // Conventional SATLIB end-of-file marker: stop parsing and ignore
         // whatever follows (typically a stray "0" line).
         eof_marker = true;
         break;
       }
-      const auto value = util::parse_int(tok);
+      const auto value = util::parse_int(token);
       if (!value) {
         throw std::runtime_error("DIMACS CNF: bad literal at line " +
                                  std::to_string(line_no));
@@ -111,9 +117,14 @@ Cnf read_dimacs_cnf(std::istream& in) {
   return cnf;
 }
 
+}  // namespace
+
+Cnf read_dimacs_cnf(std::istream& in) {
+  return parse_dimacs_cnf(util::read_complete_lines(in));
+}
+
 Cnf read_dimacs_cnf_string(const std::string& content) {
-  std::istringstream in(content);
-  return read_dimacs_cnf(in);
+  return parse_dimacs_cnf(content);
 }
 
 void write_dimacs_cnf(std::ostream& out, const Cnf& cnf) {

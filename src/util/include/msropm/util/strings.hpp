@@ -12,9 +12,6 @@ namespace msropm::util {
 [[nodiscard]] std::vector<std::string> split(std::string_view s, char delim,
                                              bool skip_empty = true);
 
-/// Split on any whitespace run.
-[[nodiscard]] std::vector<std::string> split_ws(std::string_view s);
-
 /// Trim ASCII whitespace from both ends.
 [[nodiscard]] std::string_view trim(std::string_view s) noexcept;
 

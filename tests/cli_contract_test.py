@@ -9,10 +9,11 @@ deleted flag, a non-numeric or negative positional number, zero iterations
 or more than the shared iteration bound, bad --jobs, unknown --strategies
 name, malformed --fault-spec or MSROPM_FAULT, a deleted fault site), one
 "last value wins" warning per repeated observability flag, metrics files
-written even when the input file is missing, and the --chromatic verdict
-line. Apart from that line, the "colored" row, the iteration bound's value
-and the warning substring, only exit codes and files are asserted, never
-message wording.
+written even when the input file is missing, the --chromatic verdict line,
+and the library timers of the parse and DSATUR layers in the --metrics
+report. Apart from that line, the timer rows, the "colored" row, the
+iteration bound's value and the warning substring, only exit codes and files
+are asserted, never message wording.
 
 Usage: cli_contract_test.py DIMACS_SOLVER PORTFOLIO_SWEEP OBS
 where OBS is the MSROPM_OBS setting the binaries were built with (ON/OFF).
@@ -21,6 +22,7 @@ Registered with ctest as cli_contract_py_test.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -181,6 +183,16 @@ class CliContract(unittest.TestCase):
         proc = run(DIMACS, [self.graph, "4", "4", "1", "--metrics", "--metrics"])
         self.assertExit(proc, 10)
         self.assertEqual(proc.stderr.count(REPEAT_WARNING), 1, proc.stderr)
+
+    def test_metrics_report_times_parse_and_dsatur(self):
+        # The graph reader and DSATUR time themselves inside the library,
+        # so the report attributes both layers without a caller stopwatch.
+        proc = run(DIMACS, [self.graph, "4", "4", "1", "--sat", "--metrics"])
+        self.assertExit(proc, 10)
+        if OBS_ON:
+            for timer in ("graph.parse", "solvers.dsatur"):
+                self.assertRegex(proc.stdout,
+                                 rf"(?m)^{re.escape(timer)}\s+timer\s+[1-9]")
 
     # --- metrics files survive input errors --------------------------------
 

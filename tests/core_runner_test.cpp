@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "msropm/analysis/experiments.hpp"
 #include "msropm/graph/builders.hpp"
@@ -29,6 +30,16 @@ TEST(Runner, ProducesRequestedIterations) {
   EXPECT_EQ(summary.iterations.size(), 8u);
   EXPECT_EQ(summary.accuracy_series().size(), 8u);
   EXPECT_EQ(summary.stage1_cut_series().size(), 8u);
+}
+
+TEST(Runner, RejectsIterationCountAboveTheCapBeforeAllocating) {
+  const auto g = graph::kings_graph(3, 3);
+  const auto machine = small_machine(g);
+  RunnerOptions opts;
+  opts.iterations = 1'000'000'000'000;  // would not fit in memory
+  EXPECT_THROW((void)run_iterations(machine, opts), std::invalid_argument);
+  opts.iterations = core::kMaxIterations + 1;
+  EXPECT_THROW((void)run_iterations(machine, opts), std::invalid_argument);
 }
 
 TEST(Runner, SummaryStatisticsConsistent) {

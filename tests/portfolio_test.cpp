@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "msropm/core/runner.hpp"
 #include "msropm/graph/builders.hpp"
 #include "msropm/graph/coloring.hpp"
 #include "msropm/portfolio/sweep.hpp"
@@ -148,6 +150,24 @@ TEST(Portfolio, MsropmStepFaultIsRetriedAsInjected) {
   EXPECT_EQ(outcome.retries, 1u);
   EXPECT_FALSE(outcome.cancelled);
   EXPECT_EQ(outcome.limit, util::LimitReason::kNone);
+}
+
+TEST(Portfolio, RejectsMsropmIterationBudgetAboveTheCap) {
+  // The cap is checked before any attempt runs: an oversized budget is a
+  // bad config, not an attempt that fails to allocate and gets retried.
+  const auto g = graph::kings_graph_square(4);
+  PortfolioOptions options;
+  options.strategies.assign(1, portfolio::StrategyConfig{});
+  options.strategies[0].kind = StrategyKind::kMsropm;
+  options.strategies[0].msropm_iterations = 1'000'000'000'000;
+  EXPECT_THROW((void)portfolio::solve_portfolio(g, 4, options),
+               std::invalid_argument);
+  options.strategies[0].msropm_iterations = core::kMaxIterations + 1;
+  EXPECT_THROW((void)portfolio::solve_portfolio(g, 4, options),
+               std::invalid_argument);
+  // The budget only matters to msropm slots.
+  options.strategies[0].kind = StrategyKind::kDsatur;
+  EXPECT_EQ(portfolio::solve_portfolio(g, 4, options).verdict, Verdict::kColored);
 }
 
 TEST(Portfolio, ValidatesArguments) {

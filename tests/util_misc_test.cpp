@@ -1,11 +1,18 @@
 // Tests for histogram, table rendering and string utilities.
 #include <gtest/gtest.h>
 
+#include <istream>
+#include <sstream>
 #include <stdexcept>
+#include <streambuf>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "msropm/util/histogram.hpp"
 #include "msropm/util/strings.hpp"
 #include "msropm/util/table.hpp"
+#include "msropm/util/tokenizer.hpp"
 
 namespace {
 
@@ -121,11 +128,67 @@ TEST(Strings, SplitKeepEmpty) {
   EXPECT_EQ(parts[1], "");
 }
 
-TEST(Strings, SplitWhitespace) {
-  const auto parts = msropm::util::split_ws("  p edge\t49   156 ");
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "p");
-  EXPECT_EQ(parts[3], "156");
+// Drains the tokenizer: one token list per line.
+std::vector<std::vector<std::string>> tokenize(std::string_view text) {
+  std::vector<std::vector<std::string>> lines;
+  msropm::util::LineTokenizer tok(text);
+  while (tok.next_line()) {
+    EXPECT_EQ(tok.line_no(), lines.size() + 1);
+    auto& line = lines.emplace_back();
+    for (auto t = tok.next_token(); !t.empty(); t = tok.next_token()) {
+      line.emplace_back(t);
+    }
+  }
+  return lines;
+}
+
+TEST(LineTokenizer, SplitsOnWhitespaceRuns) {
+  const auto lines = tokenize("  p edge\t49   156 ");
+  ASSERT_EQ(lines.size(), 1u);
+  ASSERT_EQ(lines[0].size(), 4u);
+  EXPECT_EQ(lines[0][0], "p");
+  EXPECT_EQ(lines[0][3], "156");
+}
+
+TEST(LineTokenizer, LinesEndAtNewlineOnly) {
+  using Lines = std::vector<std::vector<std::string>>;
+  EXPECT_EQ(tokenize(""), Lines{});
+  EXPECT_EQ(tokenize("\n"), (Lines{{}}));
+  EXPECT_EQ(tokenize("a\n\nb"), (Lines{{"a"}, {}, {"b"}}));
+  EXPECT_EQ(tokenize("a b\r\nc\r\n"), (Lines{{"a", "b"}, {"c"}}));
+  // A lone CR, VT or FF separates tokens but does not end the line.
+  EXPECT_EQ(tokenize("a\rb\vc\fd"), (Lines{{"a", "b", "c", "d"}}));
+  EXPECT_EQ(tokenize(std::string_view("a\0b c", 5)),
+            (Lines{{std::string("a\0b", 3), "c"}}));
+}
+
+// A stream that fails part way keeps only the lines read in full.
+TEST(LineTokenizer, ReadCompleteLinesDropsALineCutShort) {
+  struct FailAfter : std::streambuf {
+    std::string text;
+    std::size_t pos = 0;
+    std::size_t limit = 0;
+    int_type underflow() override {
+      if (pos >= text.size()) return traits_type::eof();
+      if (pos >= limit) throw std::ios_base::failure("device error");
+      return traits_type::to_int_type(text[pos]);
+    }
+    int_type uflow() override {
+      const int_type c = underflow();
+      if (!traits_type::eq_int_type(c, traits_type::eof())) ++pos;
+      return c;
+    }
+  };
+  FailAfter buf;
+  buf.text = "p edge 2 1\ne 1 2\n";
+  buf.limit = 14;  // inside the second line
+  std::istream in(&buf);
+  EXPECT_EQ(msropm::util::read_complete_lines(in), "p edge 2 1\n");
+  EXPECT_TRUE(in.bad());
+
+  std::istringstream whole("a\nb");
+  EXPECT_EQ(msropm::util::read_complete_lines(whole), "a\nb\n");
+  EXPECT_FALSE(whole.bad());
 }
 
 TEST(Strings, Trim) {
