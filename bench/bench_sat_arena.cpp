@@ -3,6 +3,7 @@
 // the ClauseArena port instead of leaving it anecdotal.
 //
 // Reported per instance:
+//   - allocations inside encode_coloring (rows built by the encoder)
 //   - allocations during Solver construction (ingest)
 //   - allocations during solve() (the search hot path)
 //   - learnt clauses created during search
@@ -12,8 +13,11 @@
 // and one per learnt clause (~100k small allocations on the 46x46 King's
 // instance); the arena build must ingest in O(vars + log clauses)
 // allocations and learn clauses with amortized O(log) arena growths. The
-// bench FAILS (exit 1) if search allocations scale with the number of learnt
-// clauses, so the property is tracked by CI rather than asserted in prose.
+// encoder appends to one pre-sized literal pool, so it allocates a handful of
+// times per formula, not once per clause. The bench FAILS (exit 1) if encode
+// allocations scale with the clause count, or search allocations with the
+// number of learnt clauses, so the properties are tracked by CI rather than
+// asserted in prose.
 //
 // Usage: bench_sat_arena
 
@@ -21,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <string>
 
 #include "msropm/graph/builders.hpp"
@@ -114,7 +119,7 @@ const char* result_name(sat::SolveResult r) {
 int main() {
   using namespace msropm;
 
-  util::TextTable table({"instance", "clauses", "alloc_construct",
+  util::TextTable table({"instance", "clauses", "alloc_encode", "alloc_construct",
                          "alloc_solve", "learnt", "result",
                          "solve_allocs_per_1k_learnt"});
   util::BenchJsonWriter json("bench_sat_arena");
@@ -124,6 +129,7 @@ int main() {
     std::string name;
     sat::Cnf cnf;
     sat::SolverOptions options;
+    std::optional<std::uint64_t> encode_allocs;  // set for encoder-built rows
   };
   std::vector<Row> rows;
 
@@ -132,17 +138,20 @@ int main() {
   // pre-arena solver paid one vector per clause = ~47k allocations).
   {
     const auto g = graph::kings_graph_square(46);
+    const std::uint64_t before_encode = g_allocs.load();
     auto enc = sat::encode_coloring(g, 4);
-    rows.push_back({"kings_46x46_4col", std::move(enc.cnf), {}});
+    const std::uint64_t encode_allocs = g_allocs.load() - before_encode;
+    rows.push_back({"kings_46x46_4col", std::move(enc.cnf), {}, encode_allocs});
   }
   // Conflict-heavy rows: search-phase allocations must not scale with the
   // thousands of learnt clauses created.
-  rows.push_back({"rand3sat_170_r4.26", random_3sat(170, 4.26, 2), {}});
+  rows.push_back(
+      {"rand3sat_170_r4.26", random_3sat(170, 4.26, 2), {}, std::nullopt});
   {
     sat::SolverOptions reduce_heavy;
     reduce_heavy.learnt_cap = 64;
-    rows.push_back(
-        {"rand3sat_170_r4.26_cap64", random_3sat(170, 4.26, 2), reduce_heavy});
+    rows.push_back({"rand3sat_170_r4.26_cap64", random_3sat(170, 4.26, 2),
+                    reduce_heavy, std::nullopt});
   }
 
   for (const Row& row : rows) {
@@ -152,11 +161,13 @@ int main() {
                       : 1000.0 * static_cast<double>(m.solve_allocs) /
                             static_cast<double>(m.learnt);
     table.add_row({row.name, std::to_string(row.cnf.num_clauses()),
+                   row.encode_allocs ? std::to_string(*row.encode_allocs) : "-",
                    std::to_string(m.construct_allocs),
                    std::to_string(m.solve_allocs), std::to_string(m.learnt),
                    result_name(m.result), util::format_double(per_1k, 1)});
     json.begin_row(row.name);
     json.metric("clauses", static_cast<std::uint64_t>(row.cnf.num_clauses()));
+    if (row.encode_allocs) json.metric("alloc_encode", *row.encode_allocs);
     json.metric("alloc_construct", m.construct_allocs);
     json.metric("alloc_solve", m.solve_allocs);
     json.metric("learnt", m.learnt);
@@ -164,6 +175,8 @@ int main() {
     json.metric("result", result_name(m.result));
 
     // Zero-per-clause criteria:
+    //  (0) encoding must not allocate per clause: the per-clause encoder
+    //      made ~35k allocations on 46x46 (bound 64 + clauses / 1024 = 98).
     //  (a) ingestion allocations must scale with the variable count (watch
     //      lists are per-literal), not the clause count. The bound is
     //      calibrated so the pre-arena number fails: 46x46 ingest was 45.9k
@@ -182,6 +195,17 @@ int main() {
                    static_cast<unsigned long long>(m.construct_allocs),
                    row.cnf.num_clauses(), static_cast<unsigned long long>(vars),
                    static_cast<unsigned long long>(alloc_bound));
+      ok = false;
+    }
+    const std::uint64_t encode_bound = 64 + row.cnf.num_clauses() / 1024;
+    if (row.encode_allocs && *row.encode_allocs >= encode_bound) {
+      std::fprintf(stderr,
+                   "FAIL %s: %llu encode allocations for %zu clauses (bound "
+                   "%llu; per-clause allocation is back)\n",
+                   row.name.c_str(),
+                   static_cast<unsigned long long>(*row.encode_allocs),
+                   row.cnf.num_clauses(),
+                   static_cast<unsigned long long>(encode_bound));
       ok = false;
     }
     if (m.learnt > 1000 && m.solve_allocs >= m.learnt / 2) {

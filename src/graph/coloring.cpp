@@ -3,12 +3,17 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "msropm/obs/obs.hpp"
+
 namespace msropm::graph {
 
 std::size_t count_conflicts(const Graph& g, const Coloring& colors) {
   if (colors.size() != g.num_nodes()) {
     throw std::invalid_argument("count_conflicts: coloring size mismatch");
   }
+  static const obs::MetricId verify_timer = obs::timer("graph.verify");
+  obs::Span span("graph.verify", verify_timer);
+  span.arg("edges", g.num_edges());
   std::size_t conflicts = 0;
   for (const Edge& e : g.edges()) {
     conflicts += (colors[e.u] == colors[e.v]) ? 1 : 0;

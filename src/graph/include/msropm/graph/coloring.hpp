@@ -16,7 +16,9 @@ namespace msropm::graph {
 using Color = std::uint8_t;
 using Coloring = std::vector<Color>;
 
-/// Number of edges whose endpoints share a color (violations).
+/// Number of edges whose endpoints share a color (violations). This is the
+/// one verification pass every check below runs; it publishes the gated obs
+/// timer `graph.verify`.
 [[nodiscard]] std::size_t count_conflicts(const Graph& g, const Coloring& colors);
 
 /// Number of properly colored edges.

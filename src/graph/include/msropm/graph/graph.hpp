@@ -4,7 +4,8 @@
 // All problem instances in the paper (King's graphs of 49..2116 nodes) and all
 // solver substrates (SAT encoder, phase engine coupling network, circuit
 // netlist) consume this structure. Node ids are dense [0, n). Edges are
-// stored once in the edge list (u < v) and twice in the CSR adjacency.
+// stored once in the edge list (u < v) and twice in the CSR adjacency, whose
+// 32-bit offsets cap a graph at 2^31 - 1 edges.
 
 #include <cstdint>
 #include <span>
@@ -28,24 +29,35 @@ class Graph;
 /// Mutable accumulator for edges; finalizes into an immutable Graph.
 /// Duplicate edges and self-loops are rejected (the Potts formulation assumes
 /// a simple graph).
+///
+/// Nothing is stored per node: edges go to one flat list, and duplicates are
+/// found in an open-addressing hash set of packed (u << 32 | v) keys whose
+/// size follows the edges added, not the nodes declared. build() orders the
+/// edges with two stable counting sorts and fills the CSR arrays in that
+/// order, so a builder for 2^26 isolated nodes costs only the Graph's
+/// offsets array.
 class GraphBuilder {
  public:
   explicit GraphBuilder(std::size_t num_nodes);
 
   /// Add undirected edge {u, v}. Returns false (and ignores) duplicates;
-  /// throws std::invalid_argument on self-loops or out-of-range ids.
+  /// throws std::invalid_argument on self-loops or out-of-range ids, and
+  /// std::length_error past the 2^31 - 1 edges 32-bit CSR offsets can hold.
   bool add_edge(NodeId u, NodeId v);
 
   [[nodiscard]] std::size_t num_nodes() const noexcept { return n_; }
   [[nodiscard]] std::size_t num_edges() const noexcept { return edges_.size(); }
 
-  /// Build the immutable graph (sorts adjacency, computes CSR).
+  /// Build the immutable graph: lexicographic edge list and sorted adjacency
+  /// in O(n + m), by counting sort.
   [[nodiscard]] Graph build() const;
 
  private:
+  void grow_table();
+
   std::size_t n_;
-  std::vector<Edge> edges_;
-  std::vector<std::vector<NodeId>> adj_;  // for duplicate detection
+  std::vector<Edge> edges_;           // insertion order, u < v
+  std::vector<std::uint64_t> table_;  // hash set of edge keys, 0 = empty slot
 };
 
 class Graph {
@@ -82,9 +94,9 @@ class Graph {
 
  private:
   friend class GraphBuilder;
-  std::vector<std::size_t> offsets_;  // size n+1
-  std::vector<NodeId> adjacency_;     // size 2m
-  std::vector<Edge> edges_;           // size m, u < v, lexicographic
+  std::vector<std::uint32_t> offsets_;  // size n+1
+  std::vector<NodeId> adjacency_;       // size 2m
+  std::vector<Edge> edges_;             // size m, u < v, lexicographic
 };
 
 }  // namespace msropm::graph

@@ -17,7 +17,9 @@ namespace {
 // Untrusted-input ceilings: a header like "p edge 9999999999999 1" must be
 // rejected as malformed, not honored with a multi-gigabyte allocation (or a
 // silent NodeId truncation — node ids are uint32_t). The caps comfortably
-// exceed every published DIMACS coloring instance.
+// exceed every published DIMACS coloring instance. A header at the node cap
+// costs only the Graph's 32-bit offsets array (256 MiB): GraphBuilder keeps
+// nothing per node.
 constexpr long long kMaxDeclaredNodes = 1LL << 26;  // 67M nodes
 constexpr long long kMaxDeclaredEdges = 1LL << 31;  // 2G edge records
 

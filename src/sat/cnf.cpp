@@ -9,22 +9,15 @@
 
 namespace msropm::sat {
 
-void Cnf::add_clause(const Clause& clause) { add_clause(Clause(clause)); }
-
-void Cnf::add_clause(Clause&& clause) {
-  for (Lit l : clause) {
-    if (l.var() >= num_vars_) {
-      throw std::invalid_argument("Cnf::add_clause: literal var out of range");
-    }
-  }
-  clauses_.push_back(std::move(clause));
+void Cnf::throw_var_out_of_range() {
+  throw std::invalid_argument("Cnf::add_clause: literal var out of range");
 }
 
 bool Cnf::satisfied_by(const std::vector<std::uint8_t>& assignment) const {
   if (assignment.size() != num_vars_) {
     throw std::invalid_argument("Cnf::satisfied_by: assignment size mismatch");
   }
-  for (const Clause& c : clauses_) {
+  for (const std::span<const Lit> c : clauses()) {
     bool sat = false;
     for (Lit l : c) {
       const bool value = assignment[l.var()] != 0;
@@ -39,6 +32,13 @@ bool Cnf::satisfied_by(const std::vector<std::uint8_t>& assignment) const {
 }
 
 namespace {
+
+// Untrusted-input ceiling on the header's variable count, the graph
+// reader's node cap: the Solver sizes its per-variable arrays by the
+// declaration, so "p cnf 2000000000 1" must be rejected, not honored with
+// gigabytes of watch lists. It is far below 2^31, so every accepted literal
+// also packs into a 32-bit Lit and its DIMACS integer fits an int.
+constexpr long long kMaxDeclaredVars = 1LL << 26;
 
 Cnf parse_dimacs_cnf(std::string_view text) {
   bool have_header = false;
@@ -63,8 +63,7 @@ Cnf parse_dimacs_cnf(std::string_view text) {
       }
       const auto v = util::parse_int(v_token);
       const auto c = util::parse_int(c_token);
-      if (!v || !c || *v < 0 || *c < 0 ||
-          static_cast<unsigned long long>(*v) > kMaxVars) {
+      if (!v || !c || *v < 0 || *c < 0 || *v > kMaxDeclaredVars) {
         throw std::runtime_error("DIMACS CNF: bad counts at line " +
                                  std::to_string(line_no));
       }
@@ -91,7 +90,7 @@ Cnf parse_dimacs_cnf(std::string_view text) {
                                  std::to_string(line_no));
       }
       if (*value == 0) {
-        cnf.add_clause(std::move(current));
+        cnf.add_clause(current);
         current.clear();
       } else {
         // Range-check before negating: -INT64_MIN has no representation.
@@ -129,7 +128,7 @@ Cnf read_dimacs_cnf_string(const std::string& content) {
 
 void write_dimacs_cnf(std::ostream& out, const Cnf& cnf) {
   out << "p cnf " << cnf.num_vars() << " " << cnf.num_clauses() << "\n";
-  for (const Clause& c : cnf.clauses()) {
+  for (const std::span<const Lit> c : cnf.clauses()) {
     for (Lit l : c) out << l.to_dimacs() << " ";
     out << "0\n";
   }

@@ -1,15 +1,20 @@
 #include "msropm/sat/coloring_encoder.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <array>
 #include <stdexcept>
 #include <string>
 #include <utility>
+
+#include "msropm/obs/obs.hpp"
 
 namespace msropm::sat {
 
 graph::Coloring ColoringEncoding::decode(
     const std::vector<std::uint8_t>& model) const {
+  static const obs::MetricId decode_timer = obs::timer("sat.decode");
+  obs::Span span("sat.decode", decode_timer);
+  span.arg("nodes", num_nodes);
   graph::Coloring colors(num_nodes, 0);
   for (graph::NodeId v = 0; v < num_nodes; ++v) {
     bool found = false;
@@ -38,11 +43,17 @@ namespace {
 /// Nodes by decreasing degree, ties by index: the greedy order of both
 /// greedy_clique and greedy_coloring_bound.
 std::vector<graph::NodeId> degree_order(const graph::Graph& g) {
-  std::vector<graph::NodeId> order(g.num_nodes());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&g](graph::NodeId a, graph::NodeId b) {
-    return g.degree(a) != g.degree(b) ? g.degree(a) > g.degree(b) : a < b;
-  });
+  // Sort packed (max_degree - degree, id) keys, one integer compare a step.
+  const std::uint64_t top = g.max_degree();
+  std::vector<std::uint64_t> keys(g.num_nodes());
+  for (graph::NodeId v = 0; v < keys.size(); ++v) {
+    keys[v] = ((top - g.degree(v)) << 32) | v;
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<graph::NodeId> order(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    order[i] = static_cast<graph::NodeId>(keys[i]);
+  }
   return order;
 }
 
@@ -107,18 +118,26 @@ ColoringEncoding encode_coloring(const graph::Graph& g, unsigned num_colors,
                                 std::to_string(num_colors) +
                                 " outside [1, 255]");
   }
+  static const obs::MetricId encode_timer = obs::timer("sat.encode");
+  obs::Span span("sat.encode", encode_timer);
+  span.arg("nodes", g.num_nodes());
+  span.arg("colors", num_colors);
   ColoringEncoding enc;
   enc.num_nodes = g.num_nodes();
   enc.num_colors = num_colors;
   enc.cnf = Cnf(g.num_nodes() * num_colors);
+  // One at-least-one clause per node and one binary per edge and color, plus
+  // at most num_colors symmetry-breaking units: the pool is sized once.
+  const std::size_t edge_clauses = g.num_edges() * num_colors;
+  enc.cnf.reserve(g.num_nodes() + edge_clauses + num_colors,
+                  g.num_nodes() * num_colors + 2 * edge_clauses + num_colors);
 
+  std::array<Lit, 255> at_least_one;
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    Clause at_least_one;
-    at_least_one.reserve(num_colors);
     for (unsigned c = 0; c < num_colors; ++c) {
-      at_least_one.push_back(pos(enc.var_of(v, c)));
+      at_least_one[c] = pos(enc.var_of(v, c));
     }
-    enc.cnf.add_clause(std::move(at_least_one));
+    enc.cnf.add_clause(std::span<const Lit>(at_least_one.data(), num_colors));
   }
   for (const graph::Edge& e : g.edges()) {
     for (unsigned c = 0; c < num_colors; ++c) {

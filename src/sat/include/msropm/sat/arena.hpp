@@ -35,6 +35,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "msropm/sat/cnf.hpp"
@@ -98,7 +99,7 @@ class ClauseArena {
     alloc_words_ += need;
     return ref;
   }
-  ClauseRef alloc(const Clause& c, bool learnt) {
+  ClauseRef alloc(std::span<const Lit> c, bool learnt) {
     return alloc(c.data(), c.size(), learnt);
   }
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 
 #include "msropm/obs/obs.hpp"
 #include "msropm/util/fault_injector.hpp"
@@ -183,7 +184,7 @@ void Solver::init_from(const Cnf& cnf) {
   stored.reserve(cnf.num_clauses());
   std::size_t ingested = 0;
   const std::uint64_t mem_cap = options_.budget.max_memory_bytes;
-  for (const Clause& c : cnf.clauses()) {
+  for (const std::span<const Lit> c : cnf.clauses()) {
     if ((ingested++ & 2047) == 0) {
       if (options_.stop.stop_requested()) {
         // Partial clause DB: any UNSAT already derived (ok_ == false) is
@@ -205,8 +206,9 @@ void Solver::init_from(const Cnf& cnf) {
         break;
       }
     }
-    // Copy into the reused scratch buffer: ingestion allocates literal
-    // storage only in the arena, never one vector per clause.
+    // Copy the pool span into the reused scratch buffer (normalization sorts
+    // it in place): ingestion allocates literal storage only in the arena,
+    // never one vector per clause.
     ingest_scratch_.assign(c.begin(), c.end());
     ingest_clause(std::move(ingest_scratch_), stored, binaries);
     if (!ok_) break;

@@ -184,13 +184,15 @@ class CliContract(unittest.TestCase):
         self.assertExit(proc, 10)
         self.assertEqual(proc.stderr.count(REPEAT_WARNING), 1, proc.stderr)
 
-    def test_metrics_report_times_parse_and_dsatur(self):
-        # The graph reader and DSATUR time themselves inside the library,
-        # so the report attributes both layers without a caller stopwatch.
+    def test_metrics_report_times_the_exact_path(self):
+        # The graph reader, DSATUR, the encoder, decode and the conflict
+        # check time themselves inside the library, so the report attributes
+        # every exact-path layer without a caller stopwatch.
         proc = run(DIMACS, [self.graph, "4", "4", "1", "--sat", "--metrics"])
         self.assertExit(proc, 10)
         if OBS_ON:
-            for timer in ("graph.parse", "solvers.dsatur"):
+            for timer in ("graph.parse", "solvers.dsatur", "sat.encode",
+                          "sat.decode", "graph.verify"):
                 self.assertRegex(proc.stdout,
                                  rf"(?m)^{re.escape(timer)}\s+timer\s+[1-9]")
 

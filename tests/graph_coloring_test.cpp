@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "msropm/graph/builders.hpp"
+#include "msropm/obs/obs.hpp"
 
 namespace {
 
@@ -21,6 +22,33 @@ TEST(Conflicts, CountsMonochromaticEdges) {
 TEST(Conflicts, SizeMismatchThrows) {
   const Graph g = path_graph(3);
   EXPECT_THROW((void)count_conflicts(g, {0, 1}), std::invalid_argument);
+}
+
+// The graph.verify timer is write-only: the conflict count is identical with
+// metrics and tracing on or off, and each count records one duration.
+TEST(Conflicts, ObsOnOrOffGivesIdenticalCounts) {
+  const auto quiet = [] {
+    msropm::obs::set_metrics_enabled(false);
+    msropm::obs::set_tracing_enabled(false);
+    msropm::obs::reset();
+  };
+  const Graph g = kings_graph_square(9);
+  Coloring colors(g.num_nodes());
+  for (std::size_t v = 0; v < colors.size(); ++v) colors[v] = static_cast<Color>(v % 3);
+  quiet();
+  const std::size_t off = count_conflicts(g, colors);
+  msropm::obs::set_metrics_enabled(true);
+  msropm::obs::set_tracing_enabled(true);
+  const std::size_t on = count_conflicts(g, colors);
+#if !defined(MSROPM_OBS_DISABLED)
+  const auto snap = msropm::obs::snapshot_metrics();
+  const auto* timer = snap.find_timer("graph.verify");
+  ASSERT_NE(timer, nullptr);
+  EXPECT_EQ(timer->stats.count(), 1u);
+#endif
+  quiet();
+  EXPECT_EQ(on, off);
+  EXPECT_GT(off, 0u);
 }
 
 TEST(Accuracy, MatchesSatisfiedFraction) {

@@ -224,6 +224,8 @@ std::vector<std::string> corpus() {
       "p edge 3 1\ne 1.0 2\n",
       "p edge 3 1\ne 1 0x2\n",
       "p edge 3 1\ne -1 2\n",
+      // At the node cap: accepted, and costs only the offsets array.
+      "p edge 67108864 0\n",
       "p edge 67108865 0\n",
       "p edge 0 2147483649\n",
       "p edge 3 0\ne 1 2\n",

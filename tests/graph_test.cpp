@@ -3,15 +3,141 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "msropm/graph/builders.hpp"
+#include "msropm/util/rng.hpp"
 
 namespace {
 
+using msropm::graph::Edge;
 using msropm::graph::Graph;
 using msropm::graph::GraphBuilder;
 using msropm::graph::NodeId;
+
+// ---------------------------------------------------------------------------
+// The builder that kept one neighbour vector per node (linear-find duplicate
+// check, comparison sort of the edges, a sort per adjacency list), frozen as
+// the reference the hash-set / counting-sort builder must reproduce.
+// ---------------------------------------------------------------------------
+
+class ReferenceBuilder {
+ public:
+  explicit ReferenceBuilder(std::size_t n) : n_(n), adj_(n) {}
+
+  bool add_edge(NodeId u, NodeId v) {
+    if (u >= n_ || v >= n_) throw std::invalid_argument("GraphBuilder: node id out of range");
+    if (u == v) throw std::invalid_argument("GraphBuilder: self-loop rejected");
+    if (u > v) std::swap(u, v);
+    auto& nbrs = adj_[u];
+    if (std::find(nbrs.begin(), nbrs.end(), v) != nbrs.end()) return false;
+    nbrs.push_back(v);
+    adj_[v].push_back(u);
+    edges_.push_back(Edge{u, v});
+    return true;
+  }
+
+  /// The built graph's edge list: lexicographic.
+  [[nodiscard]] std::vector<Edge> edges() const {
+    std::vector<Edge> sorted = edges_;
+    std::sort(sorted.begin(), sorted.end(), [](const Edge& a, const Edge& b) {
+      return a.u != b.u ? a.u < b.u : a.v < b.v;
+    });
+    return sorted;
+  }
+
+  /// The built graph's adjacency lists: ascending.
+  [[nodiscard]] std::vector<std::vector<NodeId>> neighbors() const {
+    auto lists = adj_;
+    for (auto& list : lists) std::sort(list.begin(), list.end());
+    return lists;
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<Edge> edges_;
+  std::vector<std::vector<NodeId>> adj_;
+};
+
+// Message of the std::invalid_argument `add` throws, or "" if it returns.
+template <typename Add>
+std::string invalid_argument_of(Add add) {
+  try {
+    add();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Seeded add sequences, duplicates and reversed pairs included: the builder
+// answers every add_edge like the reference and builds the same graph.
+TEST(GraphBuilderReference, SeededAddSequencesMatch) {
+  msropm::util::Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + rng.uniform_index(trial < 100 ? 12 : 300);
+    const std::size_t adds = rng.uniform_index(4 * n * n / 3 + 2);
+    SCOPED_TRACE("trial " + std::to_string(trial) + ", n " + std::to_string(n));
+    ReferenceBuilder reference(n);
+    GraphBuilder builder(n);
+    for (std::size_t k = 0; k < adds; ++k) {
+      const auto u = static_cast<NodeId>(rng.uniform_index(n));
+      const auto v = static_cast<NodeId>(rng.uniform_index(n));
+      if (u == v) continue;
+      ASSERT_EQ(builder.add_edge(u, v), reference.add_edge(u, v));
+    }
+    const Graph g = builder.build();
+    const auto edges = reference.edges();
+    ASSERT_EQ(g.num_nodes(), n);
+    ASSERT_TRUE(std::ranges::equal(g.edges(), edges));
+    const auto lists = reference.neighbors();
+    for (NodeId u = 0; u < n; ++u) {
+      ASSERT_TRUE(std::ranges::equal(g.neighbors(u), lists[u])) << "node " << u;
+    }
+  }
+}
+
+// Dense and edgeless extremes, and an add order that is already sorted.
+TEST(GraphBuilderReference, CompleteEmptyAndSortedInputsMatch) {
+  for (const std::size_t n : {0u, 1u, 2u, 5u, 64u}) {
+    ReferenceBuilder reference(n);
+    GraphBuilder builder(n);
+    for (NodeId u = 0; u < n; ++u) {
+      for (NodeId v = u + 1; v < n; ++v) {
+        ASSERT_EQ(builder.add_edge(v, u), reference.add_edge(v, u));
+        ASSERT_EQ(builder.add_edge(u, v), reference.add_edge(u, v));
+      }
+    }
+    const Graph g = builder.build();
+    EXPECT_TRUE(std::ranges::equal(g.edges(), reference.edges()));
+    const auto lists = reference.neighbors();
+    for (NodeId u = 0; u < n; ++u) {
+      EXPECT_TRUE(std::ranges::equal(g.neighbors(u), lists[u]));
+    }
+    EXPECT_EQ(GraphBuilder(n).build(), Graph(n));
+  }
+}
+
+TEST(GraphBuilderReference, SameErrorsAsReference) {
+  const std::size_t n = 5;
+  const std::pair<NodeId, NodeId> bad[] = {{2, 2}, {0, 0}, {0, 5}, {5, 0}, {7, 7},
+                                           {4, 4000000000u}};
+  for (const auto& [u, v] : bad) {
+    ReferenceBuilder reference(n);
+    GraphBuilder builder(n);
+    const std::string expected = invalid_argument_of([&] { reference.add_edge(u, v); });
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(invalid_argument_of([&] { builder.add_edge(u, v); }), expected)
+        << u << "-" << v;
+    // A rejected add leaves the builder unchanged.
+    EXPECT_EQ(builder.num_edges(), 0u);
+    EXPECT_TRUE(builder.add_edge(0, 1));
+  }
+}
 
 TEST(GraphBuilder, RejectsSelfLoops) {
   GraphBuilder b(3);

@@ -23,6 +23,7 @@
 #include <chrono>
 #include <cstdio>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,8 +54,8 @@ class Solver {
       : options_(options) {
     setup_arrays(cnf.num_vars());
     clauses_.reserve(cnf.num_clauses());
-    for (const Clause& c : cnf.clauses()) {
-      ingest_clause(Clause(c));
+    for (const std::span<const Lit> c : cnf.clauses()) {
+      ingest_clause(Clause(c.begin(), c.end()));
       if (!ok_) return;
     }
   }

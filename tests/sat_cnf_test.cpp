@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <stdexcept>
 
 namespace {
@@ -88,6 +90,20 @@ TEST(DimacsCnf, RejectsMalformed) {
   EXPECT_THROW(read_dimacs_cnf_string("p cnf x 1\n"), std::runtime_error);
 }
 
+TEST(DimacsCnf, RejectsVariableCountAboveCap) {
+  // The Solver sizes its per-variable arrays by the declaration, so a count
+  // past the reader's cap (the graph reader's 2^26 nodes) is bad input.
+  EXPECT_NO_THROW((void)read_dimacs_cnf_string("p cnf 67108864 1\n1 0\n"));
+  for (const char* text : {"p cnf 67108865 1\n1 0\n", "p cnf 2000000000 1\n1 0\n"}) {
+    try {
+      (void)read_dimacs_cnf_string(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "DIMACS CNF: bad counts at line 1");
+    }
+  }
+}
+
 TEST(DimacsCnf, RejectsUnencodableVariables) {
   // A variable count beyond what a 32-bit Lit can pack would alias var
   // 2147483648 onto var 0.
@@ -131,16 +147,29 @@ TEST(DimacsCnf, RejectsClauseCountMismatch) {
                std::runtime_error);
 }
 
-TEST(Cnf, AddClauseMovesRvalueStorage) {
+TEST(Cnf, AddClauseAppendsToOnePool) {
   Cnf cnf(3);
-  Clause c{pos(0), neg(1), pos(2)};
-  const Lit* storage = c.data();
-  cnf.add_clause(std::move(c));
-  // The literal buffer must have been moved, not copied.
-  EXPECT_EQ(cnf.clauses()[0].data(), storage);
-  // Range validation still applies on the move path.
-  Clause bad{pos(7)};
-  EXPECT_THROW(cnf.add_clause(std::move(bad)), std::invalid_argument);
+  const Clause c{pos(0), neg(1), pos(2)};
+  cnf.add_clause(c);
+  cnf.add_clause({});
+  cnf.add_binary(neg(2), pos(1));
+  ASSERT_EQ(cnf.num_clauses(), 3u);
+  EXPECT_TRUE(std::ranges::equal(cnf.clause(0), c));
+  EXPECT_TRUE(cnf.clause(1).empty());
+  // Clauses are adjacent ranges of one buffer, in insertion order.
+  EXPECT_EQ(cnf.clause(2).data(), cnf.clause(0).data() + 3);
+  EXPECT_EQ(cnf.clauses()[2][0], neg(2));
+  std::size_t seen = 0;
+  for (const std::span<const Lit> clause : cnf.clauses()) {
+    EXPECT_TRUE(std::ranges::equal(clause, cnf.clause(seen++)));
+  }
+  EXPECT_EQ(seen, 3u);
+  // A clause with an out-of-range literal throws and adds nothing.
+  const Clause bad{pos(0), pos(7)};
+  EXPECT_THROW(cnf.add_clause(bad), std::invalid_argument);
+  EXPECT_EQ(cnf.num_clauses(), 3u);
+  cnf.add_unit(pos(1));
+  EXPECT_EQ(cnf.clause(3).data(), cnf.clause(2).data() + 2);
 }
 
 TEST(DimacsCnf, RoundTrip) {
@@ -152,7 +181,7 @@ TEST(DimacsCnf, RoundTrip) {
   EXPECT_EQ(parsed.num_vars(), cnf.num_vars());
   ASSERT_EQ(parsed.num_clauses(), cnf.num_clauses());
   for (std::size_t i = 0; i < cnf.num_clauses(); ++i) {
-    EXPECT_EQ(parsed.clauses()[i], cnf.clauses()[i]);
+    EXPECT_TRUE(std::ranges::equal(parsed.clause(i), cnf.clause(i)));
   }
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "msropm/graph/builders.hpp"
+#include "msropm/obs/obs.hpp"
 #include "msropm/util/rng.hpp"
 
 namespace {
@@ -190,6 +191,127 @@ TEST(Decode, FirstTrueColorWins) {
   model[enc.var_of(1, 0)] = 1;
   ASSERT_TRUE(enc.cnf.satisfied_by(model));
   EXPECT_EQ(enc.decode(model), (graph::Coloring{1, 0}));
+}
+
+// ---------------------------------------------------------------------------
+// Formula equivalence with the per-clause-vector encoder.
+// ---------------------------------------------------------------------------
+
+/// Frozen reference: the encoder that built one std::vector<Lit> per clause,
+/// with its comparison-sorted greedy clique. The pool encoder must emit the
+/// same clauses, literal for literal, in the same order.
+std::vector<graph::NodeId> reference_greedy_clique(const graph::Graph& g) {
+  std::vector<graph::NodeId> order(g.num_nodes());
+  for (graph::NodeId v = 0; v < order.size(); ++v) order[v] = v;
+  std::sort(order.begin(), order.end(), [&g](graph::NodeId a, graph::NodeId b) {
+    return g.degree(a) != g.degree(b) ? g.degree(a) > g.degree(b) : a < b;
+  });
+  std::vector<graph::NodeId> clique;
+  for (graph::NodeId v : order) {
+    const bool compatible = std::all_of(
+        clique.begin(), clique.end(),
+        [&](graph::NodeId u) { return g.has_edge(u, v); });
+    if (compatible) clique.push_back(v);
+  }
+  std::sort(clique.begin(), clique.end());
+  return clique;
+}
+
+std::vector<Clause> reference_encoding(const graph::Graph& g, unsigned k,
+                                       bool symmetry) {
+  const auto var = [k](graph::NodeId v, unsigned c) {
+    return static_cast<Var>(v * k + c);
+  };
+  std::vector<Clause> clauses;
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    Clause at_least_one;
+    for (unsigned c = 0; c < k; ++c) at_least_one.push_back(pos(var(v, c)));
+    clauses.push_back(std::move(at_least_one));
+  }
+  for (const graph::Edge& e : g.edges()) {
+    for (unsigned c = 0; c < k; ++c) {
+      clauses.push_back({neg(var(e.u, c)), neg(var(e.v, c))});
+    }
+  }
+  if (symmetry) {
+    const auto clique = reference_greedy_clique(g);
+    const auto fixable = std::min<std::size_t>(clique.size(), k);
+    for (std::size_t i = 0; i < fixable; ++i) {
+      clauses.push_back({pos(var(clique[i], static_cast<unsigned>(i)))});
+    }
+  }
+  return clauses;
+}
+
+void expect_same_formula(const std::string& name, const graph::Graph& g) {
+  for (unsigned k = 1; k <= 5; ++k) {
+    for (const bool symmetry : {false, true}) {
+      SCOPED_TRACE(name + " K=" + std::to_string(k) +
+                   " symmetry=" + std::to_string(symmetry));
+      const auto enc = encode_coloring(g, k, {.symmetry_breaking = symmetry});
+      const auto reference = reference_encoding(g, k, symmetry);
+      ASSERT_EQ(enc.cnf.num_vars(), g.num_nodes() * k);
+      ASSERT_EQ(enc.cnf.num_clauses(), reference.size());
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        ASSERT_TRUE(std::ranges::equal(enc.cnf.clause(i), reference[i]))
+            << "clause " << i;
+      }
+      EXPECT_TRUE(std::ranges::equal(greedy_clique(g), reference_greedy_clique(g)));
+    }
+  }
+}
+
+TEST(PoolEncoderEquivalence, KingsGraphs3To46) {
+  for (std::size_t side = 3; side <= 46; ++side) {
+    expect_same_formula("kings_" + std::to_string(side),
+                        graph::kings_graph_square(side));
+  }
+}
+
+TEST(PoolEncoderEquivalence, SeededGnpGraphs) {
+  util::Rng rng(77);
+  for (const std::size_t n : {1u, 2u, 9u, 30u, 60u, 120u}) {
+    for (const double p : {0.0, 0.1, 0.3, 0.7}) {
+      expect_same_formula("gnp_" + std::to_string(n) + "_" + std::to_string(p),
+                          graph::erdos_renyi(n, p, rng));
+    }
+  }
+}
+
+// The sat.encode and sat.decode timers are write-only: the formula and the
+// decoded coloring are identical with metrics and tracing on or off, and
+// each call records one duration.
+TEST(PoolEncoderEquivalence, ObsOnOrOffGivesIdenticalFormulaAndColoring) {
+  const auto quiet = [] {
+    obs::set_metrics_enabled(false);
+    obs::set_tracing_enabled(false);
+    obs::reset();
+  };
+  const auto g = graph::kings_graph_square(12);
+  quiet();
+  const auto off = encode_coloring(g, 4);
+  Solver solver(off.cnf);
+  ASSERT_EQ(solver.solve(), SolveResult::kSat);
+  const graph::Coloring off_colors = off.decode(solver.model());
+  obs::set_metrics_enabled(true);
+  obs::set_tracing_enabled(true);
+  const auto on = encode_coloring(g, 4);
+  const graph::Coloring on_colors = on.decode(solver.model());
+#if !defined(MSROPM_OBS_DISABLED)
+  const auto snap = obs::snapshot_metrics();
+  for (const char* name : {"sat.encode", "sat.decode"}) {
+    const auto* timer = snap.find_timer(name);
+    ASSERT_NE(timer, nullptr) << name;
+    EXPECT_EQ(timer->stats.count(), 1u) << name;
+  }
+#endif
+  quiet();
+  ASSERT_EQ(on.cnf.num_clauses(), off.cnf.num_clauses());
+  for (std::size_t i = 0; i < off.cnf.num_clauses(); ++i) {
+    ASSERT_TRUE(std::ranges::equal(on.cnf.clause(i), off.cnf.clause(i)));
+  }
+  EXPECT_EQ(on_colors, off_colors);
+  EXPECT_TRUE(graph::is_proper_coloring(g, on_colors, 4));
 }
 
 // ---------------------------------------------------------------------------
