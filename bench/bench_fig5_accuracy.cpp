@@ -13,7 +13,7 @@
 #include "msropm/analysis/hamming.hpp"
 #include "msropm/core/runner.hpp"
 #include "msropm/solvers/maxcut_bb.hpp"
-#include "msropm/solvers/maxcut_sa.hpp"
+#include "msropm/solvers/sa_potts.hpp"
 #include "msropm/util/histogram.hpp"
 #include "msropm/util/stats.hpp"
 

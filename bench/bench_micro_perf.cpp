@@ -18,7 +18,6 @@
 #include "msropm/phase/batch.hpp"
 #include "msropm/sat/coloring_encoder.hpp"
 #include "msropm/sat/solver.hpp"
-#include "msropm/solvers/maxcut_sa.hpp"
 #include "msropm/solvers/sa_potts.hpp"
 #include "msropm/util/fault_injector.hpp"
 
@@ -111,17 +110,6 @@ void BM_SaPotts(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SaPotts)->Arg(7)->Arg(20)->Unit(benchmark::kMillisecond);
-
-void BM_MaxCutSa(benchmark::State& state) {
-  const auto side = static_cast<std::size_t>(state.range(0));
-  const auto g = graph::kings_graph_square(side);
-  util::Rng rng(4);
-  for (auto _ : state) {
-    auto result = solvers::solve_maxcut_sa(g, solvers::MaxCutSaOptions{}, rng);
-    benchmark::DoNotOptimize(result.cut);
-  }
-}
-BENCHMARK(BM_MaxCutSa)->Arg(7)->Arg(20)->Unit(benchmark::kMillisecond);
 
 // Overhead gate of the observability contract (src/obs/README.md): with obs
 // compiled in but dynamically disabled, constructing + destroying a Span must

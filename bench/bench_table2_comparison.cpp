@@ -18,7 +18,6 @@
 #include "msropm/power/power_model.hpp"
 #include "msropm/model/maxcut.hpp"
 #include "msropm/solvers/digital_divide.hpp"
-#include "msropm/solvers/maxcut_sa.hpp"
 #include "msropm/solvers/nshil_ropm.hpp"
 #include "msropm/solvers/sa_potts.hpp"
 #include "msropm/util/table.hpp"

@@ -11,7 +11,8 @@
 //
 // colors, iterations and seed are decimal integers; a negative or
 // non-numeric value, zero iterations or more than cli::kMaxIterations
-// (100000) is a usage error (exit 2).
+// (100000) is a usage error (exit 2). So is a graph with more than
+// core::kMaxMachineNodes (65536) nodes, checked right after the read.
 //
 // --trace records msropm::obs spans (SAT solves and their phases) and
 // writes a Chrome trace-event JSON on exit; --metrics enables the obs
@@ -157,6 +158,13 @@ int run_solver_cli(int argc, char** argv) {
   }
   std::printf("%s: %zu nodes, %zu edges, max degree %zu\n", path.c_str(),
               g.num_nodes(), g.num_edges(), g.max_degree());
+  if (g.num_nodes() > core::kMaxMachineNodes) {
+    std::fprintf(stderr,
+                 "error: %zu nodes exceed the machine's limit of %zu "
+                 "(core::kMaxMachineNodes)\n",
+                 g.num_nodes(), core::kMaxMachineNodes);
+    return harness.finish(2);
+  }
 
   if (!core::valid_color_count(colors)) {
     std::fprintf(stderr,

@@ -17,7 +17,7 @@
 #include "msropm/graph/builders.hpp"
 #include "msropm/model/ising.hpp"
 #include "msropm/model/maxcut.hpp"
-#include "msropm/solvers/maxcut_sa.hpp"
+#include "msropm/solvers/sa_potts.hpp"
 #include "msropm/util/rng.hpp"
 
 int main(int argc, char** argv) {
@@ -51,10 +51,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Baseline: simulated annealing (the reference used by the RTWOIM paper).
+  // Baseline: simulated annealing (the reference used by the RTWOIM paper),
+  // one K = 2 Potts anneal.
   util::Rng sa_rng(seed + 1);
-  solvers::MaxCutSaOptions sa_opts;
-  const auto sa = solvers::solve_maxcut_sa(g, sa_opts, sa_rng);
+  const auto sa = solvers::best_known_maxcut(g, 1, sa_rng);
 
   const model::IsingModel ising(g, -1.0);  // anti-ferromagnetic couplings
   std::printf("MSROPM best of %d: cut %zu  (Ising energy %.0f)\n", iterations,

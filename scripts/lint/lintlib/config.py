@@ -76,7 +76,7 @@ ITER_BOUND_RE = re.compile(
 # path polls inside run_task).
 POLLING_CALLEES = ('run', 'solve', 'solve_batch', 'solve_internal',
                    'run_portfolio_batch', 'run_iterations', 'solve_tabucol',
-                   'solve_sa_potts', 'solve_sa_potts_from', 'drain')
+                   'solve_sa_potts', 'drain')
 
 # ---------------------------------------------------------------------------
 # determinism — src/portfolio/README.md "Determinism contract" and

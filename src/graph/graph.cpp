@@ -133,53 +133,4 @@ bool Graph::has_edge(NodeId u, NodeId v) const {
   return std::binary_search(nbrs.begin(), nbrs.end(), v);
 }
 
-std::pair<std::vector<std::uint32_t>, std::size_t> Graph::connected_components() const {
-  const std::size_t n = num_nodes();
-  constexpr std::uint32_t kUnvisited = ~std::uint32_t{0};
-  std::vector<std::uint32_t> comp(n, kUnvisited);
-  std::size_t count = 0;
-  std::vector<NodeId> stack;
-  for (NodeId start = 0; start < n; ++start) {
-    if (comp[start] != kUnvisited) continue;
-    const auto id = static_cast<std::uint32_t>(count++);
-    comp[start] = id;
-    stack.push_back(start);
-    while (!stack.empty()) {
-      const NodeId u = stack.back();
-      stack.pop_back();
-      for (NodeId v : neighbors(u)) {
-        if (comp[v] == kUnvisited) {
-          comp[v] = id;
-          stack.push_back(v);
-        }
-      }
-    }
-  }
-  return {std::move(comp), count};
-}
-
-bool Graph::is_bipartite() const {
-  const std::size_t n = num_nodes();
-  std::vector<int> side(n, -1);
-  std::vector<NodeId> stack;
-  for (NodeId start = 0; start < n; ++start) {
-    if (side[start] != -1) continue;
-    side[start] = 0;
-    stack.push_back(start);
-    while (!stack.empty()) {
-      const NodeId u = stack.back();
-      stack.pop_back();
-      for (NodeId v : neighbors(u)) {
-        if (side[v] == -1) {
-          side[v] = 1 - side[u];
-          stack.push_back(v);
-        } else if (side[v] == side[u]) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace msropm::graph

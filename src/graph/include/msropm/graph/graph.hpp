@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace msropm::graph {
@@ -80,13 +79,6 @@ class Graph {
 
   /// True if {u, v} is an edge (binary search over sorted adjacency).
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
-
-  /// Connected components; returns component id per node and count.
-  [[nodiscard]] std::pair<std::vector<std::uint32_t>, std::size_t>
-  connected_components() const;
-
-  /// True if the graph has no odd cycle (2-colorable).
-  [[nodiscard]] bool is_bipartite() const;
 
   friend bool operator==(const Graph& a, const Graph& b) {
     return a.offsets_ == b.offsets_ && a.edges_ == b.edges_;

@@ -4,8 +4,9 @@
 // After the stage-1 max-cut readout, the MSROPM disables couplings whose
 // endpoints locked to different phases (the P_EN mechanism, paper Sec. 3.3).
 // Architecturally the fabric then behaves as the disjoint union of the
-// induced subgraphs. These helpers express that partition as explicit
-// induced subgraphs with id maps and lift per-subgraph labels back; the
+// induced subgraphs. split_by_labels expresses that partition as explicit
+// induced subgraphs, each with the map from its local ids back to original
+// ids (the digital divide-and-conquer baseline re-solves each one). The
 // machine builds its coupling mask itself, and model::cut_value counts the
 // cut.
 
@@ -26,11 +27,5 @@ struct InducedSubgraph {
 [[nodiscard]] std::vector<InducedSubgraph> split_by_labels(
     const Graph& g, const std::vector<std::uint8_t>& labels,
     std::size_t num_labels);
-
-/// Lift a per-subgraph assignment back to original node ids.
-/// `local_values[p][i]` is the value of subgraph p's local node i.
-[[nodiscard]] std::vector<std::uint8_t> merge_labels(
-    std::size_t num_nodes, const std::vector<InducedSubgraph>& parts,
-    const std::vector<std::vector<std::uint8_t>>& local_values);
 
 }  // namespace msropm::graph

@@ -39,30 +39,4 @@ std::vector<InducedSubgraph> split_by_labels(const Graph& g,
   return parts;
 }
 
-std::vector<std::uint8_t> merge_labels(
-    std::size_t num_nodes, const std::vector<InducedSubgraph>& parts,
-    const std::vector<std::vector<std::uint8_t>>& local_values) {
-  if (parts.size() != local_values.size()) {
-    throw std::invalid_argument("merge_labels: parts/values size mismatch");
-  }
-  std::vector<std::uint8_t> merged(num_nodes, 0);
-  std::vector<std::uint8_t> seen(num_nodes, 0);
-  for (std::size_t p = 0; p < parts.size(); ++p) {
-    const auto& map = parts[p].to_original;
-    const auto& vals = local_values[p];
-    if (map.size() != vals.size()) {
-      throw std::invalid_argument("merge_labels: local value size mismatch");
-    }
-    for (std::size_t i = 0; i < map.size(); ++i) {
-      if (map[i] >= num_nodes) throw std::invalid_argument("merge_labels: bad id map");
-      merged[map[i]] = vals[i];
-      seen[map[i]] = 1;
-    }
-  }
-  for (std::size_t u = 0; u < num_nodes; ++u) {
-    if (!seen[u]) throw std::invalid_argument("merge_labels: node not covered");
-  }
-  return merged;
-}
-
 }  // namespace msropm::graph

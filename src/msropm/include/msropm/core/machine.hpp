@@ -24,6 +24,7 @@
 // Stage-1 with all couplings active is exactly a max-cut solve of the whole
 // graph; its cut is reported for the Fig. 5(b) correlation study.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -76,8 +77,26 @@ struct MsropmResult {
 using StageObserver =
     std::function<void(unsigned, const char*, const phase::PhaseBatch&)>;
 
+/// Largest graph, in nodes, a MultiStagePottsMachine accepts (the node-count
+/// sibling of runner.hpp's kMaxIterations). A run holds every oscillator of
+/// every in-flight replica, so its memory grows with the node count; the
+/// constructor rejects a larger graph up front, before anything is
+/// allocated, instead of letting a hostile DIMACS header exhaust memory.
+///
+/// Sizing: dimacs_solver's default run (40 iterations, batches of 8 on 4
+/// worker threads, 4-vCPU x86-64 host) peaked at 67 MB RSS on a 10,000-node
+/// King's graph, 258 MB on 40,000 nodes and 420 MB on 65,536 (256 x 256),
+/// about 6.4 kB per node, nearly all of it the in-flight replicas' phase
+/// state. 40 iterations are at most 5 batches in flight, so at this cap the
+/// run should stay near 0.5 GB on any host (5/4 of the measured peak). The
+/// largest paper graph (46 x 46, 2116 nodes) is 31x below the cap.
+inline constexpr std::size_t kMaxMachineNodes = std::size_t{1} << 16;
+
 class MultiStagePottsMachine {
  public:
+  /// Throws std::invalid_argument when g has more than kMaxMachineNodes
+  /// nodes, the color count is not a power of two, or the schedule is
+  /// invalid.
   MultiStagePottsMachine(const graph::Graph& g, MsropmConfig config);
 
   [[nodiscard]] const MsropmConfig& config() const noexcept { return config_; }

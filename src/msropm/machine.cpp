@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "msropm/phase/lock.hpp"
@@ -16,6 +17,11 @@ model::CutAssignment MsropmResult::stage1_cut() const {
 MultiStagePottsMachine::MultiStagePottsMachine(const graph::Graph& g,
                                                MsropmConfig config)
     : graph_(&g), config_(config) {
+  if (g.num_nodes() > kMaxMachineNodes) {
+    throw std::invalid_argument(
+        "MultiStagePottsMachine: more than " + std::to_string(kMaxMachineNodes) +
+        " nodes");
+  }
   if (!valid_color_count(config_.num_colors)) {
     throw std::invalid_argument("MultiStagePottsMachine: colors must be 2^m");
   }

@@ -4,6 +4,7 @@
 
 #include "msropm/core/shil_plan.hpp"
 #include "msropm/graph/partition.hpp"
+#include "msropm/solvers/sa_potts.hpp"
 
 namespace msropm::solvers {
 
@@ -34,6 +35,8 @@ DigitalDivideResult solve_digital_divide(const graph::Graph& g,
   }
 
   std::vector<core::StageBits> bits(n);
+  SaPottsOptions kernel;  // per-stage max-cut: a 2-coloring anneal
+  kernel.num_colors = 2;
 
   for (unsigned stage = 1; stage <= num_stages; ++stage) {
     std::vector<graph::InducedSubgraph> next_groups;
@@ -45,23 +48,24 @@ DigitalDivideResult solve_digital_divide(const graph::Graph& g,
           group.graph.num_edges() * sizeof(graph::Edge) +  // couplings in
           group.to_original.size() * sizeof(graph::NodeId);
 
-      MaxCutResult cut = solve_maxcut_sa(group.graph, options.stage_solver, rng);
+      const model::CutAssignment sides =
+          solve_sa_potts(group.graph, kernel, rng).colors;
 
       // "Save state": spins out of the solver into memory.
-      result.bytes_transferred += cut.sides.size() * sizeof(std::uint8_t);
+      result.bytes_transferred += sides.size() * sizeof(std::uint8_t);
 
-      for (std::size_t local = 0; local < cut.sides.size(); ++local) {
-        bits[group.to_original[local]].push_back(cut.sides[local]);
+      for (std::size_t local = 0; local < sides.size(); ++local) {
+        bits[group.to_original[local]].push_back(sides[local]);
       }
       if (stage < num_stages) {
-        auto halves = graph::split_by_labels(group.graph, cut.sides, 2);
+        auto halves = graph::split_by_labels(group.graph, sides, 2);
         for (auto& half : halves) {
           // Rebase the id map onto original ids.
           for (auto& id : half.to_original) id = group.to_original[id];
           next_groups.push_back(std::move(half));
         }
         // "Reload": partitioned state must be read back before next stage.
-        result.bytes_transferred += cut.sides.size() * sizeof(std::uint8_t);
+        result.bytes_transferred += sides.size() * sizeof(std::uint8_t);
       }
     }
     groups = std::move(next_groups);

@@ -2,8 +2,9 @@
 // Digital divide-and-conquer coloring baseline (CPM-style, paper ref. [13]).
 //
 // Runs the same divide-and-color algorithm as the MSROPM but the way a
-// conventional system must: each stage is solved by a software Ising
-// (max-cut) kernel, and between stages the full system state is explicitly
+// conventional system must: each stage is solved by a software max-cut
+// kernel (a K = 2 solve_sa_potts anneal with its default schedule, one per
+// sub-problem), and between stages the full system state is explicitly
 // saved to and reloaded from "memory", with the graph remapped onto the next
 // stage's sub-problems. The tracked transfer/remap volume quantifies the von
 // Neumann bottleneck the MSROPM's compute-in-memory operation avoids
@@ -13,14 +14,12 @@
 
 #include "msropm/graph/coloring.hpp"
 #include "msropm/graph/graph.hpp"
-#include "msropm/solvers/maxcut_sa.hpp"
 #include "msropm/util/rng.hpp"
 
 namespace msropm::solvers {
 
 struct DigitalDivideOptions {
-  unsigned num_colors = 4;           ///< power of two
-  MaxCutSaOptions stage_solver{};    ///< per-stage max-cut kernel
+  unsigned num_colors = 4;  ///< power of two
 };
 
 struct DigitalDivideResult {

@@ -16,7 +16,7 @@
 // vertex is pinned to side 0 (cut symmetry).
 //
 // Practical reach: dense ~30 nodes, sparse lattices ~60+ nodes in well
-// under a second; beyond that use solve_maxcut_sa.
+// under a second; beyond that use best_known_maxcut (sa_potts.hpp).
 
 #include <cstdint>
 #include <vector>

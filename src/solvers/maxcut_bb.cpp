@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
+#include <utility>
 
-#include "msropm/solvers/maxcut_sa.hpp"
+#include "msropm/solvers/sa_potts.hpp"
 #include "msropm/util/rng.hpp"
 
 namespace msropm::solvers {
@@ -26,15 +27,17 @@ class BbSearch {
     links_.assign(n_, {0, 0});
     unassigned_edges_ = g.num_edges();
 
-    // Warm start: seed the incumbent with a quick SA run so the first
-    // descent prunes aggressively. If SA already found the optimum, the
-    // search still certifies it (no bound can exceed it).
+    // Warm start: seed the incumbent with a quick K = 2 anneal (its
+    // conflicts are the uncut edges) so the first descent prunes
+    // aggressively. If SA already found the optimum, the search still
+    // certifies it (no bound can exceed it).
     util::Rng rng(12345);
-    MaxCutSaOptions sa;
+    SaPottsOptions sa;
+    sa.num_colors = 2;
     sa.sweeps = 300;
-    const auto warm = solve_maxcut_sa(g, sa, rng);
-    best_cut_ = warm.cut;
-    best_sides_ = warm.sides;
+    SaPottsResult warm = solve_sa_potts(g, sa, rng);
+    best_cut_ = g.num_edges() - warm.conflicts;
+    best_sides_ = std::move(warm.colors);
   }
 
   MaxCutBbResult run() {

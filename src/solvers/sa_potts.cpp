@@ -7,6 +7,9 @@ namespace msropm::solvers {
 
 namespace {
 
+constexpr double kStartTemperature = 2.0;  ///< conflict units
+constexpr double kEndTemperature = 0.02;
+
 /// Conflicts node u would have with color c.
 std::size_t node_conflicts(const graph::Graph& g, const graph::Coloring& colors,
                            graph::NodeId u, graph::Color c) {
@@ -21,37 +24,23 @@ std::size_t node_conflicts(const graph::Graph& g, const graph::Coloring& colors,
 
 SaPottsResult solve_sa_potts(const graph::Graph& g, const SaPottsOptions& options,
                              util::Rng& rng) {
-  graph::Coloring initial(g.num_nodes());
-  for (auto& c : initial) {
-    c = static_cast<graph::Color>(rng.uniform_index(options.num_colors));
-  }
-  return solve_sa_potts_from(g, std::move(initial), options, rng);
-}
-
-SaPottsResult solve_sa_potts_from(const graph::Graph& g, graph::Coloring colors,
-                                  const SaPottsOptions& options, util::Rng& rng) {
   if (options.num_colors < 2) throw std::invalid_argument("sa_potts: K >= 2");
-  if (colors.size() != g.num_nodes()) {
-    throw std::invalid_argument("sa_potts: initial coloring size mismatch");
-  }
-  if (options.t_start <= 0.0 || options.t_end <= 0.0 ||
-      options.t_end > options.t_start) {
-    throw std::invalid_argument("sa_potts: need t_start >= t_end > 0");
+
+  const std::size_t n = g.num_nodes();
+  graph::Coloring colors(n);
+  for (auto& c : colors) {
+    c = static_cast<graph::Color>(rng.uniform_index(options.num_colors));
   }
 
   SaPottsResult result;
-  const std::size_t n = g.num_nodes();
-  if (n == 0) {
-    result.colors = colors;
-    return result;
-  }
+  if (n == 0) return result;
   const double cooling =
       options.sweeps > 1
-          ? std::pow(options.t_end / options.t_start,
+          ? std::pow(kEndTemperature / kStartTemperature,
                      1.0 / static_cast<double>(options.sweeps - 1))
           : 1.0;
 
-  double temperature = options.t_start;
+  double temperature = kStartTemperature;
   for (std::size_t sweep = 0; sweep < options.sweeps && !result.cancelled;
        ++sweep) {
     for (std::size_t step = 0; step < n; ++step) {
@@ -77,7 +66,7 @@ SaPottsResult solve_sa_potts_from(const graph::Graph& g, graph::Coloring colors,
     temperature *= cooling;
   }
 
-  if (options.greedy_finish && !result.cancelled) {
+  if (!result.cancelled) {
     // Zero-temperature polish: move each node to its least-conflicting color.
     bool improved = true;
     std::size_t rounds = 0;
@@ -103,6 +92,19 @@ SaPottsResult solve_sa_potts_from(const graph::Graph& g, graph::Coloring colors,
   result.conflicts = graph::count_conflicts(g, colors);
   result.colors = std::move(colors);
   return result;
+}
+
+MaxCutResult best_known_maxcut(const graph::Graph& g, std::size_t restarts,
+                               util::Rng& rng) {
+  SaPottsOptions options;
+  options.num_colors = 2;
+  MaxCutResult best;
+  for (std::size_t r = 0; r < restarts; ++r) {
+    SaPottsResult anneal = solve_sa_potts(g, options, rng);
+    const std::size_t cut = g.num_edges() - anneal.conflicts;  // uncut = conflicts
+    if (r == 0 || cut > best.cut) best = {std::move(anneal.colors), cut};
+  }
+  return best;
 }
 
 }  // namespace msropm::solvers

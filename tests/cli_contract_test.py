@@ -13,7 +13,9 @@ written even when the input file is missing, the --chromatic verdict line,
 and the library timers of the parse and DSATUR layers in the --metrics
 report. Apart from that line, the timer rows, the "colored" row, the
 iteration bound's value and the warning substring, only exit codes and files
-are asserted, never message wording.
+are asserted, never message wording. A DIMACS header at the reader's own
+node cap must stop at the machine's node bound (exit 2, the bound's value in
+the diagnostic) within seconds, under an address-space limit.
 
 Usage: cli_contract_test.py DIMACS_SOLVER PORTFOLIO_SWEEP OBS
 where OBS is the MSROPM_OBS setting the binaries were built with (ON/OFF).
@@ -23,10 +25,12 @@ Registered with ctest as cli_contract_py_test.
 
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import unittest
 
 DIMACS = None
@@ -46,12 +50,19 @@ def kings_col(side):
         f"e {u + 1} {v + 1}\n" for u, v in edges)
 
 
-def run(binary, args, env_extra=None):
+def run(binary, args, env_extra=None, preexec_fn=None):
     env = dict(os.environ)
     env.pop("MSROPM_FAULT", None)
     env.update(env_extra or {})
     return subprocess.run([binary] + args, capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=env, timeout=120, preexec_fn=preexec_fn)
+
+
+def asan_instrumented(binary):
+    """ASan reserves terabytes of shadow address space at startup, so an
+    ASan build cannot run under RLIMIT_AS at all."""
+    with open(binary, "rb") as f:
+        return b"__asan_init" in f.read()
 
 
 class CliContract(unittest.TestCase):
@@ -153,6 +164,28 @@ class CliContract(unittest.TestCase):
                 proc = run(binary, args)
                 self.assertExit(proc, 2)
                 self.assertIn("100000", proc.stderr)
+
+    def test_node_count_over_the_machine_bound_exits_2(self):
+        # The reader accepts its own node cap (2^26) in well under a second;
+        # dimacs_solver must then stop at the machine's bound
+        # (core::kMaxMachineNodes) instead of building the phase machine for
+        # every node. The child runs under a 1 GiB address-space limit, so a
+        # regression fails to allocate (and crashes) rather than exhausting
+        # the host.
+        huge = self.path("huge.col")
+        with open(huge, "w", encoding="utf-8") as f:
+            f.write("p edge 67108864 0\n")
+        limit = 1 << 30
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        preexec = None if asan_instrumented(DIMACS) else cap_address_space
+        start = time.monotonic()
+        proc = run(DIMACS, [huge, "4"], preexec_fn=preexec)
+        self.assertExit(proc, 2)
+        self.assertIn("65536", proc.stderr)
+        self.assertLess(time.monotonic() - start, 10.0)
 
     def test_malformed_fault_env_exits_2(self):
         env = {"MSROPM_FAULT": BAD_FAULT_SPEC}

@@ -33,6 +33,16 @@ TEST(Machine, RejectsInvalidConfig) {
   EXPECT_THROW(MultiStagePottsMachine(g, bad), std::invalid_argument);
 }
 
+TEST(Machine, RejectsGraphsOverTheNodeBound) {
+  // The constructor allocates nothing, so the bound is checked before any
+  // per-node state exists; a graph at the bound is accepted.
+  const graph::Graph at_bound(core::kMaxMachineNodes);
+  EXPECT_NO_THROW(MultiStagePottsMachine(at_bound, fast_config()));
+  const graph::Graph over(core::kMaxMachineNodes + 1);
+  EXPECT_THROW(MultiStagePottsMachine(over, fast_config()),
+               std::invalid_argument);
+}
+
 TEST(Machine, ResultShape) {
   const auto g = graph::kings_graph(3, 3);
   MultiStagePottsMachine machine(g, fast_config());

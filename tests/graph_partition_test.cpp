@@ -1,4 +1,4 @@
-// Tests for partition support (induced subgraphs, merging).
+// Tests for partition support (induced subgraphs and their id maps).
 #include "msropm/graph/partition.hpp"
 
 #include <gtest/gtest.h>
@@ -39,7 +39,7 @@ TEST(SplitByLabels, LabelOutOfRangeThrows) {
   EXPECT_THROW(split_by_labels(g, {0, 2, 0}, 2), std::invalid_argument);
 }
 
-TEST(SplitMergeRoundTrip, RecoversAssignment) {
+TEST(Partition, IdMapsLiftPartValuesBack) {
   const Graph g = kings_graph(4, 4);
   // Split by column parity.
   std::vector<std::uint8_t> labels(16);
@@ -47,29 +47,20 @@ TEST(SplitMergeRoundTrip, RecoversAssignment) {
     for (std::size_t c = 0; c < 4; ++c) labels[r * 4 + c] = c % 2;
   }
   const auto parts = split_by_labels(g, labels, 2);
-  // Assign each part a constant value and merge.
-  std::vector<std::vector<std::uint8_t>> vals(2);
-  vals[0].assign(parts[0].graph.num_nodes(), 7);
-  vals[1].assign(parts[1].graph.num_nodes(), 9);
-  const auto merged = merge_labels(16, parts, vals);
-  for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(merged[i], labels[i] == 0 ? 7 : 9);
+  // Give each part a constant value and lift it through the id maps: every
+  // original node is covered exactly once, by the part of its own label.
+  const std::uint8_t part_value[2] = {7, 9};
+  std::vector<std::uint8_t> lifted(16, 0);
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    ASSERT_EQ(parts[p].to_original.size(), parts[p].graph.num_nodes());
+    for (NodeId original : parts[p].to_original) {
+      EXPECT_EQ(lifted[original], 0) << "node " << original << " lifted twice";
+      lifted[original] = part_value[p];
+    }
   }
-}
-
-TEST(MergeLabels, DetectsUncoveredNodes) {
-  const Graph g = path_graph(4);
-  auto parts = split_by_labels(g, {0, 0, 1, 1}, 2);
-  parts[1].to_original.pop_back();  // corrupt coverage
-  std::vector<std::vector<std::uint8_t>> vals{{1, 1}, {2}};
-  EXPECT_THROW(merge_labels(4, parts, vals), std::invalid_argument);
-}
-
-TEST(MergeLabels, SizeMismatchThrows) {
-  const Graph g = path_graph(2);
-  const auto parts = split_by_labels(g, {0, 1}, 2);
-  std::vector<std::vector<std::uint8_t>> vals{{1}, {2, 3}};
-  EXPECT_THROW(merge_labels(2, parts, vals), std::invalid_argument);
+  for (std::size_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(lifted[i], labels[i] == 0 ? 7 : 9);
+  }
 }
 
 TEST(Partition, SplitKeepsExactlyTheIntraPartitionEdges) {

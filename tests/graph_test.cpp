@@ -229,37 +229,6 @@ TEST(Graph, NeighborsOutOfRangeThrows) {
   EXPECT_THROW((void)g.degree(7), std::out_of_range);
 }
 
-TEST(Graph, ConnectedComponentsSingle) {
-  const Graph g = msropm::graph::cycle_graph(6);
-  const auto [comp, count] = g.connected_components();
-  EXPECT_EQ(count, 1u);
-  for (auto c : comp) EXPECT_EQ(c, 0u);
-}
-
-TEST(Graph, ConnectedComponentsMultiple) {
-  GraphBuilder b(6);
-  b.add_edge(0, 1);
-  b.add_edge(2, 3);
-  // 4, 5 isolated
-  const Graph g = b.build();
-  const auto [comp, count] = g.connected_components();
-  EXPECT_EQ(count, 4u);
-  EXPECT_EQ(comp[0], comp[1]);
-  EXPECT_EQ(comp[2], comp[3]);
-  EXPECT_NE(comp[0], comp[2]);
-  EXPECT_NE(comp[4], comp[5]);
-}
-
-TEST(Graph, BipartiteDetection) {
-  EXPECT_TRUE(msropm::graph::cycle_graph(4).is_bipartite());
-  EXPECT_FALSE(msropm::graph::cycle_graph(5).is_bipartite());
-  EXPECT_TRUE(msropm::graph::path_graph(7).is_bipartite());
-  EXPECT_TRUE(msropm::graph::complete_bipartite_graph(3, 4).is_bipartite());
-  EXPECT_FALSE(msropm::graph::complete_graph(3).is_bipartite());
-  EXPECT_TRUE(msropm::graph::grid_graph(4, 5).is_bipartite());
-  EXPECT_FALSE(msropm::graph::kings_graph(3, 3).is_bipartite());
-}
-
 TEST(Graph, EqualityComparesStructure) {
   GraphBuilder b1(3);
   b1.add_edge(0, 1);

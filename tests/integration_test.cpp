@@ -10,7 +10,6 @@
 #include "msropm/core/runner.hpp"
 #include "msropm/graph/builders.hpp"
 #include "msropm/sat/coloring_encoder.hpp"
-#include "msropm/solvers/maxcut_sa.hpp"
 #include "msropm/solvers/sa_potts.hpp"
 #include "msropm/util/stats.hpp"
 

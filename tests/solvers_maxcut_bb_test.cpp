@@ -5,7 +5,7 @@
 
 #include "msropm/graph/builders.hpp"
 #include "msropm/model/maxcut.hpp"
-#include "msropm/solvers/maxcut_sa.hpp"
+#include "msropm/solvers/sa_potts.hpp"
 #include "msropm/util/rng.hpp"
 
 namespace {
@@ -73,9 +73,10 @@ TEST(MaxCutBb, KingsGraph25NodesCertified) {
   EXPECT_TRUE(r.optimal);
   EXPECT_GE(r.cut, g.num_edges() * 2 / 3);
   EXPECT_LE(r.cut, g.num_edges());
-  // SA with the default budget should find the same value on this size.
+  // One K = 2 anneal with the default budget should find the same value on
+  // this size.
   util::Rng rng(3);
-  const auto sa = solvers::solve_maxcut_sa(g, {}, rng);
+  const auto sa = solvers::best_known_maxcut(g, 1, rng);
   EXPECT_EQ(sa.cut, r.cut);
 }
 

@@ -1,5 +1,6 @@
-// Tests for the SA max-cut solver and the best-known reference generator.
-#include "msropm/solvers/maxcut_sa.hpp"
+// Tests for max-cut as the K = 2 case of the SA-Potts annealer, and for the
+// best-known reference cuts it generates.
+#include "msropm/solvers/sa_potts.hpp"
 
 #include <gtest/gtest.h>
 
@@ -11,8 +12,6 @@ namespace {
 
 using namespace msropm;
 using solvers::best_known_maxcut;
-using solvers::MaxCutSaOptions;
-using solvers::solve_maxcut_sa;
 
 struct OptimumCase {
   const char* name;
@@ -44,8 +43,22 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(MaxCutSa, BipartiteGraphsFullyCut) {
   const auto g = graph::grid_graph(5, 5);
   util::Rng rng(3);
-  const auto result = solve_maxcut_sa(g, MaxCutSaOptions{}, rng);
+  const auto result = best_known_maxcut(g, 1, rng);
   EXPECT_EQ(result.cut, g.num_edges());
+}
+
+TEST(MaxCutSa, CutIsEdgesMinusTwoColorConflicts) {
+  // A K = 2 anneal is a max-cut anneal: the uncut edges of its bipartition
+  // are exactly the conflicts of the same assignment read as a 2-coloring.
+  const auto g = graph::kings_graph(6, 7);
+  solvers::SaPottsOptions opts;
+  opts.num_colors = 2;
+  opts.sweeps = 20;  // under-annealed, so some edges stay uncut
+  util::Rng rng(4);
+  const auto anneal = solvers::solve_sa_potts(g, opts, rng);
+  EXPECT_GT(anneal.conflicts, 0u);
+  EXPECT_EQ(model::cut_value(g, anneal.colors), g.num_edges() - anneal.conflicts);
+  for (auto side : anneal.colors) EXPECT_LT(side, 2);
 }
 
 TEST(MaxCutSa, MoreRestartsNeverWorse) {
@@ -60,7 +73,7 @@ TEST(MaxCutSa, MoreRestartsNeverWorse) {
 TEST(MaxCutSa, EmptyGraph) {
   const graph::Graph g(0);
   util::Rng rng(1);
-  const auto result = solve_maxcut_sa(g, MaxCutSaOptions{}, rng);
+  const auto result = best_known_maxcut(g, 1, rng);
   EXPECT_EQ(result.cut, 0u);
   EXPECT_TRUE(result.sides.empty());
 }
@@ -68,27 +81,42 @@ TEST(MaxCutSa, EmptyGraph) {
 TEST(MaxCutSa, SingleNode) {
   const auto g = graph::path_graph(1);
   util::Rng rng(1);
-  const auto result = solve_maxcut_sa(g, MaxCutSaOptions{}, rng);
+  const auto result = best_known_maxcut(g, 1, rng);
   EXPECT_EQ(result.cut, 0u);
   EXPECT_EQ(result.sides.size(), 1u);
 }
 
-TEST(MaxCutSa, Validation) {
-  const auto g = graph::path_graph(3);
-  util::Rng rng(1);
-  MaxCutSaOptions bad;
-  bad.t_end = 10.0;
-  EXPECT_THROW(solve_maxcut_sa(g, bad, rng), std::invalid_argument);
+// The reference cuts that Fig. 5(b) and the Table 2 K = 2 row normalize by,
+// at the seeds the benches and integration_test use. On an r x c King's
+// graph the row-alternating bipartition cuts every vertical and diagonal
+// edge, (r-1)*c + 2*(r-1)*(c-1) of them; best-of-10 must reach exactly that.
+struct ReferenceCase {
+  const char* name;
+  std::size_t rows;
+  std::size_t cols;
+  std::uint64_t seed;
+};
+
+class MaxCutSaReference : public ::testing::TestWithParam<ReferenceCase> {};
+
+TEST_P(MaxCutSaReference, KingsGraphReferenceCutValue) {
+  const auto& c = GetParam();
+  const auto g = graph::kings_graph(c.rows, c.cols);
+  util::Rng rng(c.seed);
+  const auto result = best_known_maxcut(g, 10, rng);
+  const std::size_t row_alternating =
+      (c.rows - 1) * c.cols + 2 * (c.rows - 1) * (c.cols - 1);
+  EXPECT_EQ(result.cut, row_alternating) << c.name;
+  EXPECT_EQ(model::cut_value(g, result.sides), result.cut);
 }
 
-TEST(MaxCutSa, KingsGraphReferenceCutValue) {
-  // The 7x7 King's graph row-alternating bipartition cuts 114 of 156 edges;
-  // that bipartition comes from the optimal 4-coloring, so the SA reference
-  // must reach at least 114 (it equals the optimum found by our tuning run).
-  const auto g = graph::kings_graph_square(7);
-  util::Rng rng(11);
-  const auto result = best_known_maxcut(g, 10, rng);
-  EXPECT_GE(result.cut, 114u);
-}
+INSTANTIATE_TEST_SUITE_P(
+    PaperGraphs, MaxCutSaReference,
+    ::testing::Values(ReferenceCase{"kings7_seed11", 7, 7, 11},     // 114
+                      ReferenceCase{"kings7_seed99", 7, 7, 99},     // 114
+                      ReferenceCase{"kings20_seed99", 20, 20, 99},  // 1102
+                      ReferenceCase{"kings32_seed99", 32, 32, 99},  // 2914
+                      ReferenceCase{"kings48x41_seed91", 48, 41, 91}),  // 5687
+    [](const auto& info) { return info.param.name; });
 
 }  // namespace

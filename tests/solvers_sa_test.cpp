@@ -13,7 +13,6 @@ namespace {
 using namespace msropm;
 using solvers::SaPottsOptions;
 using solvers::solve_sa_potts;
-using solvers::solve_sa_potts_from;
 
 TEST(SaPotts, SolvesSmallKingsGraphExactly) {
   const auto g = graph::kings_graph_square(5);
@@ -63,29 +62,12 @@ TEST(SaPotts, MoveCountersPopulated) {
   EXPECT_LE(result.accepted_moves, result.proposed_moves);
 }
 
-TEST(SaPotts, FromInitialRespectsStart) {
-  const auto g = graph::kings_graph_square(4);
-  const auto proper = graph::kings_graph_pattern_coloring(4, 4);
-  SaPottsOptions opts;
-  opts.t_start = 0.05;  // cold: the proper start should survive
-  opts.t_end = 0.02;
-  opts.sweeps = 5;
-  util::Rng rng(6);
-  const auto result = solve_sa_potts_from(g, proper, opts, rng);
-  EXPECT_EQ(result.conflicts, 0u);
-}
-
 TEST(SaPotts, Validation) {
   const auto g = graph::path_graph(3);
   util::Rng rng(7);
   SaPottsOptions bad;
   bad.num_colors = 1;
   EXPECT_THROW(solve_sa_potts(g, bad, rng), std::invalid_argument);
-  bad = SaPottsOptions{};
-  bad.t_end = 5.0;  // > t_start
-  EXPECT_THROW(solve_sa_potts(g, bad, rng), std::invalid_argument);
-  EXPECT_THROW(solve_sa_potts_from(g, {0, 1}, SaPottsOptions{}, rng),
-               std::invalid_argument);
 }
 
 TEST(SaPotts, EmptyGraph) {
