@@ -8,25 +8,36 @@
 //   - allocations during solve() (the search hot path)
 //   - learnt clauses created during search
 //   - search allocations per 1000 learnt clauses
+//   - construct_ms: median wall time of kConstructReps Solver constructions
+//   - minflt_construct: minor page faults per construction (getrusage
+//     ru_minflt of this process, mean over the same constructions)
 //
 // The pre-arena solver allocated one std::vector<Lit> per ingested clause
 // and one per learnt clause (~100k small allocations on the 46x46 King's
-// instance); the arena build must ingest in O(vars + log clauses)
-// allocations and learn clauses with amortized O(log) arena growths. The
+// instance). Ingest now allocates a fixed set of per-variable arrays, the
+// arena's log-many growths and ONE block for every watch list, so its
+// allocation count depends on neither the variable nor the clause count;
+// learnt clauses cost amortized O(log) arena and watch-list growths. The
 // encoder appends to one pre-sized literal pool, so it allocates a handful of
 // times per formula, not once per clause. The bench FAILS (exit 1) if encode
-// allocations scale with the clause count, or search allocations with the
+// or construct allocations scale with the formula, a zero-conflict search
+// allocates more than a constant, or search allocations scale with the
 // number of learnt clauses, so the properties are tracked by CI rather than
 // asserted in prose.
 //
 // Usage: bench_sat_arena
 
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "msropm/graph/builders.hpp"
 #include "msropm/graph/graph.hpp"
@@ -62,13 +73,43 @@ namespace {
 
 using namespace msropm;
 
+/// Timed constructions per row; construct_ms is their median.
+constexpr int kConstructReps = 21;
+
 struct Measurement {
   std::uint64_t construct_allocs = 0;
   std::uint64_t solve_allocs = 0;
   std::uint64_t learnt = 0;
   std::uint64_t conflicts = 0;
   sat::SolveResult result = sat::SolveResult::kUnknown;
+  double construct_ms = 0.0;
+  std::uint64_t minflt_construct = 0;
 };
+
+long minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+/// Median construction time and mean minor faults per construction, each
+/// solver destroyed before the next one is built (as in a request loop).
+void time_construction(const sat::Cnf& cnf, const sat::SolverOptions& options,
+                       Measurement& m) {
+  std::vector<double> ms;
+  long faults = 0;
+  for (int rep = 0; rep < kConstructReps; ++rep) {
+    const long faults_before = minor_faults();
+    const auto start = std::chrono::steady_clock::now();
+    const sat::Solver solver(cnf, options);
+    const auto stop = std::chrono::steady_clock::now();
+    faults += minor_faults() - faults_before;
+    ms.push_back(std::chrono::duration<double, std::milli>(stop - start).count());
+  }
+  std::sort(ms.begin(), ms.end());
+  m.construct_ms = ms[ms.size() / 2];
+  m.minflt_construct = static_cast<std::uint64_t>(faults / kConstructReps);
+}
 
 Measurement measure(const sat::Cnf& cnf, sat::SolverOptions options) {
   Measurement m;
@@ -85,6 +126,7 @@ Measurement measure(const sat::Cnf& cnf, sat::SolverOptions options) {
     std::fprintf(stderr, "FATAL: model does not satisfy the original CNF\n");
     std::exit(1);
   }
+  time_construction(cnf, options, m);
   return m;
 }
 
@@ -121,7 +163,8 @@ int main() {
 
   util::TextTable table({"instance", "clauses", "alloc_encode", "alloc_construct",
                          "alloc_solve", "learnt", "result",
-                         "solve_allocs_per_1k_learnt"});
+                         "solve_allocs_per_1k_learnt", "construct_ms",
+                         "minflt_construct"});
   util::BenchJsonWriter json("bench_sat_arena");
   bool ok = true;
 
@@ -164,7 +207,9 @@ int main() {
                    row.encode_allocs ? std::to_string(*row.encode_allocs) : "-",
                    std::to_string(m.construct_allocs),
                    std::to_string(m.solve_allocs), std::to_string(m.learnt),
-                   result_name(m.result), util::format_double(per_1k, 1)});
+                   result_name(m.result), util::format_double(per_1k, 1),
+                   util::format_double(m.construct_ms, 3),
+                   std::to_string(m.minflt_construct)});
     json.begin_row(row.name);
     json.metric("clauses", static_cast<std::uint64_t>(row.cnf.num_clauses()));
     if (row.encode_allocs) json.metric("alloc_encode", *row.encode_allocs);
@@ -173,28 +218,43 @@ int main() {
     json.metric("learnt", m.learnt);
     json.metric("conflicts", m.conflicts);
     json.metric("result", result_name(m.result));
+    json.metric("construct_ms", m.construct_ms);
+    json.metric("minflt_construct", m.minflt_construct);
 
     // Zero-per-clause criteria:
     //  (0) encoding must not allocate per clause: the per-clause encoder
     //      made ~35k allocations on 46x46 (bound 64 + clauses / 1024 = 98).
-    //  (a) ingestion allocations must scale with the variable count (watch
-    //      lists are per-literal), not the clause count. The bound is
-    //      calibrated so the pre-arena number fails: 46x46 ingest was 45.9k
-    //      allocs (now 12.8k, bound 30.0k).
-    //  (b) search must allocate far fewer times than it learns clauses
+    //  (a) ingestion allocations must scale with neither the clause nor
+    //      the variable count: one block holds every watch list, so only
+    //      fixed per-solver arrays and the arena's log-many growths remain.
+    //      Bound 160 + clauses / 1024 (194 on 46x46); the per-literal watch
+    //      lists made 12.8k allocations there, the pre-arena solver 45.9k.
+    //  (b) a zero-conflict search must allocate a constant number of times:
+    //      bound 64. Per-literal vectors regrew on every watcher move into a
+    //      list without capacity (2640 allocations on 46x46).
+    //  (c) search must allocate far fewer times than it learns clauses
     //      (pre-arena: one vector per learnt clause).
     const std::uint64_t vars = row.cnf.num_vars();
-    const std::uint64_t alloc_bound =
-        3 * vars +
-        row.cnf.num_clauses() / 8 + 256;
+    const std::uint64_t alloc_bound = 160 + row.cnf.num_clauses() / 1024;
     if (m.construct_allocs >= alloc_bound) {
       std::fprintf(stderr,
                    "FAIL %s: %llu construct allocations for %zu clauses / "
-                   "%llu vars (bound %llu; per-clause allocation is back)\n",
+                   "%llu vars (bound %llu; per-list or per-clause allocation "
+                   "is back)\n",
                    row.name.c_str(),
                    static_cast<unsigned long long>(m.construct_allocs),
                    row.cnf.num_clauses(), static_cast<unsigned long long>(vars),
                    static_cast<unsigned long long>(alloc_bound));
+      ok = false;
+    }
+    const std::uint64_t zero_conflict_solve_bound = 64;
+    if (m.conflicts == 0 && m.solve_allocs >= zero_conflict_solve_bound) {
+      std::fprintf(stderr,
+                   "FAIL %s: %llu solve allocations without a conflict (bound "
+                   "%llu; watch lists regrow during propagation)\n",
+                   row.name.c_str(),
+                   static_cast<unsigned long long>(m.solve_allocs),
+                   static_cast<unsigned long long>(zero_conflict_solve_bound));
       ok = false;
     }
     const std::uint64_t encode_bound = 64 + row.cnf.num_clauses() / 1024;

@@ -117,6 +117,10 @@ HOT_FUNCTIONS = [re.compile(p) for p in (
     r'(^|::)Solver::bump_clause$',
     r'(^|::)Solver::reduce_learnts$',
     r'(^|::)Solver::garbage_collect$',
+    # The watch-list push behind propagate's watcher moves and learnt
+    # attaches, and its out-of-line growth path (src/sat/watcher.hpp).
+    r'(^|::)WatchLists::push$',
+    r'(^|::)WatchLists::grow$',
     r'(^|::)PhaseBatch::euler_step_lanes$',
     r'(^|::)PhaseBatch::pack_lanes$',
     r'(^|::)PhaseBatch::unpack_lanes$',
@@ -136,7 +140,7 @@ GROWTH_CALLS = ('push_back', 'emplace_back', 'resize', 'insert', 'emplace',
                 'append', 'assign', 'push', 'emplace_front', 'push_front')
 
 ALLOC_CALLS = ('malloc', 'calloc', 'realloc', 'make_unique', 'make_shared',
-               'strdup')
+               'strdup', 'allocate')
 
 # Local declarations of these types inside hot functions are flagged (their
 # constructors may allocate).

@@ -37,6 +37,8 @@ _CASES = {
                                 'hot-path-alloc', True),
     'alloc_lane_kernel_bad.cpp': ('src/phase/alloc_lane_kernel_bad.hpp',
                                   'hot-path-alloc', True),
+    'alloc_watch_lists_bad.cpp': ('src/sat/alloc_watch_lists_bad.cpp',
+                                  'hot-path-alloc', True),
     'atomics_bad.cpp': ('src/obs/atomics_bad.cpp', 'atomics-discipline', True),
     'atomics_ok.cpp': ('src/obs/atomics_ok.cpp', 'atomics-discipline', False),
     'suppress_bad.cpp': ('src/sat/suppress_bad.cpp', 'lint-suppression', True),
@@ -77,6 +79,19 @@ class FixtureTest(unittest.TestCase):
                     # the suppressed finding is still visible in the report
                     self.assertEqual({s['rule'] for s in doc['suppressed']},
                                      {rule}, proc.stdout)
+
+    def test_watch_list_growth_is_a_hot_path(self):
+        # Both the inline push and the out-of-line growth of the solver's
+        # watch lists are checked, and std::allocator::allocate counts as
+        # reaching the allocator.
+        proc, doc = self._lint_one('alloc_watch_lists_bad.cpp',
+                                   'src/sat/alloc_watch_lists_bad.cpp')
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertEqual({f['function'] for f in doc['findings']},
+                         {'WatchLists::push',
+                          'WatchLists::grow'}, proc.stdout)
+        self.assertIn('allocate()',
+                      ' | '.join(f['message'] for f in doc['findings']))
 
     def test_suppress_details(self):
         proc, doc = self._lint_one('suppress_bad.cpp',

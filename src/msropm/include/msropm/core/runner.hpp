@@ -76,6 +76,8 @@ struct RunnerOptions {
 
 /// Run the machine `options.iterations` times and summarize. Throws
 /// std::invalid_argument when `options.iterations` exceeds kMaxIterations.
+/// An exception in a worker thread (e.g. std::bad_alloc) stops the other
+/// workers and is rethrown here once all of them have joined.
 [[nodiscard]] RunSummary run_iterations(const MultiStagePottsMachine& machine,
                                         const RunnerOptions& options);
 

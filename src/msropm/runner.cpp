@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -45,11 +47,15 @@ RunSummary run_iterations(const MultiStagePottsMachine& machine,
   // to completion even if the stop token fires mid-batch, so the completed
   // iterations always form the prefix [0, next) of the index space. A fired
   // `step` fault ends the run exactly like a stop: it is polled at the same
-  // point and, through `cancelled`, stops every worker.
+  // point and, through `cancelled`, stops every worker. An exception in a
+  // worker (std::bad_alloc in solve_batch) also stops every worker; the
+  // first one is rethrown to the caller after the join.
   std::atomic<std::size_t> next{0};
   std::atomic<bool> cancelled{false};
+  std::mutex error_mutex;
+  std::exception_ptr error;
   const util::Rng master(options.seed);
-  auto work = [&]() {
+  auto batches = [&]() {
     std::vector<util::Rng> rngs;
     for (;;) {
       if (cancelled.load(std::memory_order_relaxed) ||
@@ -80,6 +86,15 @@ RunSummary run_iterations(const MultiStagePottsMachine& machine,
       }
     }
   };
+  auto work = [&]() {
+    try {
+      batches();
+    } catch (...) {
+      cancelled.store(true, std::memory_order_relaxed);
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (!error) error = std::current_exception();
+    }
+  };
 
   if (workers <= 1) {
     work();
@@ -89,6 +104,7 @@ RunSummary run_iterations(const MultiStagePottsMachine& machine,
     for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(work);
     for (auto& t : pool) t.join();
   }
+  if (error) std::rethrow_exception(error);
 
   summary.completed = std::min(next.load(std::memory_order_relaxed), iters);
   summary.cancelled =

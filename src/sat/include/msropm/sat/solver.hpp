@@ -24,6 +24,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -165,16 +166,16 @@ class Solver {
 
   void setup_arrays(std::size_t num_vars);
   /// Add one problem clause; stored long (>= 3 lits) clauses are appended to
-  /// `stored`, binary clauses to `binaries` — both for deferred,
-  /// exactly-reserved watch construction.
-  void ingest_clause(Clause&& lits, std::vector<ClauseRef>& stored,
+  /// `stored`, binary clauses to `binaries` — both for deferred watch
+  /// construction — and every literal l of a stored clause counts one
+  /// ingest-block slot for list ~l.
+  void ingest_clause(std::span<const Lit> clause, std::vector<ClauseRef>& stored,
                      std::vector<BinaryClause>& binaries);
   void init_from(const Cnf& cnf);
-  /// Count every watcher (two per long clause, two per binary) in a
-  /// literal-occurrence pass, reserve each watch list exactly once, then
-  /// attach binaries first and long clauses after: ingestion allocates per
-  /// non-empty literal list, never per clause, and no watch list reallocates
-  /// mid-ingest.
+  /// Carve every watch list's slice out of one ingest block (the slots
+  /// ingest_clause counted), then attach binaries first and long clauses
+  /// after: ingestion makes one watch allocation in total, and neither it nor
+  /// any later move of an original clause's watcher reallocates a list.
   void build_watches(const std::vector<ClauseRef>& refs,
                      const std::vector<BinaryClause>& binaries);
 
@@ -241,7 +242,10 @@ class Solver {
 
   std::size_t num_vars_;
   ClauseArena arena_;
-  std::vector<std::vector<Watcher>> watches_;  // indexed by Lit::index
+  // Indexed by Lit::index. Original clauses' watchers live in one ingest
+  // block; a list that outgrows its slice (learnt watchers) moves to its
+  // own heap buffer.
+  WatchLists watches_;
   std::vector<LBool> assigns_;
   std::vector<std::uint8_t> polarity_;  // saved phase per var
   std::vector<std::uint32_t> level_;

@@ -22,6 +22,15 @@
 // stream) instead of two separate list structures. Binaries are attached
 // first, so the is_binary() branch is almost perfectly predicted.
 //
+// WatchLists: every literal's list is a 16-byte {data, size, cap} header.
+// Ingest counts the slots each list needs and carves all of them out of ONE
+// ingest block: list ~l gets its binary watchers plus one slot per original
+// long clause containing l. A clause never has two watchers in one list, and
+// its watchers only ever move between the lists of its own literals, so no
+// watcher of an original clause ever leaves its list's slice. Only learnt
+// watchers can overflow a slice; the list then moves to its own heap buffer
+// and doubles from there, as std::vector would.
+//
 // Reason: why a variable was assigned. Tagged 8-byte union over
 //   - none      (decision / top-level unit)
 //   - clause    (a ClauseRef whose lits[0] is the asserted literal)
@@ -31,7 +40,10 @@
 // reasons are immune to clause-database relocation, which is what lets
 // implicit binaries skip GC work entirely.
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "msropm/sat/arena.hpp"
 #include "msropm/sat/cnf.hpp"
@@ -57,6 +69,55 @@ struct Watcher {
   }
 
   friend bool operator==(Watcher, Watcher) = default;
+};
+
+/// One literal's watch list; storage is owned by the WatchLists table.
+struct WatchList {
+  Watcher* data = nullptr;
+  std::uint32_t size = 0;
+  std::uint32_t cap = 0;
+
+  [[nodiscard]] Watcher* begin() const noexcept { return data; }
+  [[nodiscard]] Watcher* end() const noexcept { return data + size; }
+};
+
+/// The watch lists of all 2·V literals, indexed by Lit::index: one ingest
+/// block for every list's initial slice plus a heap buffer per list that
+/// outgrew it. Frees both on destruction.
+class WatchLists {
+ public:
+  WatchLists() = default;
+  WatchLists(const WatchLists&) = delete;
+  WatchLists& operator=(const WatchLists&) = delete;
+  ~WatchLists() { release(); }
+
+  /// `num_lists` empty lists, no storage.
+  void reset(std::size_t num_lists);
+  /// Count one ingest-block slot for list `i`; call before reserve().
+  void add_slot(std::uint32_t i) noexcept { ++lists_[i].cap; }
+  /// Reserve every counted slot in one allocation, the ingest block; each
+  /// list's data points at its slice of it. Call once, on empty lists.
+  void reserve();
+
+  [[nodiscard]] WatchList& operator[](std::uint32_t i) noexcept { return lists_[i]; }
+  [[nodiscard]] std::span<WatchList> lists() noexcept { return lists_; }
+  [[nodiscard]] std::span<const WatchList> lists() const noexcept { return lists_; }
+
+  void push(std::uint32_t i, Watcher w) {
+    WatchList& list = lists_[i];
+    if (list.size == list.cap) grow(list);
+    list.data[list.size++] = w;
+  }
+
+ private:
+  /// Move `list` to a heap buffer of twice its capacity (at least 4).
+  void grow(WatchList& list);
+  [[nodiscard]] bool in_block(const Watcher* p) const noexcept;
+  void release() noexcept;
+
+  std::vector<WatchList> lists_;
+  Watcher* block_ = nullptr;
+  std::size_t block_size_ = 0;
 };
 
 class Reason {

@@ -104,7 +104,7 @@ Solver::Solver(const Cnf& cnf, SolverOptions options) : options_(options) {
 
 void Solver::setup_arrays(std::size_t num_vars) {
   num_vars_ = num_vars;
-  watches_.assign(2 * num_vars, {});
+  watches_.reset(2 * num_vars);
   assigns_.assign(num_vars, LBool::kUndef);
   polarity_.assign(num_vars, kDefaultPolarity ? 1 : 0);
   level_.assign(num_vars, 0);
@@ -119,12 +119,27 @@ void Solver::setup_arrays(std::size_t num_vars) {
   minimize_clear_.reserve(num_vars);
 }
 
-void Solver::ingest_clause(Clause&& lits, std::vector<ClauseRef>& stored,
+void Solver::ingest_clause(std::span<const Lit> clause,
+                           std::vector<ClauseRef>& stored,
                            std::vector<BinaryClause>& binaries) {
   if (!ok_) return;
-  // Normalize: drop duplicate literals; detect tautologies.
-  std::sort(lits.begin(), lits.end());
-  lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
+  // Normalize: sort, drop duplicate literals; detect tautologies. A 2-literal
+  // clause (~94% of a coloring encoding) is ordered in place; longer ones
+  // are sorted in the reused scratch buffer, so ingest allocates literal
+  // storage only in the arena, never one vector per clause.
+  std::array<Lit, 2> pair{};
+  std::span<const Lit> lits;
+  if (clause.size() == 2) {
+    pair = {std::min(clause[0], clause[1]), std::max(clause[0], clause[1])};
+    lits = std::span<const Lit>(pair.data(), pair[0] == pair[1] ? 1 : 2);
+  } else {
+    ingest_scratch_.assign(clause.begin(), clause.end());
+    std::sort(ingest_scratch_.begin(), ingest_scratch_.end());
+    ingest_scratch_.erase(
+        std::unique(ingest_scratch_.begin(), ingest_scratch_.end()),
+        ingest_scratch_.end());
+    lits = ingest_scratch_;
+  }
   for (std::size_t i = 0; i + 1 < lits.size(); ++i) {
     if (lits[i].var() == lits[i + 1].var()) return;  // tautology
   }
@@ -140,7 +155,12 @@ void Solver::ingest_clause(Clause&& lits, std::vector<ClauseRef>& stored,
     if (value(lits[0]) == LBool::kUndef) enqueue(lits[0], Reason::none());
     return;
   }
-  for (Lit l : lits) activity_[l.var()] += 1.0;
+  // List ~l needs one ingest slot per clause containing l: a clause's
+  // watchers stay in the lists of its own literals, at most one per list.
+  for (Lit l : lits) {
+    activity_[l.var()] += 1.0;
+    watches_.add_slot((~l).index());
+  }
   if (lits.size() == 2) {
     // Binary clauses live implicitly in the watch lists: no arena record now
     // or ever, so they cost nothing during GC and propagate inline.
@@ -152,24 +172,9 @@ void Solver::ingest_clause(Clause&& lits, std::vector<ClauseRef>& stored,
 
 void Solver::build_watches(const std::vector<ClauseRef>& refs,
                            const std::vector<BinaryClause>& binaries) {
-  // Exact-reserve watch construction: the old design paid the first-grow
-  // allocation of every watch list plus log-many regrows as ingestion
-  // appended clause by clause. Counting first makes it one allocation per
-  // non-empty literal list — O(vars), independent of the clause count — and
-  // no watch list ever reallocates mid-ingest.
-  std::vector<std::uint32_t> counts(2 * num_vars_, 0);
-  for (const auto& [a, b] : binaries) {
-    ++counts[(~a).index()];
-    ++counts[(~b).index()];
-  }
-  for (ClauseRef cr : refs) {
-    const Lit* lits = arena_.lits(cr);
-    ++counts[(~lits[0]).index()];
-    ++counts[(~lits[1]).index()];
-  }
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] > 0) watches_[i].reserve(counts[i]);
-  }
+  // ingest_clause counted every list's slots; one allocation holds them all,
+  // and no watch list reallocates during ingest or for an original clause.
+  watches_.reserve();
   // Attach binaries first: every list then leads with its cheapest entries
   // (no arena dereference, near-perfect branch prediction on the binary
   // tag), and the order is deterministic.
@@ -181,7 +186,10 @@ void Solver::init_from(const Cnf& cnf) {
   setup_arrays(cnf.num_vars());
   std::vector<ClauseRef> stored;
   std::vector<BinaryClause> binaries;
-  stored.reserve(cnf.num_clauses());
+  std::size_t num_binaries = 0;
+  for (const std::span<const Lit> c : cnf.clauses()) num_binaries += c.size() == 2;
+  stored.reserve(cnf.num_clauses() - num_binaries);
+  binaries.reserve(num_binaries);
   std::size_t ingested = 0;
   const std::uint64_t mem_cap = options_.budget.max_memory_bytes;
   for (const std::span<const Lit> c : cnf.clauses()) {
@@ -206,11 +214,7 @@ void Solver::init_from(const Cnf& cnf) {
         break;
       }
     }
-    // Copy the pool span into the reused scratch buffer (normalization sorts
-    // it in place): ingestion allocates literal storage only in the arena,
-    // never one vector per clause.
-    ingest_scratch_.assign(c.begin(), c.end());
-    ingest_clause(std::move(ingest_scratch_), stored, binaries);
+    ingest_clause(c, stored, binaries);
     if (!ok_) break;
   }
   // On early exit (top-level conflict or cancellation) solve() returns
@@ -224,14 +228,14 @@ void Solver::attach_clause(ClauseRef cr) {
   // Each watcher blocks on the other watched literal (MiniSat convention):
   // when that literal is true the clause is satisfied and the visit skips
   // the arena dereference entirely.
-  watches_[(~lits[0]).index()].push_back(Watcher::clause(cr, lits[1]));
-  watches_[(~lits[1]).index()].push_back(Watcher::clause(cr, lits[0]));
+  watches_.push((~lits[0]).index(), Watcher::clause(cr, lits[1]));
+  watches_.push((~lits[1]).index(), Watcher::clause(cr, lits[0]));
   attached_watchers_ += 2;
 }
 
 void Solver::attach_binary(Lit a, Lit b) {
-  watches_[(~a).index()].push_back(Watcher::binary(b));
-  watches_[(~b).index()].push_back(Watcher::binary(a));
+  watches_.push((~a).index(), Watcher::binary(b));
+  watches_.push((~b).index(), Watcher::binary(a));
   attached_watchers_ += 2;
 }
 
@@ -247,24 +251,27 @@ Reason Solver::propagate() {
     const Lit p = trail_[qhead_++];
     ++stats_.propagations;
     const Lit false_lit = ~p;
-    auto& watch_list = watches_[p.index()];
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < watch_list.size(); ++i) {
-      const Watcher w = watch_list[i];
+    // Walk list p with a read cursor i and a write cursor j (j <= i). List p
+    // never grows during the walk: a watcher only moves to the list of
+    // ~lits[1], and lits[1] is not false, so ~lits[1] is not p.
+    WatchList& watch_list = watches_[p.index()];
+    Watcher* i = watch_list.begin();
+    Watcher* j = i;
+    Watcher* const end = watch_list.end();
+    while (i != end) {
+      const Watcher w = *i++;
       if (w.is_binary()) {
         // Whole clause (~p \/ blocker) is inline: no arena access at all.
         // Binaries lead every list, so this branch is near-perfectly
         // predicted; on coloring encodings it carries ~90% of the traffic.
-        watch_list[keep++] = w;
+        *j++ = w;
         const LBool bval = value(w.blocker);
         if (bval == LBool::kTrue) continue;
         if (bval == LBool::kFalse) {
           bin_conflict_[0] = false_lit;
           bin_conflict_[1] = w.blocker;
-          for (std::size_t j = i + 1; j < watch_list.size(); ++j) {
-            watch_list[keep++] = watch_list[j];
-          }
-          watch_list.resize(keep);
+          j = std::copy(i, end, j);
+          watch_list.size = static_cast<std::uint32_t>(j - watch_list.data);
           qhead_ = trail_.size();
           return Reason::binary(w.blocker);
         }
@@ -275,7 +282,7 @@ Reason Solver::propagate() {
       // Long clause: a satisfied blocker proves the clause satisfied without
       // touching its record — the common case on coloring encodings.
       if (value(w.blocker) == LBool::kTrue) {
-        watch_list[keep++] = w;
+        *j++ = w;
         ++stats_.blocker_skips;
         continue;
       }
@@ -299,7 +306,7 @@ Reason Solver::propagate() {
       // If first watch is already true, clause is satisfied; refresh the
       // blocker so the next visit can skip the dereference too.
       if (first != w.blocker && value(first) == LBool::kTrue) {
-        watch_list[keep++] = updated;
+        *j++ = updated;
         continue;
       }
       // Look for a new literal to watch.
@@ -307,26 +314,24 @@ Reason Solver::propagate() {
       for (std::size_t k = 2; k < n; ++k) {
         if (value(lits[k]) != LBool::kFalse) {
           std::swap(lits[1], lits[k]);
-          watches_[(~lits[1]).index()].push_back(updated);
+          watches_.push((~lits[1]).index(), updated);
           moved = true;
           break;
         }
       }
       if (moved) continue;
       // Unit or conflict.
-      watch_list[keep++] = updated;
+      *j++ = updated;
       if (value(first) == LBool::kFalse) {
         // Conflict: restore remaining watches and report.
-        for (std::size_t j = i + 1; j < watch_list.size(); ++j) {
-          watch_list[keep++] = watch_list[j];
-        }
-        watch_list.resize(keep);
+        j = std::copy(i, end, j);
+        watch_list.size = static_cast<std::uint32_t>(j - watch_list.data);
         qhead_ = trail_.size();
         return Reason::clause(ci);
       }
       enqueue(first, Reason::clause(ci));
     }
-    watch_list.resize(keep);
+    watch_list.size = static_cast<std::uint32_t>(j - watch_list.data);
   }
   return Reason::none();
 }
@@ -609,14 +614,14 @@ void Solver::reduce_learnts() {
 
 void Solver::purge_watches() {
   std::uint64_t purged = 0;
-  for (auto& watch_list : watches_) {
-    const auto keep_end =
+  for (WatchList& watch_list : watches_.lists()) {
+    const Watcher* keep_end =
         std::remove_if(watch_list.begin(), watch_list.end(),
                        [this](Watcher w) {
                          return !w.is_binary() && arena_.deleted(w.cref);
                        });
     purged += static_cast<std::uint64_t>(watch_list.end() - keep_end);
-    watch_list.erase(keep_end, watch_list.end());
+    watch_list.size = static_cast<std::uint32_t>(keep_end - watch_list.data);
   }
   attached_watchers_ -= purged;
 }
@@ -629,7 +634,7 @@ void Solver::garbage_collect() {
   // the watches covers the whole database; reasons and the learnt list then
   // resolve through the forwarding refs. Binary watchers hold no refs and
   // pass through untouched.
-  for (auto& watch_list : watches_) {
+  for (WatchList& watch_list : watches_.lists()) {
     for (Watcher& w : watch_list) {
       if (!w.is_binary()) w.cref = arena_.reloc(w.cref, to);
     }
@@ -1017,7 +1022,7 @@ bool Solver::clause_refs_clean() const noexcept {
   const auto valid = [this](ClauseRef cr) {
     return cr < arena_.used_words() && !arena_.deleted(cr);
   };
-  for (const auto& watch_list : watches_) {
+  for (const WatchList& watch_list : watches_.lists()) {
     for (const Watcher& w : watch_list) {
       if (w.is_binary()) {
         // No arena record to validate; the inline literal must be in range

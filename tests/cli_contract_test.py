@@ -15,7 +15,9 @@ report. Apart from that line, the timer rows, the "colored" row, the
 iteration bound's value and the warning substring, only exit codes and files
 are asserted, never message wording. A DIMACS header at the reader's own
 node cap must stop at the machine's node bound (exit 2, the bound's value in
-the diagnostic) within seconds, under an address-space limit.
+the diagnostic) within seconds, under an address-space limit, and running
+out of memory inside a machine worker thread must exit 3 like any other
+escaped exception.
 
 Usage: cli_contract_test.py DIMACS_SOLVER PORTFOLIO_SWEEP OBS
 where OBS is the MSROPM_OBS setting the binaries were built with (ON/OFF).
@@ -42,12 +44,21 @@ BAD_FAULT_SPEC = "bogus:zz"
 
 
 def kings_col(side):
-    """DIMACS .col text of the side x side King's graph."""
-    n = side * side
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if abs(u % side - v % side) <= 1 and abs(u // side - v // side) <= 1]
-    return f"p edge {n} {len(edges)}\n" + "".join(
-        f"e {u + 1} {v + 1}\n" for u, v in edges)
+    """DIMACS .col text of the side x side King's graph, edges in
+    lexicographic order."""
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            u = r * side + c + 1
+            if c + 1 < side:
+                edges.append(f"e {u} {u + 1}\n")
+            if r + 1 < side:
+                if c > 0:
+                    edges.append(f"e {u} {u + side - 1}\n")
+                edges.append(f"e {u} {u + side}\n")
+                if c + 1 < side:
+                    edges.append(f"e {u} {u + side + 1}\n")
+    return f"p edge {side * side} {len(edges)}\n" + "".join(edges)
 
 
 def run(binary, args, env_extra=None, preexec_fn=None):
@@ -186,6 +197,26 @@ class CliContract(unittest.TestCase):
         self.assertExit(proc, 2)
         self.assertIn("65536", proc.stderr)
         self.assertLess(time.monotonic() - start, 10.0)
+
+    def test_out_of_memory_in_a_machine_worker_exits_3(self):
+        # 40 iterations of the machine on a 65,536-node King's graph need far
+        # more than 400 MiB, so a machine worker thread runs out of memory.
+        # Its std::bad_alloc must reach the CLI's top-level handler (exit 3),
+        # not std::terminate. ASan cannot run under RLIMIT_AS, and without
+        # the limit the run would just succeed slowly, so it is skipped there.
+        if asan_instrumented(DIMACS):
+            self.skipTest("ASan build cannot run under RLIMIT_AS")
+        graph = self.path("kings256.col")
+        with open(graph, "w", encoding="utf-8") as f:
+            f.write(kings_col(256))
+        limit = 400 << 20
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = run(DIMACS, [graph, "4", "40", "1"],
+                   preexec_fn=cap_address_space)
+        self.assertExit(proc, 3)
 
     def test_malformed_fault_env_exits_2(self):
         env = {"MSROPM_FAULT": BAD_FAULT_SPEC}

@@ -7,7 +7,13 @@
 // allocation, and no watch/reason entry may ever reference a freed clause.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "msropm/graph/builders.hpp"
+#include "msropm/graph/graph.hpp"
 #include "msropm/sat/cnf.hpp"
+#include "msropm/sat/coloring_encoder.hpp"
 #include "msropm/sat/solver.hpp"
 #include "msropm/util/rng.hpp"
 
@@ -162,6 +168,122 @@ TEST(ClauseDbGrowth, NoStaleReferencesAfterReductions) {
     EXPECT_GT(solver.stats().removed_learnts, 0u) << "seed=" << seed;
     EXPECT_TRUE(solver.clause_refs_clean()) << "seed=" << seed;
   }
+}
+
+// Golden search trajectories. The watch-list storage is a layout detail:
+// visit order, compaction and growth must leave every search step where it
+// was, so the full SolverStats of these solves are pinned. The values were
+// recorded with the vector-of-vectors watch lists (each literal's list a
+// separate std::vector) that the one-block ingest layout replaced.
+struct GoldenStats {
+  SolveResult result;
+  std::uint64_t decisions;
+  std::uint64_t propagations;
+  std::uint64_t conflicts;
+  std::uint64_t learnt_clauses;
+  std::uint64_t removed_learnts;
+  std::uint64_t blocker_skips;
+  std::uint64_t binary_propagations;
+  std::uint64_t gc_runs;
+};
+
+/// Random simple graph with exactly m edges (the randgraph_90 generator of
+/// the exact_hard benchmark workload).
+msropm::graph::Graph random_graph(std::size_t n, std::size_t m,
+                                  std::uint64_t seed) {
+  msropm::util::Rng rng(seed);
+  msropm::graph::GraphBuilder builder(n);
+  std::size_t added = 0;
+  while (added < m) {
+    const auto u = static_cast<msropm::graph::NodeId>(rng.uniform_index(n));
+    const auto v = static_cast<msropm::graph::NodeId>(rng.uniform_index(n));
+    if (u == v) continue;
+    if (builder.add_edge(u, v)) ++added;
+  }
+  return builder.build();
+}
+
+void expect_golden(const std::string& name, const Cnf& cnf,
+                   const SolverOptions& options, const GoldenStats& want) {
+  Solver solver(cnf, options);
+  const SolveResult result = solver.solve();
+  const SolverStats& s = solver.stats();
+  const auto line = [&] {
+    return name + ": {" + std::to_string(static_cast<int>(result)) + ", " +
+           std::to_string(s.decisions) + ", " + std::to_string(s.propagations) +
+           ", " + std::to_string(s.conflicts) + ", " +
+           std::to_string(s.learnt_clauses) + ", " +
+           std::to_string(s.removed_learnts) + ", " +
+           std::to_string(s.blocker_skips) + ", " +
+           std::to_string(s.binary_propagations) + ", " +
+           std::to_string(s.gc_runs) + "}";
+  };
+  EXPECT_EQ(result, want.result) << line();
+  EXPECT_EQ(s.decisions, want.decisions) << line();
+  EXPECT_EQ(s.propagations, want.propagations) << line();
+  EXPECT_EQ(s.conflicts, want.conflicts) << line();
+  EXPECT_EQ(s.learnt_clauses, want.learnt_clauses) << line();
+  EXPECT_EQ(s.removed_learnts, want.removed_learnts) << line();
+  EXPECT_EQ(s.blocker_skips, want.blocker_skips) << line();
+  EXPECT_EQ(s.binary_propagations, want.binary_propagations) << line();
+  EXPECT_EQ(s.gc_runs, want.gc_runs) << line();
+  EXPECT_TRUE(solver.clause_refs_clean()) << name;
+  if (result == SolveResult::kSat) {
+    EXPECT_TRUE(cnf.satisfied_by(solver.model())) << name;
+  }
+}
+
+constexpr SolveResult kSat = SolveResult::kSat;
+constexpr SolveResult kUnsat = SolveResult::kUnsat;
+
+TEST(GoldenSearch, KingsGraphs) {
+  struct Case {
+    std::size_t side;
+    unsigned colors;
+    GoldenStats want;
+  };
+  const Case cases[] = {
+      {7, 4, {kSat, 5, 196, 0, 0, 0, 2, 142, 0}},
+      {20, 4, {kSat, 18, 1600, 0, 0, 0, 2, 1182, 0}},
+      {46, 4, {kSat, 44, 8464, 0, 0, 0, 2, 6304, 0}},
+      {7, 3, {kUnsat, 0, 11, 0, 0, 0, 1, 24, 0}},
+      {10, 3, {kUnsat, 0, 11, 0, 0, 0, 1, 24, 0}},
+  };
+  for (const Case& c : cases) {
+    const auto enc =
+        encode_coloring(msropm::graph::kings_graph_square(c.side), c.colors);
+    expect_golden("kings_" + std::to_string(c.side) + "_K" +
+                      std::to_string(c.colors),
+                  enc.cnf, {}, c.want);
+  }
+}
+
+TEST(GoldenSearch, ConflictHeavyRandomGraphs) {
+  // UNSAT at K=4 after thousands of conflicts: learnt attach, watcher moves
+  // into lists past their ingest slices, reductions and GC.
+  struct Case {
+    std::uint64_t seed;
+    GoldenStats want;
+  };
+  const Case cases[] = {
+      {4, {kUnsat, 2782, 183632, 2182, 2177, 0, 421375, 166262, 0}},
+      {6, {kUnsat, 2602, 179243, 2064, 2055, 0, 389893, 164197, 0}},
+  };
+  ColoringEncodeOptions no_symmetry;
+  no_symmetry.symmetry_breaking = false;
+  for (const Case& c : cases) {
+    const auto enc =
+        encode_coloring(random_graph(90, 378, c.seed), 4, no_symmetry);
+    expect_golden("randgraph_90_s" + std::to_string(c.seed), enc.cnf, {},
+                  c.want);
+  }
+}
+
+TEST(GoldenSearch, ReductionHeavyRandom3Sat) {
+  // learnt_cap 64 forces many reductions and GCs on long-clause-only lists.
+  expect_golden("rand3sat_170_cap64", conflict_heavy_cnf(2),
+                reduction_heavy_options(),
+                {kUnsat, 7292, 208241, 6070, 6062, 3596, 830036, 8983, 9});
 }
 
 }  // namespace
