@@ -13,13 +13,13 @@
 #   Preset             What it adds
 #   ----------------   ------------------------------------------------------
 #   CHECK_ASAN=1       tests labelled `asan` in CMakeLists.txt (SAT arena/GC,
-#                      multi-shot solving, batched phase engine, bitset
-#                      DSATUR) rebuilt and rerun under ASan/UBSan (build-asan/)
+#                      batched phase engine, bitset DSATUR) rebuilt and
+#                      rerun under ASan/UBSan (build-asan/)
 #   CHECK_TSAN=1       tests labelled `tsan` (portfolio, stop tokens, arena
 #                      cancellation, obs, batched runner) under TSan
 #                      (build-tsan/)
 #   CHECK_CHAOS=1      tests labelled `chaos` (randomized fault schedules,
-#                      budgets, deadline edges, hostile graph/CNF input) under
+#                      budgets, deadline edges, hostile graph input) under
 #                      ASan/UBSan; fault-injected CLI matrix (real exits,
 #                      never a crash); the BM_FaultGateOverhead <= 8 ns gate
 #   CHECK_OBS=1        instrumented 4-worker sweep with --trace --metrics;

@@ -1,7 +1,7 @@
 """determinism: result-producing code must be bit-reproducible.
 
 Contract (src/portfolio/README.md "Determinism contract"; src/sat/README.md
-multi-shot contract; ROADMAP serial bit-determinism across PRs 2-8): verdicts
+"Determinism contract"; ROADMAP serial bit-determinism across PRs 2-8): verdicts
 and models are identical run-to-run and at any worker count.  That dies the
 moment result-producing code consults an uncontrolled source of entropy or
 an unspecified iteration order, so outside the whitelisted infrastructure

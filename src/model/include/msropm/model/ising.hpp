@@ -38,31 +38,9 @@ class IsingModel {
   /// Discrete-spin energy E(s) = -sum J_ij s_i s_j.
   [[nodiscard]] double energy(const std::vector<Spin>& spins) const;
 
-  /// Phase energy E(theta) = -sum J_ij cos(theta_i - theta_j) (Eq. 2 up to
-  /// sign convention).
-  [[nodiscard]] double phase_energy(const std::vector<double>& phases) const;
-
-  /// Phase energy restricted to edges where mask[e] != 0 (P_EN gating).
-  [[nodiscard]] double phase_energy_masked(
-      const std::vector<double>& phases,
-      const std::vector<std::uint8_t>& edge_mask) const;
-
-  /// Ground-state energy bound for uniform J=-1 on a bipartite graph: -m.
-  [[nodiscard]] double antiferromagnetic_bound() const noexcept;
-
  private:
   const graph::Graph* graph_;
   std::vector<double> j_;
 };
-
-/// Binary spin from a phase: +1 when cos(theta) >= 0 (closest lock 0 deg),
-/// -1 otherwise (closest lock 180 deg).
-[[nodiscard]] Spin spin_from_phase(double theta) noexcept;
-
-/// Phase (0 or pi) from a spin.
-[[nodiscard]] double phase_from_spin(Spin s) noexcept;
-
-/// Convert a full phase vector.
-[[nodiscard]] std::vector<Spin> spins_from_phases(const std::vector<double>& phases);
 
 }  // namespace msropm::model

@@ -25,18 +25,10 @@ using CutAssignment = std::vector<std::uint8_t>;
 [[nodiscard]] std::pair<std::size_t, CutAssignment> max_cut_bruteforce(
     const graph::Graph& g);
 
-/// Ising <-> max-cut correspondence: for uniform J = -1,
-/// E(s) = -(m - 2*cut), i.e. cut = (m + E)/2 ... see implementation notes.
-/// Returns the cut implied by a spin vector.
-[[nodiscard]] CutAssignment cut_from_spins(const std::vector<Spin>& spins);
+/// Spins of a cut (side 0 -> +1, side 1 -> -1). Under the uniform
+/// anti-ferromagnetic Ising model (J = -1) their energy is m - 2*cut: each
+/// cut edge contributes -1, each uncut edge +1.
 [[nodiscard]] std::vector<Spin> spins_from_cut(const CutAssignment& sides);
-
-/// Energy of a cut under the uniform anti-ferromagnetic Ising model:
-/// E = m - 2*cut  (each cut edge contributes -1, each uncut +1, J = -1).
-[[nodiscard]] double ising_energy_of_cut(const graph::Graph& g, std::size_t cut);
-
-/// Cut size recovered from uniform-AF Ising energy.
-[[nodiscard]] std::size_t cut_from_ising_energy(const graph::Graph& g, double energy);
 
 // --- max-K-cut (the Potts-native COP the paper names alongside coloring) --
 

@@ -1,10 +1,11 @@
 #pragma once
-// Potts model (paper Eq. 3) and vector Potts / phase model (paper Eq. 4).
+// Potts model (paper Eq. 3) and the phase readout of its vector form
+// (paper Eq. 4).
 //
 // An N-state Potts spin s_i in {0..N-1} maps to the oscillator phase
 // theta_i = 2*pi*s_i / N. The standard Potts Hamiltonian counts same-state
-// adjacent pairs; the vector Potts Hamiltonian is the cosine interaction the
-// oscillator hardware physically realizes.
+// adjacent pairs; the oscillator hardware realizes the vector Potts (cosine)
+// interaction, and a locked phase reads back as its nearest spin.
 
 #include <cstdint>
 #include <vector>
@@ -32,30 +33,14 @@ class PottsModel {
   /// Standard Potts energy: sum J_ij * delta(s_i, s_j) (Eq. 3).
   [[nodiscard]] double energy(const std::vector<PottsSpin>& spins) const;
 
-  /// Vector Potts phase energy: sum J_ij cos(theta_i - theta_j) (Eq. 4).
-  /// Note Eq. 4's sign: for coloring, J > 0 penalizes in-phase (same color).
-  [[nodiscard]] double vector_energy(const std::vector<double>& phases) const;
-
-  /// Ground-state energy when the graph is num_states-colorable: 0.
-  /// (Every edge can be properly colored.)
-  [[nodiscard]] double colorable_ground_energy() const noexcept { return 0.0; }
-
-  /// Number of possible spin configurations N^n as a double (the paper's
-  /// "search space" row of Table 1; exact integers overflow for 4^2116).
-  [[nodiscard]] double search_space_size() const noexcept;
-  /// log10 of the search space size (finite for all problem sizes).
-  [[nodiscard]] double search_space_log10() const noexcept;
-
  private:
   const graph::Graph* graph_;
   unsigned num_states_;
   std::vector<double> j_;
 };
 
-/// Ideal phase of Potts spin s for an N-state machine: 2*pi*s/N.
-[[nodiscard]] double phase_from_potts(PottsSpin s, unsigned num_states);
-
-/// Nearest Potts spin for a phase (ties resolve to the lower index).
+/// Nearest Potts spin for a phase: the spin s whose ideal phase 2*pi*s/N is
+/// closest (ties resolve to the lower index).
 [[nodiscard]] PottsSpin potts_from_phase(double theta, unsigned num_states);
 
 /// Quantize a full phase vector to Potts spins.

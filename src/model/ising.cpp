@@ -1,7 +1,5 @@
 #include "msropm/model/ising.hpp"
 
-#include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 namespace msropm::model {
@@ -27,56 +25,6 @@ double IsingModel::energy(const std::vector<Spin>& spins) const {
          static_cast<double>(spins[edges[k].v]);
   }
   return e;
-}
-
-double IsingModel::phase_energy(const std::vector<double>& phases) const {
-  if (phases.size() != num_spins()) {
-    throw std::invalid_argument("IsingModel::phase_energy: size mismatch");
-  }
-  double e = 0.0;
-  const auto edges = graph_->edges();
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    e -= j_[k] * std::cos(phases[edges[k].u] - phases[edges[k].v]);
-  }
-  return e;
-}
-
-double IsingModel::phase_energy_masked(
-    const std::vector<double>& phases,
-    const std::vector<std::uint8_t>& edge_mask) const {
-  if (phases.size() != num_spins()) {
-    throw std::invalid_argument("IsingModel::phase_energy_masked: size mismatch");
-  }
-  if (edge_mask.size() != j_.size()) {
-    throw std::invalid_argument("IsingModel::phase_energy_masked: mask mismatch");
-  }
-  double e = 0.0;
-  const auto edges = graph_->edges();
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    if (!edge_mask[k]) continue;
-    e -= j_[k] * std::cos(phases[edges[k].u] - phases[edges[k].v]);
-  }
-  return e;
-}
-
-double IsingModel::antiferromagnetic_bound() const noexcept {
-  return -static_cast<double>(graph_->num_edges());
-}
-
-Spin spin_from_phase(double theta) noexcept {
-  return std::cos(theta) >= 0.0 ? Spin{1} : Spin{-1};
-}
-
-double phase_from_spin(Spin s) noexcept {
-  return s > 0 ? 0.0 : std::numbers::pi;
-}
-
-std::vector<Spin> spins_from_phases(const std::vector<double>& phases) {
-  std::vector<Spin> spins(phases.size());
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    spins[i] = spin_from_phase(phases[i]);
-  }
-  return spins;
 }
 
 }  // namespace msropm::model

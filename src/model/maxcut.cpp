@@ -1,6 +1,5 @@
 #include "msropm/model/maxcut.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace msropm::model {
@@ -45,14 +44,6 @@ std::pair<std::size_t, CutAssignment> max_cut_bruteforce(const graph::Graph& g) 
   return {best_cut, sides};
 }
 
-CutAssignment cut_from_spins(const std::vector<Spin>& spins) {
-  CutAssignment sides(spins.size());
-  for (std::size_t i = 0; i < spins.size(); ++i) {
-    sides[i] = spins[i] > 0 ? 0 : 1;
-  }
-  return sides;
-}
-
 std::vector<Spin> spins_from_cut(const CutAssignment& sides) {
   std::vector<Spin> spins(sides.size());
   for (std::size_t i = 0; i < sides.size(); ++i) {
@@ -91,16 +82,6 @@ double kcut_random_expectation(const graph::Graph& g, unsigned k) {
   if (k == 0) throw std::invalid_argument("kcut_random_expectation: k > 0");
   return static_cast<double>(g.num_edges()) *
          (1.0 - 1.0 / static_cast<double>(k));
-}
-
-double ising_energy_of_cut(const graph::Graph& g, std::size_t cut) {
-  // Uniform J = -1: uncut edge contributes -J*(+1) = +1; cut edge -J*(-1) = -1.
-  return static_cast<double>(g.num_edges()) - 2.0 * static_cast<double>(cut);
-}
-
-std::size_t cut_from_ising_energy(const graph::Graph& g, double energy) {
-  const double cut = (static_cast<double>(g.num_edges()) - energy) / 2.0;
-  return static_cast<std::size_t>(std::llround(cut));
 }
 
 }  // namespace msropm::model

@@ -35,34 +35,6 @@ double PottsModel::energy(const std::vector<PottsSpin>& spins) const {
   return e;
 }
 
-double PottsModel::vector_energy(const std::vector<double>& phases) const {
-  if (phases.size() != num_spins()) {
-    throw std::invalid_argument("PottsModel::vector_energy: size mismatch");
-  }
-  double e = 0.0;
-  const auto edges = graph_->edges();
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    e += j_[k] * std::cos(phases[edges[k].u] - phases[edges[k].v]);
-  }
-  return e;
-}
-
-double PottsModel::search_space_size() const noexcept {
-  return std::pow(static_cast<double>(num_states_),
-                  static_cast<double>(num_spins()));
-}
-
-double PottsModel::search_space_log10() const noexcept {
-  return static_cast<double>(num_spins()) *
-         std::log10(static_cast<double>(num_states_));
-}
-
-double phase_from_potts(PottsSpin s, unsigned num_states) {
-  if (s >= num_states) throw std::invalid_argument("phase_from_potts: spin range");
-  return 2.0 * std::numbers::pi * static_cast<double>(s) /
-         static_cast<double>(num_states);
-}
-
 PottsSpin potts_from_phase(double theta, unsigned num_states) {
   if (num_states < 2 || num_states > 255) {
     throw std::invalid_argument("potts_from_phase: bad num_states");

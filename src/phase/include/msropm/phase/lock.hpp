@@ -13,17 +13,9 @@ namespace msropm::phase {
 /// of an order-N SHIL with offset psi (lock points psi + 2*pi*k/order).
 [[nodiscard]] double lock_residual(double theta, double psi, unsigned order);
 
-/// Residuals for a full phase vector with per-oscillator offsets.
-[[nodiscard]] std::vector<double> lock_residuals(const std::vector<double>& phases,
-                                                 const std::vector<double>& psi,
-                                                 unsigned order);
-
-/// Fraction of oscillators within tolerance of a lock point.
-[[nodiscard]] double locked_fraction(const std::vector<double>& phases,
-                                     const std::vector<double>& psi,
-                                     unsigned order, double tolerance_rad);
-
-/// Largest residual (0 when fully discretized).
+/// Largest lock_residual over a phase vector with per-oscillator offsets
+/// (0 when fully discretized). Throws std::invalid_argument on a size
+/// mismatch.
 [[nodiscard]] double max_lock_residual(const std::vector<double>& phases,
                                        const std::vector<double>& psi,
                                        unsigned order);

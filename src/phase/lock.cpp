@@ -16,36 +16,15 @@ double lock_residual(double theta, double psi, unsigned order) {
   return std::min(delta, spacing - delta);
 }
 
-std::vector<double> lock_residuals(const std::vector<double>& phases,
-                                   const std::vector<double>& psi,
-                                   unsigned order) {
-  if (phases.size() != psi.size()) {
-    throw std::invalid_argument("lock_residuals: size mismatch");
-  }
-  std::vector<double> out(phases.size());
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    out[i] = lock_residual(phases[i], psi[i], order);
-  }
-  return out;
-}
-
-double locked_fraction(const std::vector<double>& phases,
-                       const std::vector<double>& psi, unsigned order,
-                       double tolerance_rad) {
-  if (phases.empty()) return 1.0;
-  const auto residuals = lock_residuals(phases, psi, order);
-  std::size_t locked = 0;
-  for (double r : residuals) {
-    if (r <= tolerance_rad) ++locked;
-  }
-  return static_cast<double>(locked) / static_cast<double>(phases.size());
-}
-
 double max_lock_residual(const std::vector<double>& phases,
                          const std::vector<double>& psi, unsigned order) {
+  if (phases.size() != psi.size()) {
+    throw std::invalid_argument("max_lock_residual: size mismatch");
+  }
   double worst = 0.0;
-  const auto residuals = lock_residuals(phases, psi, order);
-  for (double r : residuals) worst = std::max(worst, r);
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    worst = std::max(worst, lock_residual(phases[i], psi[i], order));
+  }
   return worst;
 }
 

@@ -1,5 +1,5 @@
 #pragma once
-// CNF formula representation and DIMACS-CNF I/O.
+// CNF formula representation.
 //
 // The paper uses "a generic SAT solver" to compute the exact 4-colorings that
 // serve as the accuracy baseline (Sec. 4). This module plus solver.hpp is
@@ -8,10 +8,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <iosfwd>
 #include <ranges>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace msropm::sat {
@@ -94,7 +92,6 @@ class Cnf {
   }
   void add_unit(Lit a) { add_clause({a}); }
   void add_binary(Lit a, Lit b) { add_clause({a, b}); }
-  void add_ternary(Lit a, Lit b, Lit c) { add_clause({a, b, c}); }
 
   [[nodiscard]] std::size_t num_vars() const noexcept { return num_vars_; }
   [[nodiscard]] std::size_t num_clauses() const noexcept { return ends_.size(); }
@@ -120,14 +117,5 @@ class Cnf {
   std::vector<Lit> pool_;          // every clause's literals, back to back
   std::vector<std::size_t> ends_;  // one past clause i's last literal
 };
-
-/// DIMACS CNF ("p cnf V C" + clause lines terminated by 0). Readers accept
-/// the conventional SATLIB `%` end-of-file marker (everything after it is
-/// ignored) and validate the declared clause count against the clauses
-/// actually read, throwing std::runtime_error on mismatch.
-[[nodiscard]] Cnf read_dimacs_cnf(std::istream& in);
-[[nodiscard]] Cnf read_dimacs_cnf_string(const std::string& content);
-void write_dimacs_cnf(std::ostream& out, const Cnf& cnf);
-[[nodiscard]] std::string write_dimacs_cnf_string(const Cnf& cnf);
 
 }  // namespace msropm::sat

@@ -2,8 +2,8 @@
 // CDCL SAT solver: two-watched-literal propagation with blocking literals
 // and inlined binary clauses, 1-UIP conflict-driven clause learning, VSIDS
 // variable activity on an indexed max-heap with phase saving, Luby restarts,
-// activity-based learnt-clause reduction, and multi-shot solving (learnt
-// clauses, activities and phases survive across solve() calls).
+// and activity-based learnt-clause reduction. A Solver solves one formula
+// once.
 //
 // It is the "generic SAT solver" baseline of the paper, used to compute the
 // exact colorings against which MSROPM accuracy is normalized. The King's
@@ -64,10 +64,10 @@ struct SolverStats {
   std::uint64_t gc_freed_words = 0;    ///< words reclaimed across all GCs
   std::uint64_t arena_alloc_words = 0; ///< lifetime words handed to clauses
   std::uint64_t arena_peak_words = 0;  ///< high-water mark of the live buffer
-  /// Why the LAST solve() call returned kUnknown (kNone for definitive
-  /// results and for plain sibling-cancellation): which ResourceBudget limit
-  /// breached, kDeadline for an expired StopToken deadline, or kInjected for
-  /// a FaultInjector trip. Reset at every solve() entry.
+  /// Why solve() returned kUnknown (kNone for definitive results and for
+  /// plain sibling-cancellation): which ResourceBudget limit breached,
+  /// kDeadline for an expired StopToken deadline, or kInjected for a
+  /// FaultInjector trip. Set during construction when ingest was cut short.
   util::LimitReason limit_reason = util::LimitReason::kNone;
 };
 
@@ -81,11 +81,10 @@ struct SolverOptions {
   std::uint64_t restart_base = 64;
   /// Initial cap on learnt clauses before reduction (grows geometrically).
   std::size_t learnt_cap = 4096;
-  /// Per-call resource budget (memory / conflicts / propagations; wall time
-  /// rides the stop token's deadline). A breach returns kUnknown with
-  /// stats().limit_reason set; the solver stays usable for the next call.
-  /// budget.max_conflicts is the conflict cap PER solve() call.
-  /// The default (unlimited) budget leaves the search path untouched.
+  /// Resource budget (memory / conflicts / propagations; wall time rides the
+  /// stop token's deadline). A breach returns kUnknown with
+  /// stats().limit_reason set. The default (unlimited) budget leaves the
+  /// search path untouched.
   util::ResourceBudget budget = {};
   /// Cooperative cancellation: polled during clause ingestion and every few
   /// dozen decisions/conflicts of the search. When it fires, solve() returns
@@ -101,14 +100,7 @@ struct SolverOptions {
   std::uint64_t heartbeat_interval = 1024;
 };
 
-/// Multi-shot CDCL solver.
-///
-/// solve() may be called any number of times on one Solver. Between calls
-/// the solver backtracks to the root level but KEEPS everything worth
-/// keeping: learnt clauses (arena records and implicit binary watchers),
-/// variable activities, saved phases, and the reduction cadence. The
-/// conflict budget applies per call, so a call that ran out of conflicts can
-/// be resumed by calling again.
+/// Single-shot CDCL solver: construct it on a formula, call solve() once.
 class Solver {
  public:
   explicit Solver(const Cnf& cnf, SolverOptions options = {});
@@ -121,13 +113,11 @@ class Solver {
   Solver(Solver&&) = delete;
   Solver& operator=(Solver&&) = delete;
 
-  /// Run the search. kSat fills model(); kUnsat is final (every later call
-  /// returns it too); kUnknown when a budget limit was hit for this call or
-  /// options.stop fired. Callable repeatedly.
+  /// Run the search. kSat fills model(); kUnknown when a budget limit was
+  /// hit or options.stop fired. A second call throws std::logic_error.
   [[nodiscard]] SolveResult solve();
 
-  /// Model indexed by var (0/1). Valid after a solve() that returned kSat,
-  /// until the next solve() call.
+  /// Model indexed by var (0/1). Valid after solve() returned kSat.
   [[nodiscard]] const std::vector<std::uint8_t>& model() const noexcept {
     return model_;
   }
@@ -197,13 +187,13 @@ class Solver {
                std::uint32_t& backtrack_level);
   void backtrack(std::uint32_t level);
   /// The actual CDCL search behind solve(); the public entry is a thin
-  /// dispatcher so fully-disabled observability costs one branch per solve()
-  /// call, not per search step.
+  /// dispatcher so fully-disabled observability costs one branch per solve,
+  /// not per search step.
   [[nodiscard]] SolveResult solve_internal();
   /// Instrumented path: wraps solve_internal in an obs span annotated with
-  /// the call's conflict/restart deltas and republishes the SolverStats
-  /// deltas as msropm::obs registry counters (the struct stays the façade —
-  /// both views always agree).
+  /// the conflict/restart counts and publishes the SolverStats totals as
+  /// msropm::obs registry counters (the struct stays the façade — both views
+  /// always agree).
   [[nodiscard]] SolveResult solve_obs();
   /// Heapify the full variable set and switch pick_branch_lit to the heap.
   /// Called at the first conflict: before any conflict the activities are
@@ -262,7 +252,7 @@ class Solver {
   std::vector<ClauseRef> learnt_refs_;  // long learnts only; binaries are implicit
   std::size_t learnt_binaries_ = 0;     // implicit learnt binaries ever attached
   std::array<Lit, 2> bin_conflict_{};   // lits of a binary conflict (propagate)
-  // Scratch buffers reused across calls so the search hot path (analyze /
+  // Scratch buffers reused across conflicts so the search hot path (analyze /
   // minimize / reduce) performs no per-conflict heap allocations.
   Clause ingest_scratch_;
   std::vector<Var> analyze_cleanup_;
@@ -280,19 +270,15 @@ class Solver {
   std::uint64_t hb_conflicts_since_ = 0; // conflicts since last sample
   std::uint64_t hb_restart_interval_ = 0;  // current Luby restart target
   std::vector<std::uint32_t> lbd_scratch_;  // LBD distinct-level scratch
-  std::size_t learnt_cap_ = 0;  // reduction threshold, persists across calls
-  bool ok_ = true;          // false once a top-level conflict is derived
-  bool db_incomplete_ = false;  // cancelled during ingest: SAT never provable
-  bool cancelled_ = false;      // last call was interrupted by options_.stop
+  std::size_t learnt_cap_ = 0;  // reduction threshold (grows geometrically)
+  bool ok_ = true;          // false once ingest derives a top-level conflict
+  bool cancelled_ = false;  // construction or search was cut short
+  bool solved_ = false;     // solve() has run
   // Resource-governance state. attached_watchers_ counts every live watcher
   // ever attached minus purges (8 bytes each in the accounting model);
-  // memory_model_bytes() = arena words * 4 + watchers * 8. db_limit_ records
-  // a breach that happened during CONSTRUCTION (ingest) so every
-  // subsequent solve() reports it. The per-call fields are set at solve entry.
+  // memory_model_bytes() = arena words * 4 + watchers * 8.
   std::uint64_t attached_watchers_ = 0;
-  util::LimitReason db_limit_ = util::LimitReason::kNone;
-  std::uint64_t prop_budget_ = 0;  // per-call: stats_.propagations cap
-  bool budget_active_ = false;     // hoisted limited() for the hot path
+  bool budget_active_ = false;  // hoisted limited() for the hot path
   [[nodiscard]] std::uint64_t memory_model_bytes() const noexcept {
     return (static_cast<std::uint64_t>(arena_.used_words())) * 4 +
            attached_watchers_ * 8;
@@ -304,9 +290,5 @@ class Solver {
   SolverStats stats_;
   std::vector<std::uint8_t> model_;
 };
-
-/// Convenience wrapper: solve a CNF and return the model if SAT.
-[[nodiscard]] std::optional<std::vector<std::uint8_t>> solve_cnf(
-    const Cnf& cnf, SolverOptions options = {});
 
 }  // namespace msropm::sat

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <span>
+#include <stdexcept>
 
 #include "msropm/obs/obs.hpp"
 #include "msropm/util/fault_injector.hpp"
@@ -31,8 +32,8 @@ constexpr bool kCheckInvariants = false;
 
 // Metric ids for the solver's phase timers and SolverStats counters,
 // interned once per process. The counters mirror the SolverStats struct
-// field-for-field: solve_obs() publishes per-call deltas, so registry totals
-// and the struct façade always agree.
+// field-for-field: solve_obs() publishes each solver's totals once, so
+// registry totals and the struct façade always agree.
 struct SolverMetrics {
   obs::MetricId t_ingest = obs::timer("sat.ingest");
   obs::MetricId t_solve = obs::timer("sat.solve");
@@ -89,16 +90,12 @@ Solver::Solver(const Cnf& cnf, SolverOptions options) : options_(options) {
   ingest_span.arg("clauses", cnf.num_clauses());
   learnt_cap_ = options_.learnt_cap;
   init_from(cnf);
-  // A clause DB truncated by cancellation can never prove SAT; remember the
-  // condition across solve() calls (cancelled_ itself is per-call state).
-  db_incomplete_ = cancelled_;
   if (!cancelled_ && ok_ && options_.budget.max_memory_bytes != 0 &&
       memory_model_bytes() > options_.budget.max_memory_bytes) {
-    // The ingested formula alone exceeds the memory budget: no solve() call
-    // can ever fit, so every call reports kUnknown / kMemory.
+    // The ingested formula alone exceeds the memory budget: solve() reports
+    // kUnknown / kMemory.
     cancelled_ = true;
-    db_incomplete_ = true;
-    db_limit_ = LimitReason::kMemory;
+    stats_.limit_reason = LimitReason::kMemory;
   }
 }
 
@@ -199,18 +196,19 @@ void Solver::init_from(const Cnf& cnf) {
         // sound for the full formula, but SAT is not — solve() returns
         // kUnknown.
         cancelled_ = true;
-        db_limit_ = options_.stop.deadline_expired() ? LimitReason::kDeadline
-                                                     : LimitReason::kNone;
+        stats_.limit_reason = options_.stop.deadline_expired()
+                                  ? LimitReason::kDeadline
+                                  : LimitReason::kNone;
         break;
       }
       if (mem_cap != 0 && memory_model_bytes() > mem_cap) {
         cancelled_ = true;
-        db_limit_ = LimitReason::kMemory;
+        stats_.limit_reason = LimitReason::kMemory;
         break;
       }
       if (util::fault::fire(FaultSite::kArenaAlloc)) {
         cancelled_ = true;
-        db_limit_ = LimitReason::kInjected;
+        stats_.limit_reason = LimitReason::kInjected;
         break;
       }
     }
@@ -667,7 +665,8 @@ util::LimitReason Solver::budget_breach() const noexcept {
       memory_model_bytes() > options_.budget.max_memory_bytes) {
     return LimitReason::kMemory;
   }
-  if (prop_budget_ != 0 && stats_.propagations >= prop_budget_) {
+  if (options_.budget.max_propagations != 0 &&
+      stats_.propagations >= options_.budget.max_propagations) {
     return LimitReason::kPropagations;
   }
   return LimitReason::kNone;
@@ -692,44 +691,40 @@ std::uint64_t Solver::luby(std::uint64_t i) noexcept {
 }
 
 SolveResult Solver::solve() {
+  if (solved_) {
+    throw std::logic_error("sat::Solver::solve: a Solver solves once");
+  }
+  solved_ = true;
   if (obs::gate() == 0) return solve_internal();
   return solve_obs();
 }
 
 SolveResult Solver::solve_obs() {
-  const SolverStats before = stats_;
-  // Fresh heartbeat window per instrumented call; the final publish below
+  // The heartbeat's rate window opens here; the final publish below
   // guarantees at least one sample even on sub-interval solves.
   hb_last_ns_ = hb_now_ns();
-  hb_last_conflicts_ = stats_.conflicts;
-  hb_last_decisions_ = stats_.decisions;
-  hb_last_propagations_ = stats_.propagations;
-  hb_lbd_sum_ = 0;
-  hb_lbd_count_ = 0;
-  hb_conflicts_since_ = 0;
   SolveResult result;
   {
     obs::Span span("sat.solve", sm().t_solve);
     result = solve_internal();
-    span.arg("conflicts", stats_.conflicts - before.conflicts);
-    span.arg("restarts", stats_.restarts - before.restarts);
-    span.arg("decisions", stats_.decisions - before.decisions);
+    span.arg("conflicts", stats_.conflicts);
+    span.arg("restarts", stats_.restarts);
+    span.arg("decisions", stats_.decisions);
     span.arg("result", static_cast<std::uint64_t>(result));
   }
   if (obs::metrics_enabled()) {
     const SolverMetrics& m = sm();
-    obs::add(m.c_decisions, stats_.decisions - before.decisions);
-    obs::add(m.c_propagations, stats_.propagations - before.propagations);
-    obs::add(m.c_conflicts, stats_.conflicts - before.conflicts);
-    obs::add(m.c_restarts, stats_.restarts - before.restarts);
-    obs::add(m.c_learnt, stats_.learnt_clauses - before.learnt_clauses);
-    obs::add(m.c_removed, stats_.removed_learnts - before.removed_learnts);
-    obs::add(m.c_blocker_skips, stats_.blocker_skips - before.blocker_skips);
-    obs::add(m.c_binary_props,
-             stats_.binary_propagations - before.binary_propagations);
-    obs::add(m.c_heap_decisions, stats_.heap_decisions - before.heap_decisions);
-    obs::add(m.c_gc_runs, stats_.gc_runs - before.gc_runs);
-    obs::add(m.c_gc_freed, stats_.gc_freed_words - before.gc_freed_words);
+    obs::add(m.c_decisions, stats_.decisions);
+    obs::add(m.c_propagations, stats_.propagations);
+    obs::add(m.c_conflicts, stats_.conflicts);
+    obs::add(m.c_restarts, stats_.restarts);
+    obs::add(m.c_learnt, stats_.learnt_clauses);
+    obs::add(m.c_removed, stats_.removed_learnts);
+    obs::add(m.c_blocker_skips, stats_.blocker_skips);
+    obs::add(m.c_binary_props, stats_.binary_propagations);
+    obs::add(m.c_heap_decisions, stats_.heap_decisions);
+    obs::add(m.c_gc_runs, stats_.gc_runs);
+    obs::add(m.c_gc_freed, stats_.gc_freed_words);
     obs::set_gauge(m.g_arena_alloc, static_cast<double>(stats_.arena_alloc_words));
     obs::set_gauge(m.g_arena_peak, static_cast<double>(stats_.arena_peak_words));
   }
@@ -809,21 +804,11 @@ void Solver::publish_heartbeat() {
 }
 
 SolveResult Solver::solve_internal() {
-  // Multi-shot entry: unwind whatever the previous call left behind. Doing
-  // the root reset lazily HERE (not on the previous call's SAT return path)
-  // keeps a final zero-conflict solve from paying an O(V log V) heap unwind
-  // it never benefits from.
-  backtrack(0);
-  model_.clear();
-  stats_.limit_reason = LimitReason::kNone;
   // An empty clause derived from any prefix of the formula refutes the whole
   // formula, so a top-level conflict outranks cancellation.
   if (!ok_) return SolveResult::kUnsat;
-  cancelled_ = db_incomplete_;
-  if (cancelled_) {
-    stats_.limit_reason = db_limit_;
-    return SolveResult::kUnknown;
-  }
+  // Cancelled during construction: stats_.limit_reason already says why.
+  if (cancelled_) return SolveResult::kUnknown;
   if (options_.stop.stop_requested()) {
     cancelled_ = true;
     stats_.limit_reason = options_.stop.deadline_expired()
@@ -831,29 +816,16 @@ SolveResult Solver::solve_internal() {
                               : LimitReason::kNone;
     return SolveResult::kUnknown;
   }
-  // Per-call budget baselines, hoisted once so the unbudgeted search pays a
-  // single predictable branch per conflict / decision-poll.
+  // Hoisted once so the unbudgeted search pays a single predictable branch
+  // per conflict / decision-poll.
   budget_active_ = options_.budget.limited();
-  prop_budget_ = options_.budget.max_propagations == 0
-                     ? 0
-                     : stats_.propagations + options_.budget.max_propagations;
-  if (!propagate().is_none()) {
-    ok_ = false;
-    return SolveResult::kUnsat;
-  }
+  if (!propagate().is_none()) return SolveResult::kUnsat;
 
   std::vector<Lit> learnt;
-  // The conflict budget is per call; stats_.conflicts is cumulative. A trip
-  // reports LimitReason::kConflicts.
-  const std::uint64_t call_conflict_cap = options_.budget.max_conflicts;
-  const std::uint64_t conflict_budget =
-      call_conflict_cap == 0 ? 0 : stats_.conflicts + call_conflict_cap;
-  // The Luby restart sequence restarts per CALL (MiniSat does the same):
-  // continuing the cumulative index would leave a resumed call with the
-  // tail's huge intervals and no early restarts.
-  std::uint64_t restarts_this_call = 0;
+  // A conflict-cap trip reports LimitReason::kConflicts.
+  const std::uint64_t conflict_cap = options_.budget.max_conflicts;
   std::uint64_t conflicts_until_restart =
-      options_.restart_base * luby(restarts_this_call);
+      options_.restart_base * luby(stats_.restarts);
   hb_restart_interval_ = conflicts_until_restart;
 
   for (;;) {
@@ -872,15 +844,12 @@ SolveResult Solver::solve_internal() {
     if (!conflict.is_none()) {
       ++stats_.conflicts;
       if (trail_lim_.empty()) {
-        ok_ = false;
         note_arena_peak();
         return SolveResult::kUnsat;
       }
       if (!heap_active_) activate_heap();
       if (util::fault::armed() &&
           util::fault::should_fire(FaultSite::kAnalyze)) {
-        // Unwind before analysis: the trail still holds the conflicting
-        // assignment, which the next call's root backtrack discards.
         cancelled_ = true;
         stats_.limit_reason = LimitReason::kInjected;
         note_arena_peak();
@@ -906,9 +875,7 @@ SolveResult Solver::solve_internal() {
         if (util::fault::armed() &&
             util::fault::should_fire(FaultSite::kArenaAlloc)) {
           // Injected allocation failure for the learnt record: drop the
-          // clause (learning is optional for soundness) and unwind. The
-          // asserting literal was not enqueued, so the next call re-derives
-          // the conflict from scratch.
+          // clause (learning is optional for soundness) and unwind.
           cancelled_ = true;
           stats_.limit_reason = LimitReason::kInjected;
           note_arena_peak();
@@ -923,7 +890,7 @@ SolveResult Solver::solve_internal() {
       }
       decay_activities();
       if (obs::gate() != 0) note_conflict_obs(learnt, trail_at_conflict);
-      if (conflict_budget != 0 && stats_.conflicts >= conflict_budget) {
+      if (conflict_cap != 0 && stats_.conflicts >= conflict_cap) {
         stats_.limit_reason = LimitReason::kConflicts;
         note_arena_peak();
         return SolveResult::kUnknown;
@@ -966,10 +933,8 @@ SolveResult Solver::solve_internal() {
       }
       if (conflicts_until_restart == 0) {
         ++stats_.restarts;
-        ++restarts_this_call;
         backtrack(0);
-        conflicts_until_restart =
-            options_.restart_base * luby(restarts_this_call);
+        conflicts_until_restart = options_.restart_base * luby(stats_.restarts);
         hb_restart_interval_ = conflicts_until_restart;
         if (obs::gate() != 0) publish_heartbeat();
       }
@@ -1004,10 +969,9 @@ SolveResult Solver::solve_internal() {
         for (Var v = 0; v < num_vars_; ++v) {
           model_[v] = assigns_[v] == LBool::kTrue ? 1 : 0;
         }
-        // No final backtrack(0): the model is already extracted and the next
-        // solve() call performs the root reset lazily — on the paper's
-        // zero-conflict King's instances the eager unwind was a third of
-        // solve().
+        // No final backtrack(0): the model is already extracted and the
+        // solver is done — on the paper's zero-conflict King's instances an
+        // unwind would be a third of solve().
         note_arena_peak();
         return SolveResult::kSat;
       }
@@ -1049,13 +1013,6 @@ bool Solver::clause_refs_clean() const noexcept {
     if (!valid(cr)) return false;
   }
   return true;
-}
-
-std::optional<std::vector<std::uint8_t>> solve_cnf(const Cnf& cnf,
-                                                   SolverOptions options) {
-  Solver solver(cnf, options);
-  if (solver.solve() == SolveResult::kSat) return solver.model();
-  return std::nullopt;
 }
 
 }  // namespace msropm::sat

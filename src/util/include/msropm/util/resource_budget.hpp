@@ -9,12 +9,11 @@
 // surfaces as LimitReason::kDeadline.
 //
 // Contract (see src/util/README.md for the full catalog):
-//   - All limits are per solve()/run() call, not per object lifetime.
+//   - The limits bound one attempt: a single-shot sat::Solver's solve(), or
+//     one portfolio strategy attempt.
 //   - A breach unwinds cleanly to the engine's "unknown" result (never a
 //     crash, never a wrong verdict) with the reason recorded in the engine's
 //     stats/result struct as a LimitReason.
-//   - A breached multi-shot engine stays usable: the next call starts with a
-//     fresh per-call budget against the same cumulative state.
 //   - A default-constructed (unlimited) budget changes no behavior and adds
 //     at most one predictable branch per conflict to the search hot path.
 
@@ -28,8 +27,8 @@ namespace msropm::util {
 enum class LimitReason : std::uint8_t {
   kNone = 0,      ///< no limit involved (completed, or plain cancellation)
   kMemory,        ///< memory budget breached (arena + watch accounting)
-  kConflicts,     ///< per-call conflict cap reached
-  kPropagations,  ///< per-call propagation cap reached
+  kConflicts,     ///< conflict cap reached
+  kPropagations,  ///< propagation cap reached
   kDeadline,      ///< StopToken wall-clock deadline expired
   kInjected,      ///< a FaultInjector fault point fired
 };
@@ -57,9 +56,9 @@ struct ResourceBudget {
   /// it is bit-identical across runs, which crash-free degradation tests
   /// require and a heap probe cannot give.
   std::uint64_t max_memory_bytes = 0;
-  /// Conflict cap per solve() call.
+  /// Conflict cap of the attempt.
   std::uint64_t max_conflicts = 0;
-  /// Propagation cap per solve() call.
+  /// Propagation cap of the attempt.
   std::uint64_t max_propagations = 0;
 
   [[nodiscard]] constexpr bool limited() const noexcept {

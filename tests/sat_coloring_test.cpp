@@ -12,6 +12,7 @@
 #include "msropm/graph/builders.hpp"
 #include "msropm/obs/obs.hpp"
 #include "msropm/util/rng.hpp"
+#include "msropm/util/stop_token.hpp"
 
 namespace {
 
@@ -169,6 +170,18 @@ TEST(ChromaticNumber, SeededAtCliqueLowerBound) {
   EXPECT_EQ(outcome.solve_calls, 1u);
   EXPECT_TRUE(graph::is_proper_coloring(graph::kings_graph_square(6),
                                         outcome.coloring, 4));
+}
+
+TEST(ChromaticSearch, CancelledSearchReportsCancelled) {
+  // A stop token that fired before the search makes it report cancelled,
+  // not a proof.
+  const auto g = graph::kings_graph_square(10);
+  ChromaticSearchOptions options;
+  options.stop = util::StopToken::at_deadline(util::StopToken::Clock::now());
+  const auto outcome = chromatic_search(g, 8, options);
+  EXPECT_FALSE(outcome.chromatic.has_value());
+  EXPECT_TRUE(outcome.incomplete);
+  EXPECT_TRUE(outcome.cancelled);
 }
 
 TEST(Decode, ThrowsWhenNoColorVariableTrue) {

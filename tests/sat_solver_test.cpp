@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+
 #include "msropm/util/rng.hpp"
 
 namespace {
@@ -74,10 +77,10 @@ TEST(Solver, XorChainSat) {
   Cnf cnf(6);
   auto add_xor = [&cnf](Var a, Var b, Var c) {
     // c = a xor b
-    cnf.add_ternary(neg(a), neg(b), neg(c));
-    cnf.add_ternary(pos(a), pos(b), neg(c));
-    cnf.add_ternary(pos(a), neg(b), pos(c));
-    cnf.add_ternary(neg(a), pos(b), pos(c));
+    cnf.add_clause({neg(a), neg(b), neg(c)});
+    cnf.add_clause({pos(a), pos(b), neg(c)});
+    cnf.add_clause({pos(a), neg(b), pos(c)});
+    cnf.add_clause({neg(a), pos(b), pos(c)});
   };
   add_xor(0, 1, 2);
   add_xor(2, 3, 4);
@@ -187,16 +190,42 @@ TEST(Solver, ConflictLimitReturnsUnknown) {
   EXPECT_EQ(s.solve(), SolveResult::kUnknown);
 }
 
-TEST(Solver, SecondSolveRepeatsVerdict) {
-  // Multi-shot contract: the solver backtracks to root between calls, so a
-  // repeated query returns the same verdict and a valid model, not stale
-  // state.
-  Cnf cnf(1);
-  cnf.add_unit(pos(0));
-  Solver s(cnf);
-  EXPECT_EQ(s.solve(), SolveResult::kSat);
-  EXPECT_EQ(s.solve(), SolveResult::kSat);
-  EXPECT_EQ(s.model()[0], 1);
+TEST(Solver, SecondSolveThrows) {
+  // A Solver solves once, whatever its first answer was.
+  Cnf sat(1);
+  sat.add_unit(pos(0));
+  Solver s(sat);
+  ASSERT_EQ(s.solve(), SolveResult::kSat);
+  EXPECT_THROW((void)s.solve(), std::logic_error);
+  EXPECT_EQ(s.model()[0], 1);  // the first answer stands
+
+  Cnf unsat(1);
+  unsat.add_unit(pos(0));
+  unsat.add_unit(neg(0));
+  Solver u(unsat);
+  ASSERT_EQ(u.solve(), SolveResult::kUnsat);
+  EXPECT_THROW((void)u.solve(), std::logic_error);
+
+  // kUnknown from the search (conflict cap) and from construction (the
+  // formula alone breaches the memory budget).
+  Cnf odd(3);  // x0 != x1 != x2 != x0: a 2-colouring of a triangle
+  for (auto [a, b] : {std::pair{0u, 1u}, std::pair{1u, 2u}, std::pair{0u, 2u}}) {
+    odd.add_binary(pos(a), pos(b));
+    odd.add_binary(neg(a), neg(b));
+  }
+  SolverOptions capped;
+  capped.budget.max_conflicts = 1;
+  Solver c(odd, capped);
+  ASSERT_EQ(c.solve(), SolveResult::kUnknown);
+  EXPECT_EQ(c.stats().limit_reason, msropm::util::LimitReason::kConflicts);
+  EXPECT_THROW((void)c.solve(), std::logic_error);
+
+  SolverOptions tiny;
+  tiny.budget.max_memory_bytes = 8;
+  Solver m(odd, tiny);
+  ASSERT_EQ(m.solve(), SolveResult::kUnknown);
+  EXPECT_EQ(m.stats().limit_reason, msropm::util::LimitReason::kMemory);
+  EXPECT_THROW((void)m.solve(), std::logic_error);
 }
 
 TEST(Solver, PreStoppedTokenReturnsUnknown) {
@@ -267,19 +296,6 @@ TEST(Solver, InertTokenDoesNotDisturbSearch) {
   Solver solver(cnf, options);
   EXPECT_EQ(solver.solve(), SolveResult::kSat);
   EXPECT_FALSE(solver.cancelled());
-}
-
-TEST(SolveCnfHelper, ReturnsModelOrNullopt) {
-  Cnf sat(1);
-  sat.add_unit(pos(0));
-  const auto model = solve_cnf(sat);
-  ASSERT_TRUE(model.has_value());
-  EXPECT_EQ((*model)[0], 1);
-
-  Cnf unsat(1);
-  unsat.add_unit(pos(0));
-  unsat.add_unit(neg(0));
-  EXPECT_FALSE(solve_cnf(unsat).has_value());
 }
 
 }  // namespace
