@@ -30,6 +30,12 @@
 //      Emitted as `batch40_over_batch1` (batch1_ms / batch40_ms) on every
 //      row; the lane width is `lanes` in meta.
 //
+// On a host that runs width 4 or more, the 46x46 rows are repeated at a
+// forced width of 4 (`kings_46x46/anneal@w4`, ...; no legacy column), so the
+// AVX2 lane kernel has committed numbers even where AVX-512 is native. They
+// are diffed by scripts/bench_diff.py like every row; the gates above do not
+// read them.
+//
 // Results land in bench_results/bench_phase_batch.json via BenchJsonWriter.
 //
 // Usage: bench_phase_batch [--csv]
@@ -181,14 +187,15 @@ struct Measurement {
   double checksum = 0.0;
 };
 
-Measurement measure(const graph::Graph& g, const Workload& w, int reps) {
+Measurement measure(const graph::Graph& g, const Workload& w, int reps,
+                    bool legacy = true) {
   const phase::NetworkParams p = tuned_params(w.noise);
   Measurement best;
   best.legacy_s = best.batch1_s = best.batch40_s = 1e100;
 
   for (int rep = 0; rep < reps; ++rep) {
     // Legacy: 40 serial networks, stepped replica-major like the old runner.
-    {
+    if (legacy) {
       std::vector<LegacyNetwork> nets;
       std::vector<util::Rng> rngs;
       nets.reserve(kReplicas);
@@ -366,6 +373,32 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (phase::detail::simd_width() >= 4) {
+    const phase::detail::ScopedSimdWidth width4(4);
+    for (const Workload& w : workloads) {
+      if (w.side != 46) continue;
+      const auto g = graph::kings_graph_square(w.side);
+      const Measurement m = measure(g, w, kReps, /*legacy=*/false);
+      sink += m.checksum;
+      const std::string regime = std::string(w.regime) + "@w4";
+      const double rsteps = static_cast<double>(kReplicas) *
+                            static_cast<double>(w.steps) / m.batch40_s;
+      table.add_row({"kings_46x46", regime, std::to_string(w.steps), "-",
+                     util::format_double(m.batch1_s * 1e3),
+                     util::format_double(m.batch40_s * 1e3), "-", "-",
+                     util::format_double(m.batch1_s / m.batch40_s, 2),
+                     util::format_sci(rsteps)});
+      json.begin_row("kings_46x46/" + regime);
+      json.metric("side", static_cast<std::uint64_t>(w.side));
+      json.metric("lanes", static_cast<std::uint64_t>(4));
+      json.metric("regime", w.regime);
+      json.metric("steps", static_cast<std::uint64_t>(w.steps));
+      json.metric("batch1_ms", m.batch1_s * 1e3);
+      json.metric("batch40_ms", m.batch40_s * 1e3);
+      json.metric("batch40_over_batch1", m.batch1_s / m.batch40_s);
+      json.metric("batch40_replica_steps_per_sec", rsteps);
+    }
+  }
   json.meta("best_batch40_speedup", best_b40_speedup);
   json.meta("best_batch40_row", best_b40_row);
   json.meta("best_46x46_batch40_over_batch1", best_lane_gain);

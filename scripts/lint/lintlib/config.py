@@ -122,6 +122,8 @@ HOT_FUNCTIONS = [re.compile(p) for p in (
     r'(^|::)WatchLists::push$',
     r'(^|::)WatchLists::grow$',
     r'(^|::)PhaseBatch::euler_step_lanes$',
+    # The P_EN mask-bit rebuild euler_step_lanes runs after a mask change.
+    r'(^|::)PhaseBatch::rebuild_edge_bits$',
     r'(^|::)PhaseBatch::pack_lanes$',
     r'(^|::)PhaseBatch::unpack_lanes$',
     r'(^|::)PhaseBatch::refresh_trig$',

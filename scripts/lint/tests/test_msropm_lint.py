@@ -39,6 +39,8 @@ _CASES = {
                                   'hot-path-alloc', True),
     'alloc_watch_lists_bad.cpp': ('src/sat/alloc_watch_lists_bad.cpp',
                                   'hot-path-alloc', True),
+    'alloc_edge_bits_bad.cpp': ('src/phase/alloc_edge_bits_bad.cpp',
+                                'hot-path-alloc', True),
     'atomics_bad.cpp': ('src/obs/atomics_bad.cpp', 'atomics-discipline', True),
     'atomics_ok.cpp': ('src/obs/atomics_ok.cpp', 'atomics-discipline', False),
     'suppress_bad.cpp': ('src/sat/suppress_bad.cpp', 'lint-suppression', True),
@@ -92,6 +94,15 @@ class FixtureTest(unittest.TestCase):
                           'WatchLists::grow'}, proc.stdout)
         self.assertIn('allocate()',
                       ' | '.join(f['message'] for f in doc['findings']))
+
+    def test_edge_bit_rebuild_is_a_hot_path(self):
+        # The lane kernel's mask-bit rebuild runs inside the per-step
+        # euler_step_lanes, so an allocating local there is a finding.
+        proc, doc = self._lint_one('alloc_edge_bits_bad.cpp',
+                                   'src/phase/alloc_edge_bits_bad.cpp')
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertEqual({f['function'] for f in doc['findings']},
+                         {'PhaseBatch::rebuild_edge_bits'}, proc.stdout)
 
     def test_suppress_details(self):
         proc, doc = self._lint_one('suppress_bad.cpp',

@@ -65,7 +65,7 @@ PhaseBatch::PhaseBatch(const graph::Graph& g, NetworkParams params,
 
   // CSR: count directed entries per node, then fill (neighbor, edge id). The
   // edge list is canonical (u < v, lexicographic), so both the entry order
-  // within a node and the weight layout are deterministic.
+  // within a node and the edge-bit layout are deterministic.
   csr_offsets_.assign(n_ + 1, 0);
   const auto edges = g.edges();
   for (const graph::Edge& e : edges) {
@@ -91,6 +91,7 @@ PhaseBatch::PhaseBatch(const graph::Graph& g, NetworkParams params,
   lanes_ = simd_->width;
   groups_ = lanes_ > 1 ? r_ / lanes_ : 0;
   const std::size_t scratch = n_ * lanes_;
+  const std::size_t units = groups_ + (r_ - groups_ * lanes_);
 
   theta_.assign(r_ * n_, 0.0);
   edge_mask_.assign(r_ * m_, 1);
@@ -103,8 +104,8 @@ PhaseBatch::PhaseBatch(const graph::Graph& g, NetworkParams params,
   couplings_active_.assign(r_, 1);
   shil_active_.assign(r_, 0);
   shil_level_.assign(r_, 1.0);
-  weights_.assign(r_ * 2 * m_, 0.0);
-  weights_dirty_.assign(r_, 1);
+  edge_bits_.assign(units * 2 * m_, 0);
+  edge_bits_dirty_.assign(r_, 1);
   sin_.assign(scratch, 0.0);
   cos_.assign(scratch, 0.0);
   if (params_.shil_order != 2) {
@@ -146,7 +147,6 @@ void PhaseBatch::randomize_phases(std::size_t r, util::Rng& rng) {
 void PhaseBatch::set_uniform_coupling(std::size_t r, double j) {
   check_replica(r);
   j_[r] = j;
-  weights_dirty_[r] = 1;
 }
 
 void PhaseBatch::set_edge_mask(std::size_t r, std::span<const std::uint8_t> mask) {
@@ -155,7 +155,7 @@ void PhaseBatch::set_edge_mask(std::size_t r, std::span<const std::uint8_t> mask
     throw std::invalid_argument("PhaseBatch::set_edge_mask: size mismatch");
   }
   std::copy(mask.begin(), mask.end(), edge_mask_.begin() + r * m_);
-  weights_dirty_[r] = 1;
+  edge_bits_dirty_[r] = 1;
 }
 
 void PhaseBatch::refresh_shil_trig(std::size_t r) {
@@ -202,19 +202,23 @@ void PhaseBatch::set_detune(std::size_t r,
   for (std::size_t i = 0; i < n_; ++i) detune_[at.at(i)] = detune_rad_per_s[i];
 }
 
-void PhaseBatch::rebuild_weights(std::size_t r) {
-  // Fused CSR weights: Kc * J * mask_e per directed entry. Masked-off edges
-  // become exact 0.0 multiplicands, so the step loop carries no mask branch.
-  const double kc = params_.coupling_gain;
-  const double j = j_[r];
+std::size_t PhaseBatch::unit_of(std::size_t r) const noexcept {
+  const std::size_t grouped = groups_ * lanes_;
+  return r < grouped ? r / lanes_ : groups_ + (r - grouped);
+}
+
+void PhaseBatch::rebuild_edge_bits(std::size_t r) {
+  // Replica r's bit in its unit's byte per directed CSR entry: set where its
+  // P_EN mask couples the entry's edge.
+  const std::size_t grouped = groups_ * lanes_;
+  const auto bit = static_cast<std::uint8_t>(r < grouped ? 1u << (r % lanes_) : 1u);
   const std::uint8_t* mask = edge_mask_.data() + r * m_;
   const std::size_t nnz = 2 * m_;
-  const Slice at = slice(r, nnz);
+  std::uint8_t* bits = edge_bits_.data() + unit_of(r) * nnz;
   for (std::size_t k = 0; k < nnz; ++k) {
-    const std::uint32_t e = csr_edge_[k];
-    weights_[at.at(k)] = mask[e] ? kc * j : 0.0;
+    bits[k] = mask[csr_edge_[k]] != 0 ? bits[k] | bit : bits[k] & ~bit;
   }
-  weights_dirty_[r] = 0;
+  edge_bits_dirty_[r] = 0;
 }
 
 void PhaseBatch::refresh_trig(const double* theta) const {
@@ -235,7 +239,7 @@ void PhaseBatch::euler_step_lanes(std::size_t first, std::size_t lanes,
   step.csr_neighbor = csr_neighbor_.data();
   step.x = x;
   const Slice node = slice(first, n_);
-  step.w = weights_.data() + slice(first, 2 * m_).base;
+  step.edge_bits = edge_bits_.data() + unit_of(first) * 2 * m_;
   step.detune = detune_.data() + node.base;
   step.shil_sin = shil_sin_.data() + node.base;
   step.shil_cos = shil_cos_.data() + node.base;
@@ -248,8 +252,9 @@ void PhaseBatch::euler_step_lanes(std::size_t first, std::size_t lanes,
   step.shil_order = params_.shil_order;
   for (std::size_t l = 0; l < lanes; ++l) {
     const std::size_t r = first + l;
-    if (weights_dirty_[r]) rebuild_weights(r);
+    if (edge_bits_dirty_[r]) rebuild_edge_bits(r);
     step.couple[l] = couplings_active_[r] != 0;
+    step.kcj[l] = params_.coupling_gain * j_[r];
     step.shil[l] = shil_active_[r] != 0 && shil_level_[r] > 0.0;
     step.ks[l] = step.shil[l] ? params_.shil_gain * shil_level_[r] : 0.0;
     step.psi[l] = shil_phase_.data() + r * n_;
@@ -322,7 +327,7 @@ bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
     saved_level.assign(shil_level_.begin(), shil_level_.end());
   }
   // Unit-major: a group's (or single's) whole window runs back-to-back,
-  // keeping its state and fused weights cache-hot across steps. A lane only
+  // keeping its state and edge bits cache-hot across steps. A lane only
   // ever touches its replica's state and rngs[r], so a unit's trajectory
   // does not depend on the others (pinned by phase_batch_test's batch-of-R
   // against batch-of-1 runs).

@@ -44,15 +44,18 @@
 //       J sum_j m_ij sin(theta_i - theta_j)
 //         = sin_i * sum_j w_ij cos_j  -  cos_i * sum_j w_ij sin_j
 //
-//     with fused per-replica weights w_ij = Kc * J * m_ij rebuilt lazily
-//     when a replica's coupling or mask changes (once per MSROPM stage).
+//     with w_ij = Kc * J * m_ij. The kernel holds Kc * J per replica and the
+//     masks m_ij as one byte of lane bits per CSR entry (bit l = lane l's
+//     P_EN mask), rebuilt lazily when a replica's mask changes (once per
+//     MSROPM stage); the sums add Kc * J * cos_j / sin_j only over the
+//     entries whose bit is set.
 //   * Replica lanes. The replicas run as floor(R/L) interleaved lane groups
 //     of L plus R mod L single-lane replicas, where L is the SIMD width
 //     fixed once per process (8 with AVX-512F+DQ, 4 with AVX2, else 1; see
 //     src/phase/trig.hpp). A group's per-node state is laid out node-major
 //     with the lanes innermost (`x[i*L + lane]`), so the gather does one
-//     L-wide load per CSR neighbour and per weight, the sin/cos pass runs
-//     over N*L contiguous values, and the noise comes from an L-lane
+//     L-wide load per CSR neighbour plus one edge-bit byte, the sin/cos pass
+//     runs over N*L contiguous values, and the noise comes from an L-lane
 //     xoshiro256** whose lane l is exactly rngs[l]'s stream. One kernel
 //     template on L serves both the groups and the single-lane replicas.
 //   * The order-2 SHIL term reuses the sin/cos pass through the double-angle
@@ -66,8 +69,9 @@
 // Determinism contract: a lane computes exactly what a lone replica computes
 // -- every transcendental runs at the process's one vector width on padded
 // blocks, terms a lane has switched off are blended out rather than added as
-// zero, and FP contraction is off -- and replica r only ever reads replica-r
-// state and rngs[r]. So a batch-of-R run is bit-identical to R batch-of-1
+// zero, masked-off edges add nothing to a finite sum, and FP contraction is
+// off -- and replica r only ever reads replica-r state and rngs[r]. So for
+// finite phases a batch-of-R run is bit-identical to R batch-of-1
 // runs (hard-gated by tests/core_batch_equivalence_test.cpp), and "serial"
 // and "batched" share this single implementation.
 
@@ -206,7 +210,10 @@ class PhaseBatch {
   [[nodiscard]] Slice slice(std::size_t r, std::size_t per_replica) const noexcept;
 
   void check_replica(std::size_t r) const;
-  void rebuild_weights(std::size_t r);
+  /// The lane group (or single) replica r steps in: groups first, then the
+  /// singles, as run() orders its units.
+  [[nodiscard]] std::size_t unit_of(std::size_t r) const noexcept;
+  void rebuild_edge_bits(std::size_t r);
   void refresh_trig(const double* theta) const;
   void refresh_shil_trig(std::size_t r);
   /// One Euler-Maruyama step of replicas [first, first + lanes), lanes 1 or
@@ -249,10 +256,12 @@ class PhaseBatch {
   std::vector<std::uint8_t> shil_active_;       // R
   std::vector<double> shil_level_;              // R
 
-  // Fused CSR weights Kc * J * mask in lane layout (R*2M, entry k of a
-  // group lane at k*L + lane), rebuilt lazily before a replica's next step.
-  std::vector<double> weights_;
-  std::vector<std::uint8_t> weights_dirty_;  // R
+  // P_EN masks in CSR order, one byte per directed entry per unit
+  // (units*2M, unit u at [u*2M, (u+1)*2M)): bit l is lane l's mask, bit 0 a
+  // single's. Replica r's bit is rebuilt lazily before its next step after
+  // set_edge_mask; J enters the kernel per lane as Kc * J.
+  std::vector<std::uint8_t> edge_bits_;
+  std::vector<std::uint8_t> edge_bits_dirty_;  // R
 
   // Scratch, fully rewritten before each use, so no state leaks across
   // replicas or groups (sin_/cos_ are mutable: the const energy queries

@@ -87,6 +87,18 @@ inline T select(M m, T a, T b) {
   return m ? a : b;
 }
 
+/// Lane l gets kcj[l] where bit l of `bits` is set, else 0.0.
+template <std::size_t L>
+inline typename Lanes<L>::D weights_of(unsigned bits, const double* kcj) {
+  if constexpr (L == 1) {
+    return (bits & 1u) != 0 ? kcj[0] : 0.0;
+  } else {
+    typename Lanes<L>::D v{};
+    for (std::size_t l = 0; l < L; ++l) v[l] = (bits >> l & 1u) != 0 ? kcj[l] : 0.0;
+    return v;
+  }
+}
+
 // --- transcendentals, W at a time ------------------------------------------
 
 template <std::size_t W>
@@ -309,13 +321,24 @@ void uniform_lanes_l(std::uint64_t* state, double* u, double* v,
 /// term that is off in some lane is computed for the group and blended out
 /// of that lane, never added as a zero. Term order, per node i:
 ///   d  = detune_i
-///   d -= sin_i * (sum_k w_k cos_j) - cos_i * (sum_k w_k sin_j)  [CSR order]
+///   d -= sin_i * (sum_k kcj cos_j) - cos_i * (sum_k kcj sin_j)  [CSR order,
+///        only the entries k whose edge bit is set in the lane]
 ///   d -= ks * sin(order * (theta_i - psi_i))                     [SHIL]
 ///   x += d * dt, then x += noise_scale * z_i.
+///
+/// The gather has two forms, chosen per L. At L = 8 each product is added
+/// only in the lanes whose edge bit is set (a masked add). Narrower groups
+/// look the entry's weight vector up in a 2^L-entry table built per step,
+/// w = lut[bits] (kcj or 0.0 per lane), and add w * cos_j in every lane; the
+/// masked add measured slower at L = 4. Both give the same sums for finite
+/// phases. A masked-off term w * cos_j is 0 * cos_j = +-0, and the
+/// accumulator, which starts at +0, is never -0 under round-to-nearest
+/// (+0 + -0 = +0 and x + -x = +0), so adding +-0 leaves it unchanged.
 template <std::size_t L>
 void euler_step_l(const LaneStep& s) {
   using D = typename Lanes<L>::D;
   using M = typename Lanes<L>::M;
+  using U = typename Lanes<L>::U;
   bool any_couple = false;
   bool all_couple = true;
   bool any_shil = false;
@@ -344,6 +367,16 @@ void euler_step_l(const LaneStep& s) {
     s.trig->sincos(s.gsin, s.gsin, s.gcos, nl);
   }
 
+  constexpr bool kMaskedAdd = L == 8;
+  const D kcj = load<D>(s.kcj);
+  U lane_bit{};
+  D lut[kMaskedAdd ? 1 : std::size_t{1} << L] = {};
+  if constexpr (kMaskedAdd) {
+    for (std::size_t l = 0; l < L; ++l) lane_bit[l] = std::uint64_t{1} << l;
+  } else if (any_couple) {
+    for (unsigned b = 0; b < (1u << L); ++b) lut[b] = weights_of<L>(b, s.kcj);
+  }
+
   const D dt = splat<L>(s.dt);
   const D noise_scale = splat<L>(s.noise_scale);
   const D two = splat<L>(2.0);
@@ -363,14 +396,23 @@ void euler_step_l(const LaneStep& s) {
     if (any_couple) {
       // sum_j w_ij sin(theta_i - theta_j)
       //   = sin_i * sum_j w_ij cos_j - cos_i * sum_j w_ij sin_j,
-      // one L-wide load per neighbour and per weight.
+      // one L-wide load of cos_j and of sin_j and one edge-bit byte per entry.
       D acc_cos = splat<L>(0.0);
       D acc_sin = splat<L>(0.0);
-      for (std::uint32_t k = s.csr_offsets[i]; k < s.csr_offsets[i + 1]; ++k) {
+      const std::size_t end = s.csr_offsets[i + 1];
+      for (std::size_t k = s.csr_offsets[i]; k != end; ++k) {
         const std::size_t j = s.csr_neighbor[k];
-        const D w = load<D>(s.w + k * L);
-        acc_cos += w * load<D>(s.cos + j * L);
-        acc_sin += w * load<D>(s.sin + j * L);
+        const D cj = load<D>(s.cos + j * L);
+        const D sj = load<D>(s.sin + j * L);
+        if constexpr (kMaskedAdd) {
+          const auto on = ((U{} + s.edge_bits[k]) & lane_bit) != 0;
+          acc_cos = select(on, acc_cos + kcj * cj, acc_cos);
+          acc_sin = select(on, acc_sin + kcj * sj, acc_sin);
+        } else {
+          const D w = lut[s.edge_bits[k]];
+          acc_cos += w * cj;
+          acc_sin += w * sj;
+        }
       }
       const D coupled =
           d - (load<D>(s.sin + at) * acc_cos - load<D>(s.cos + at) * acc_sin);

@@ -45,14 +45,15 @@ struct SimdKernels;
 
 /// One Euler-Maruyama step of one lane group of L replicas, as raw views.
 /// Per-node arrays are node-major with the lanes innermost: element
-/// (node i, lane l) lives at [i*L + l]; CSR weight k of lane l at [k*L + l].
+/// (node i, lane l) lives at [i*L + l]. The coupling of CSR entry k in lane l
+/// is kcj[l] where bit l of edge_bits[k] is set, else none.
 struct LaneStep {
   const SimdKernels* trig = nullptr;  ///< W-wide transcendentals
   std::size_t n = 0;                  ///< oscillators
   const std::uint32_t* csr_offsets = nullptr;   ///< n+1
   const std::uint32_t* csr_neighbor = nullptr;  ///< 2m
   double* x = nullptr;                ///< n*L phases, advanced in place
-  const double* w = nullptr;          ///< 2m*L fused weights Kc*J*mask
+  const std::uint8_t* edge_bits = nullptr;  ///< 2m: bit l = lane l's P_EN mask
   const double* detune = nullptr;     ///< n*L
   const double* shil_sin = nullptr;   ///< n*L sin(order * psi)
   const double* shil_cos = nullptr;   ///< n*L cos(order * psi)
@@ -72,6 +73,7 @@ struct LaneStep {
   bool couple[kMaxLanes] = {};  ///< coupling term on, per lane
   bool shil[kMaxLanes] = {};    ///< SHIL term on (active, level > 0), per lane
   double ks[kMaxLanes] = {};    ///< SHIL gain * level, per lane
+  double kcj[kMaxLanes] = {};   ///< coupling gain * J, per lane
 };
 
 /// The kernels of one vector width W. Array lengths are arbitrary: tails

@@ -1,16 +1,20 @@
 // Tests for the batched SoA phase engine: replica isolation, bit-identity
 // against batch-of-one runs at every lane-group boundary and every
-// dispatched SIMD width, the lane-vectorised xoshiro, the step's drift
-// against the energy gradient, and argument validation. The full
-// machine-level equivalence gate lives in core_batch_equivalence_test.cpp.
+// dispatched SIMD width, bit-identity against a frozen fused-weight gather,
+// the lane-vectorised xoshiro, the step's drift against the energy
+// gradient, and argument validation. The full machine-level equivalence
+// gate lives in core_batch_equivalence_test.cpp.
 #include "msropm/phase/batch.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <span>
 #include <vector>
 
 #include "../src/phase/trig.hpp"
@@ -226,6 +230,202 @@ TEST(PhaseBatch, MixedLaneGroupMatchesSoloRuns) {
     ASSERT_EQ(batch_rngs[r].state(), solo_rngs[r].state()) << "lane " << r;
     ASSERT_EQ(batch.coupling_energy(r), solo[r].coupling_energy(0));
     ASSERT_EQ(batch.shil_energy(r), solo[r].shil_energy(0));
+  }
+}
+
+/// One replica stepped the way the engine did before its gather read edge
+/// bits: fused CSR weights w_k = Kc * J * mask_e, added as w_k * cos_j in
+/// every entry, masked-off ones as 0.0 * cos_j. The transcendentals and the
+/// noise are the engine's own width-W kernels, so at one width this must
+/// match a lane of PhaseBatch bit for bit. Order-2 SHIL only.
+class FusedWeightReference {
+ public:
+  FusedWeightReference(const graph::Graph& g, const NetworkParams& p,
+                       std::size_t width)
+      : p_(p), trig_(&phase::detail::simd(width)), n_(g.num_nodes()) {
+    // CSR in the engine's order: per node, its edges in canonical edge order.
+    offsets_.assign(n_ + 1, 0);
+    for (const graph::Edge& e : g.edges()) {
+      ++offsets_[e.u + 1];
+      ++offsets_[e.v + 1];
+    }
+    for (std::size_t i = 0; i < n_; ++i) offsets_[i + 1] += offsets_[i];
+    neighbor_.resize(offsets_[n_]);
+    edge_.resize(offsets_[n_]);
+    std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
+    const auto edges = g.edges();
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      neighbor_[cursor[edges[e].u]] = edges[e].v;
+      edge_[cursor[edges[e].u]++] = static_cast<std::uint32_t>(e);
+      neighbor_[cursor[edges[e].v]] = edges[e].u;
+      edge_[cursor[edges[e].v]++] = static_cast<std::uint32_t>(e);
+    }
+    x_.assign(n_, 0.0);
+    detune_.assign(n_, 0.0);
+    shil_sin_.assign(n_, 0.0);
+    shil_cos_.assign(n_, 1.0);
+    sin_.assign(n_, 0.0);
+    cos_.assign(n_, 0.0);
+  }
+
+  void set_phases(std::span<const double> x) { x_.assign(x.begin(), x.end()); }
+  void set_detune(std::span<const double> d) { detune_.assign(d.begin(), d.end()); }
+  void set_coupling(double j, std::span<const std::uint8_t> mask, bool on) {
+    w_.resize(edge_.size());
+    for (std::size_t k = 0; k < edge_.size(); ++k) {
+      w_[k] = mask[edge_[k]] ? p_.coupling_gain * j : 0.0;
+    }
+    couple_ = on;
+  }
+  void set_shil(std::span<const double> psi, double level, bool on) {
+    for (std::size_t i = 0; i < n_; ++i) sin_[i] = 2.0 * psi[i];
+    trig_->sincos(sin_.data(), shil_sin_.data(), shil_cos_.data(), n_);
+    shil_ = on && level > 0.0;
+    ks_ = p_.shil_gain * level;
+  }
+
+  void step(util::Rng& rng) {
+    const double noise_scale = p_.noise_stddev * std::sqrt(p_.dt);
+    trig_->sincos(x_.data(), sin_.data(), cos_.data(), n_);
+    constexpr std::size_t kChunk = phase::detail::kNoiseChunk;
+    double zc[kChunk / 2] = {};
+    double zs[kChunk / 2] = {};
+    for (std::size_t i = 0; i < n_; ++i) {
+      if (noise_scale > 0.0 && i % kChunk == 0) {
+        const std::size_t pairs = (std::min(kChunk, n_ - i) + 1) / 2;
+        phase::detail::uniform_lanes({&rng, 1}, zc, zs, pairs);
+        trig_->box_muller(zc, zs, pairs);
+      }
+      double d = detune_[i];
+      if (couple_) {
+        double acc_cos = 0.0;
+        double acc_sin = 0.0;
+        for (std::uint32_t k = offsets_[i]; k < offsets_[i + 1]; ++k) {
+          acc_cos += w_[k] * cos_[neighbor_[k]];
+          acc_sin += w_[k] * sin_[neighbor_[k]];
+        }
+        d = d - (sin_[i] * acc_cos - cos_[i] * acc_sin);
+      }
+      if (shil_) {
+        const double s2 = 2.0 * sin_[i] * cos_[i];
+        const double c2 = cos_[i] * cos_[i] - sin_[i] * sin_[i];
+        d = d - ks_ * (s2 * shil_cos_[i] - c2 * shil_sin_[i]);
+      }
+      x_[i] += d * p_.dt;
+      if (noise_scale > 0.0) {
+        const double* z = (i & 1) != 0 ? zs : zc;
+        x_[i] += noise_scale * z[(i % kChunk) >> 1];
+      }
+    }
+  }
+
+  [[nodiscard]] const std::vector<double>& phases() const { return x_; }
+
+ private:
+  NetworkParams p_;
+  const phase::detail::SimdKernels* trig_;
+  std::size_t n_;
+  std::vector<std::uint32_t> offsets_, neighbor_, edge_;
+  std::vector<double> w_, x_, detune_, shil_sin_, shil_cos_, sin_, cos_;
+  bool couple_ = true;
+  bool shil_ = false;
+  double ks_ = 0.0;
+};
+
+/// Replica r's setup, applied alike to a PhaseBatch slot and a reference:
+/// a random edge mask of r-dependent density, J in {-1, 0.5}, couplings off
+/// or order-2 SHIL on in some replicas, detune in some, and phases with a
+/// block of exact +0.0 and -0.0 (whose sines are +-0).
+struct ReferenceSetup {
+  std::vector<double> phases, detune, psi;
+  std::vector<std::uint8_t> mask;
+  double j = -1.0;
+  bool couple = true;
+  bool shil = false;
+  double level = 1.0;
+
+  ReferenceSetup(const graph::Graph& g, std::size_t r) {
+    const std::size_t n = g.num_nodes();
+    util::Rng rng(3100 + 17 * r);
+    phases.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      phases[i] = i < n / 3 ? (i % 4 == 1 ? -0.0 : 0.0) : rng.uniform_phase();
+    }
+    const double density = 0.2 + 0.3 * static_cast<double>(r % 3);
+    mask.resize(g.num_edges());
+    for (auto& m : mask) m = rng.uniform() < density ? 1 : 0;
+    j = r % 2 == 0 ? -1.0 : 0.5;
+    couple = r % 5 != 2;
+    shil = r % 3 == 1;
+    level = 0.4 + 0.2 * static_cast<double>(r % 4);
+    psi.resize(n);
+    for (double& v : psi) v = rng.uniform_phase();
+    detune.assign(n, 0.0);
+    if (r % 4 == 3) {
+      for (std::size_t i = 0; i < n; ++i) {
+        detune[i] = 3.0e6 * static_cast<double>(i % 5) - 6.0e6;
+      }
+    }
+  }
+
+  void apply(PhaseBatch& batch, std::size_t slot) const {
+    batch.set_phases(slot, phases);
+    batch.set_edge_mask(slot, mask);
+    batch.set_uniform_coupling(slot, j);
+    batch.set_couplings_active(slot, couple);
+    batch.set_shil_phases(slot, psi);
+    batch.set_shil_active(slot, shil);
+    batch.set_shil_level(slot, level);
+    batch.set_detune(slot, detune);
+  }
+
+  void apply(FusedWeightReference& ref) const {
+    ref.set_phases(phases);
+    ref.set_coupling(j, mask, couple);
+    ref.set_shil(psi, level, shil);
+    ref.set_detune(detune);
+  }
+};
+
+TEST(PhaseBatch, EdgeBitGatherMatchesFusedWeightReference) {
+  // The gather adds Kc*J*cos_j only where a lane's edge bit is set; the
+  // reference adds 0.0*cos_j for masked-off entries. For finite phases both
+  // sums are the same doubles, at every width and lane-group boundary.
+  const auto g = graph::kings_graph_square(7);
+  constexpr int kSteps = 40;
+  for (const std::size_t width : {std::size_t{8}, std::size_t{4}, std::size_t{1}}) {
+    if (width > phase::detail::simd_width()) continue;
+    SCOPED_TRACE(width);
+    const phase::detail::ScopedSimdWidth scope(width);
+    for (const double noise : {2.0e3, 0.0}) {
+      SCOPED_TRACE(noise);
+      const NetworkParams params = tuned_params(noise);
+      for (const std::size_t replicas : {1, 7, 8, 9}) {
+        SCOPED_TRACE(replicas);
+        PhaseBatch batch(g, params, replicas);
+        std::vector<util::Rng> rngs;
+        for (std::size_t r = 0; r < replicas; ++r) {
+          ReferenceSetup(g, r).apply(batch, r);
+          rngs.emplace_back(600 + r);
+        }
+        batch.run(kSteps * params.dt, rngs);
+        for (std::size_t r = 0; r < replicas; ++r) {
+          FusedWeightReference ref(g, params, width);
+          ReferenceSetup(g, r).apply(ref);
+          util::Rng rng(600 + r);
+          for (int s = 0; s < kSteps; ++s) ref.step(rng);
+          // Bit patterns, so that the sign of a zero phase counts too.
+          const auto theta = batch.phases(r);
+          for (std::size_t i = 0; i < theta.size(); ++i) {
+            ASSERT_EQ(theta[i], ref.phases()[i]) << "replica " << r << " node " << i;
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(theta[i]),
+                      std::bit_cast<std::uint64_t>(ref.phases()[i]))
+                << "replica " << r << " node " << i;
+          }
+          ASSERT_EQ(rngs[r].state(), rng.state()) << "replica " << r;
+        }
+      }
+    }
   }
 }
 

@@ -96,7 +96,9 @@ TEST_F(SatHeartbeatTest, HeartbeatDoesNotPerturbSearch) {
     // Only the UNSAT refutation is guaranteed to search; the satisfiable
     // sibling may color without a single conflict, which still exercises
     // the model-equality half of the contract.
-    if (cnf == &unsat) ASSERT_GT(reference.stats.conflicts, 0u);
+    if (cnf == &unsat) {
+      ASSERT_GT(reference.stats.conflicts, 0u);
+    }
 
     obs::set_metrics_enabled(true);
     obs::set_tracing_enabled(true);
