@@ -47,7 +47,7 @@ int main() {
   const model::PottsModel potts(g, 4, 1.0);
   const auto coloring = solvers::solve_dsatur_bounded(g, 4).colors;
   const double e_onehot = onehot.energy(onehot.encode(coloring));
-  const double e_potts = potts.energy(model::potts_from_coloring(coloring));
+  const double e_potts = potts.energy(coloring);
   std::printf("energy cross-check on 49-node instance: Eq.5 = %.1f, "
               "Potts = %.1f (%s)\n\n",
               e_onehot, e_potts, e_onehot == e_potts ? "agree" : "DISAGREE");

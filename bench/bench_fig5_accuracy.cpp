@@ -82,7 +82,8 @@ int main() {
     // (b) stage-1 max-cut accuracy series.
     std::vector<double> cut_acc;
     for (const auto& it : summary.iterations) {
-      cut_acc.push_back(analysis::maxcut_accuracy(it.stage1_cut, ref.cut));
+      cut_acc.push_back(analysis::maxcut_accuracy(
+          it.result.stages.front().cut_edges, ref.cut));
     }
     render_series("(b) 1st stage max-cut accuracy:", cut_acc);
     const double corr = util::pearson_correlation(cut_acc,

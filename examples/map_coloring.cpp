@@ -86,8 +86,7 @@ int main(int argc, char** argv) {
               "energy %.0f\n",
               iterations, summary.best_accuracy,
               graph::count_conflicts(g, best),
-              model::PottsModel(g, 4, 1.0).energy(
-                  model::potts_from_coloring(best)));
+              model::PottsModel(g, 4, 1.0).energy(best));
 
   std::printf("\n%-6s %-8s   %-6s %-8s   %-6s %-8s\n", "state", "color",
               "state", "color", "state", "color");

@@ -7,7 +7,6 @@
 // adjacent pairs; the oscillator hardware realizes the vector Potts (cosine)
 // interaction, and a locked phase reads back as its nearest spin.
 
-#include <cstdint>
 #include <vector>
 
 #include "msropm/graph/coloring.hpp"
@@ -15,7 +14,9 @@
 
 namespace msropm::model {
 
-using PottsSpin = std::uint8_t;
+/// A coloring IS a Potts spin assignment: a graph::Coloring passes straight
+/// through as a std::vector<PottsSpin>.
+using PottsSpin = graph::Color;
 
 class PottsModel {
  public:
@@ -46,10 +47,5 @@ class PottsModel {
 /// Quantize a full phase vector to Potts spins.
 [[nodiscard]] std::vector<PottsSpin> potts_from_phases(
     const std::vector<double>& phases, unsigned num_states);
-
-/// A coloring IS a Potts spin assignment; conversions are identity casts but
-/// live here to keep call sites explicit.
-[[nodiscard]] graph::Coloring coloring_from_potts(const std::vector<PottsSpin>& spins);
-[[nodiscard]] std::vector<PottsSpin> potts_from_coloring(const graph::Coloring& colors);
 
 }  // namespace msropm::model

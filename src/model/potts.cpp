@@ -57,12 +57,4 @@ std::vector<PottsSpin> potts_from_phases(const std::vector<double>& phases,
   return spins;
 }
 
-graph::Coloring coloring_from_potts(const std::vector<PottsSpin>& spins) {
-  return {spins.begin(), spins.end()};
-}
-
-std::vector<PottsSpin> potts_from_coloring(const graph::Coloring& colors) {
-  return {colors.begin(), colors.end()};
-}
-
 }  // namespace msropm::model

@@ -2,8 +2,6 @@
 
 #include "msropm/core/shil_plan.hpp"
 
-#include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 namespace msropm::core {
@@ -119,8 +117,7 @@ CircuitMsropmResult CircuitMsropm::solve(
       continue;
     }
     const auto b2 = static_cast<std::uint8_t>(ro.bucket(i));
-    result.colors[i] =
-        static_cast<graph::Color>(color_from_bits(StageBits{b1, b2}));
+    result.colors[i] = final_color(b1, b2, 2);
   }
   result.final_phases = fabric.phases();
   fabric.run(config_.schedule.discretize_s * (1.0 - kReadoutPoint),

@@ -13,13 +13,19 @@
 //     lock     : per-group phase-shifted order-2 SHIL ramps in and binarizes
 //                each group's phases at {psi_g, psi_g + pi}
 //     readout  : the lock lobe of each oscillator is latched as bit b_k
-//                (hardware: DFF bank; here: nearest_lock_index). P_EN and
-//                SHIL_SEL registers are updated from the readout
+//                (hardware: DFF bank; here: nearest_lock_index) and shifted
+//                into the oscillator's SHIL_SEL register (sel <- 2*sel + b_k)
 //     reinit   : SHIL and couplings released; phases re-randomize (5 ns of
-//                free running; group memory lives in the digital registers,
+//                free running; group memory lives in the SHIL_SEL registers,
 //                NOT in the phases -- the compute-in-memory property)
-//   final      : after m = log2(K) stages the accumulated bits identify one
-//                of K equally spaced phases = the Potts spin / color
+//   final      : after m = log2(K) stages the register and the last bit
+//                identify one of K equally spaced phases = the Potts spin /
+//                color (shil_plan.hpp's final_color)
+//
+// The register is the only state a run carries from one stage to the next:
+// the stage-k SHIL phase is shil_phase(sel, k), and P_EN keeps an edge
+// coupled iff its endpoints' registers are equal (they have read out the
+// same bits so far).
 //
 // Stage-1 with all couplings active is exactly a max-cut solve of the whole
 // graph; its cut is reported for the Fig. 5(b) correlation study.
@@ -65,7 +71,6 @@ struct StageOutcome {
 struct MsropmResult {
   graph::Coloring colors;               ///< final color per node
   std::vector<StageOutcome> stages;     ///< one per stage
-  double total_time_s = 0.0;            ///< schedule time (fixed, 60 ns for K=4)
 
   /// Stage-1 bipartition (the max-cut solution of the full graph).
   [[nodiscard]] model::CutAssignment stage1_cut() const;
@@ -84,11 +89,11 @@ using StageObserver =
 /// allocated, instead of letting a hostile DIMACS header exhaust memory.
 ///
 /// Sizing: dimacs_solver's default run (40 iterations, batches of 8 on 4
-/// worker threads, 4-vCPU x86-64 host) peaked at 67 MB RSS on a 10,000-node
-/// King's graph, 258 MB on 40,000 nodes and 420 MB on 65,536 (256 x 256),
-/// about 6.4 kB per node, nearly all of it the in-flight replicas' phase
+/// worker threads, 4-vCPU x86-64 host) peaked at 31 MB RSS on a 10,000-node
+/// King's graph, 113 MB on 40,000 nodes and 183 MB on 65,536 (256 x 256),
+/// about 2.8 kB per node, nearly all of it the in-flight replicas' phase
 /// state. 40 iterations are at most 5 batches in flight, so at this cap the
-/// run should stay near 0.5 GB on any host (5/4 of the measured peak). The
+/// run should stay near 0.25 GB on any host (5/4 of the measured peak). The
 /// largest paper graph (46 x 46, 2116 nodes) is 31x below the cap.
 inline constexpr std::size_t kMaxMachineNodes = std::size_t{1} << 16;
 
@@ -110,12 +115,13 @@ class MultiStagePottsMachine {
 
   /// Drive rngs.size() independent Monte-Carlo replicas through the full
   /// anneal/lock/readout/reinit stage schedule SIMULTANEOUSLY on one
-  /// phase::PhaseBatch: readouts and the P_EN/SHIL_SEL register updates are
-  /// applied per replica between the shared integration windows. Replica r
-  /// consumes only rngs[r], so its trajectory, per-stage bits, and final
-  /// coloring are bit-identical to solve(rngs[r]) at any batch width
-  /// (hard-gated against a frozen single-network reference by
-  /// tests/core_batch_equivalence_test.cpp). Returns one result per replica.
+  /// phase::PhaseBatch: readouts and the SHIL_SEL register updates (and the
+  /// P_EN masks they imply) are applied per replica between the shared
+  /// integration windows. Replica r consumes only rngs[r], so its
+  /// trajectory, per-stage bits, and final coloring are bit-identical to
+  /// solve(rngs[r]) at any batch width (hard-gated against a frozen
+  /// single-network reference by tests/core_batch_equivalence_test.cpp).
+  /// Returns one result per replica.
   [[nodiscard]] std::vector<MsropmResult> solve_batch(
       std::span<util::Rng> rngs, const StageObserver& observer = {}) const;
 

@@ -30,7 +30,6 @@ inline constexpr std::size_t kMaxIterations = 100000;
 struct IterationOutcome {
   MsropmResult result;
   double coloring_accuracy = 0.0;  ///< satisfied edges / total edges
-  std::size_t stage1_cut = 0;      ///< stage-1 max-cut value
 };
 
 struct RunSummary {
@@ -53,7 +52,8 @@ struct RunSummary {
   }
   /// Accuracy series in iteration order (Fig. 5a traces).
   [[nodiscard]] std::vector<double> accuracy_series() const;
-  /// Stage-1 cut series in iteration order (Fig. 5b traces).
+  /// Stage-1 cut series (each iteration's stages.front().cut_edges, the
+  /// stage-1 max-cut value) in iteration order (Fig. 5b traces).
   [[nodiscard]] std::vector<double> stage1_cut_series() const;
 };
 

@@ -70,25 +70,27 @@ std::vector<MsropmResult> MultiStagePottsMachine::solve_batch(
   net.run(config_.schedule.init_s, rngs);
   if (observer) observer(0, "init", net);
 
-  // Per-replica register files: accumulated readout bits (SHIL_SEL) and the
-  // P_EN edge masks. Replicas diverge here after the first readout.
-  std::vector<std::vector<StageBits>> bits(replicas,
-                                           std::vector<StageBits>(n));
-  std::vector<std::vector<std::uint8_t>> edge_mask(
-      replicas, std::vector<std::uint8_t>(g.num_edges(), 1));
-
+  // SHIL_SEL registers, one byte per oscillator, replica r's at
+  // [r*n, (r+1)*n): the readout bits so far, MSB first (shil_plan.hpp). Each
+  // stage's SHIL phases and P_EN mask derive from them; no other state
+  // carries over from one stage to the next.
+  std::vector<std::uint8_t> sel(replicas * n, 0);
   std::vector<MsropmResult> results(replicas);
-  for (std::size_t r = 0; r < replicas; ++r) {
-    results[r].total_time_s = config_.total_time_s();
-  }
 
+  const auto edges = g.edges();
   std::vector<double> psi(n);
+  std::vector<std::uint8_t> edge_mask(edges.size());
   for (unsigned stage = 1; stage <= num_stages; ++stage) {
-    // SHIL phases + P_EN masks for each replica's current grouping.
+    // SHIL phases + P_EN masks for each replica's current grouping: an edge
+    // stays coupled iff its endpoints' registers match.
     for (std::size_t r = 0; r < replicas; ++r) {
-      for (std::size_t i = 0; i < n; ++i) psi[i] = shil_phase_for_bits(bits[r][i]);
+      const std::uint8_t* sel_r = sel.data() + r * n;
+      for (std::size_t i = 0; i < n; ++i) psi[i] = shil_phase(sel_r[i], stage);
+      for (std::size_t e = 0; e < edges.size(); ++e) {
+        edge_mask[e] = sel_r[edges[e].u] == sel_r[edges[e].v];
+      }
       net.set_shil_phases(r, psi);
-      net.set_edge_mask(r, edge_mask[r]);
+      net.set_edge_mask(r, edge_mask);
       net.set_couplings_active(r, true);
       net.set_shil_active(r, false);
     }
@@ -107,7 +109,6 @@ std::vector<MsropmResult> MultiStagePottsMachine::solve_batch(
     if (observer) observer(stage, "lock", net);
 
     // --- readout + register update, per replica --------------------------
-    const auto edges = g.edges();
     for (std::size_t r = 0; r < replicas; ++r) {
       StageOutcome outcome;
       outcome.bits.resize(n);
@@ -117,19 +118,23 @@ std::vector<MsropmResult> MultiStagePottsMachine::solve_batch(
       for (std::size_t i = 0; i < n; ++i) {
         outcome.bits[i] = static_cast<std::uint8_t>(
             phase::nearest_lock_index(theta[i], psi_r[i], 2));
-        bits[r][i].push_back(outcome.bits[i]);
         max_residual =
             std::max(max_residual, phase::lock_residual(theta[i], psi_r[i], 2));
       }
       outcome.max_lock_residual = max_residual;
 
-      // Update P_EN: cut couplings whose endpoints read out different bits.
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        if (!edge_mask[r][e]) continue;
+      // Count the couplings this stage's readout cuts, then shift the bits
+      // into the registers (which switches those couplings off for the next
+      // stage).
+      std::uint8_t* sel_r = sel.data() + r * n;
+      for (const graph::Edge& e : edges) {
+        if (sel_r[e.u] != sel_r[e.v]) continue;
         ++outcome.active_edges;
-        if (outcome.bits[edges[e].u] != outcome.bits[edges[e].v]) {
-          ++outcome.cut_edges;
-          edge_mask[r][e] = 0;
+        if (outcome.bits[e.u] != outcome.bits[e.v]) ++outcome.cut_edges;
+      }
+      if (stage < num_stages) {
+        for (std::size_t i = 0; i < n; ++i) {
+          sel_r[i] = static_cast<std::uint8_t>(2 * sel_r[i] + outcome.bits[i]);
         }
       }
       results[r].stages.push_back(std::move(outcome));
@@ -147,11 +152,13 @@ std::vector<MsropmResult> MultiStagePottsMachine::solve_batch(
     }
   }
 
+  // --- final: the last register value and the last bit name the color -----
   for (std::size_t r = 0; r < replicas; ++r) {
+    const std::uint8_t* sel_r = sel.data() + r * n;
+    const std::vector<std::uint8_t>& last = results[r].stages.back().bits;
     results[r].colors.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      results[r].colors[i] =
-          static_cast<graph::Color>(color_from_bits(bits[r][i]));
+      results[r].colors[i] = final_color(sel_r[i], last[i], num_stages);
     }
   }
   return results;

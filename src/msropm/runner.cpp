@@ -23,7 +23,9 @@ std::vector<double> RunSummary::accuracy_series() const {
 std::vector<double> RunSummary::stage1_cut_series() const {
   std::vector<double> s;
   s.reserve(iterations.size());
-  for (const auto& it : iterations) s.push_back(static_cast<double>(it.stage1_cut));
+  for (const auto& it : iterations) {
+    s.push_back(static_cast<double>(it.result.stages.front().cut_edges));
+  }
   return s;
 }
 
@@ -80,8 +82,6 @@ RunSummary run_iterations(const MultiStagePottsMachine& machine,
         out.result = std::move(results[k]);
         out.coloring_accuracy =
             graph::coloring_accuracy(machine.graph(), out.result.colors);
-        out.stage1_cut =
-            out.result.stages.empty() ? 0 : out.result.stages.front().cut_edges;
         summary.iterations[begin + k] = std::move(out);
       }
     }

@@ -1,6 +1,5 @@
 #include "msropm/core/shil_plan.hpp"
 
-#include <cmath>
 #include <numbers>
 #include <stdexcept>
 
@@ -21,59 +20,23 @@ unsigned stages_for_colors(unsigned num_colors) {
   return stages;
 }
 
-double shil_phase_for_bits(const StageBits& bits) {
-  double psi = 0.0;
-  double weight = 0.5;
-  for (std::uint8_t b : bits) {
-    if (b > 1) throw std::invalid_argument("shil_phase_for_bits: bit > 1");
-    psi += static_cast<double>(b) * weight;
-    weight *= 0.5;
+double shil_phase(std::uint8_t sel, unsigned stage) {
+  if (stage == 0 || stage > 7 || sel >= (1u << (stage - 1))) {
+    throw std::invalid_argument("shil_phase: stage 1..7, sel < 2^(stage-1)");
   }
-  return std::numbers::pi * psi;
+  // sel / 2^(stage-1) is exact, so this is the dyadic sum of the bits.
+  return std::numbers::pi *
+         (static_cast<double>(sel) / static_cast<double>(1u << (stage - 1)));
 }
 
-std::uint32_t group_from_bits(const StageBits& bits) noexcept {
-  std::uint32_t g = 0;
-  for (std::size_t j = 0; j < bits.size(); ++j) {
-    g |= static_cast<std::uint32_t>(bits[j] & 1u) << j;
+std::uint8_t final_color(std::uint8_t sel, std::uint8_t last_bit,
+                         unsigned num_stages) {
+  if (num_stages == 0 || num_stages > 7 || sel >= (1u << (num_stages - 1)) ||
+      last_bit > 1) {
+    throw std::invalid_argument(
+        "final_color: 1..7 stages, sel < 2^(stages-1), last_bit <= 1");
   }
-  return g;
-}
-
-double final_phase_from_bits(const StageBits& bits) {
-  if (bits.empty()) throw std::invalid_argument("final_phase_from_bits: no bits");
-  StageBits prefix(bits.begin(), bits.end() - 1);
-  return shil_phase_for_bits(prefix) +
-         std::numbers::pi * static_cast<double>(bits.back());
-}
-
-std::uint8_t color_from_bits(const StageBits& bits) {
-  const auto m = static_cast<unsigned>(bits.size());
-  if (m == 0 || m > 7) throw std::invalid_argument("color_from_bits: 1..7 stages");
-  const unsigned k = 1u << m;
-  const double slot = 2.0 * std::numbers::pi / static_cast<double>(k);
-  const double theta = final_phase_from_bits(bits);
-  auto idx = static_cast<long>(std::lround(theta / slot));
-  idx %= static_cast<long>(k);
-  if (idx < 0) idx += static_cast<long>(k);
-  return static_cast<std::uint8_t>(idx);
-}
-
-StageBits bits_from_color(std::uint8_t color, unsigned num_stages) {
-  if (num_stages == 0 || num_stages > 7) {
-    throw std::invalid_argument("bits_from_color: 1..7 stages");
-  }
-  const unsigned k = 1u << num_stages;
-  if (color >= k) throw std::invalid_argument("bits_from_color: color out of range");
-  // Invert by enumeration: the forward map is a bijection over 2^m patterns.
-  for (std::uint32_t pattern = 0; pattern < k; ++pattern) {
-    StageBits bits(num_stages);
-    for (unsigned j = 0; j < num_stages; ++j) {
-      bits[j] = static_cast<std::uint8_t>((pattern >> j) & 1u);
-    }
-    if (color_from_bits(bits) == color) return bits;
-  }
-  throw std::logic_error("bits_from_color: bijection violated");
+  return static_cast<std::uint8_t>(sel + (last_bit << (num_stages - 1)));
 }
 
 }  // namespace msropm::core

@@ -230,7 +230,6 @@ inline std::string export_metrics_json(const MetricsSnapshot&) { return "{}\n"; 
 inline std::string export_metrics_prometheus(const MetricsSnapshot&) { return {}; }
 
 inline void set_thread_lane(std::string_view) {}
-inline const char* intern(std::string_view) { return ""; }
 inline void trace_instant(const char*) noexcept {}
 inline void trace_instant(const char*, const char*, std::uint64_t) noexcept {}
 inline void trace_counter(const char*, double) noexcept {}
@@ -302,9 +301,6 @@ void observe(MetricId histogram_id, std::uint64_t value) noexcept;
 /// use. Lanes are keyed by name: a later thread passing the same name appends
 /// to the same lane (how portfolio worker slots keep one lane across waves).
 void set_thread_lane(std::string_view name);
-/// Copy a dynamic string into process-lifetime storage, for span/event names
-/// that are not string literals. Dedups; takes a lock — not for hot paths.
-[[nodiscard]] const char* intern(std::string_view s);
 /// Record an instant marker in the current thread's lane (tracing only).
 void trace_instant(const char* name) noexcept;
 void trace_instant(const char* name, const char* key, std::uint64_t value) noexcept;
@@ -326,7 +322,7 @@ void reset();
 /// trace event into the current lane (tracing bit) and/or the elapsed ns into
 /// `timer_id` (metrics bit). When the gate is 0 the whole object is inert —
 /// one load and one branch. `name` and arg keys must outlive the tracer
-/// (string literals, or obs::intern() for dynamic names).
+/// (in practice, string literals).
 class Span {
  public:
   explicit Span(const char* name, MetricId timer_id = kNoMetric) noexcept

@@ -84,8 +84,6 @@ struct Global {
 
   std::deque<Lane> lanes;  // deque: lane addresses must stay stable
   std::map<std::string, Lane*, std::less<>> lanes_by_name;
-  std::map<std::string, const char*, std::less<>> interned;
-  std::deque<std::string> interned_storage;
 
   static Global& instance() {
     static Global g;
@@ -622,15 +620,6 @@ void set_thread_lane(std::string_view name) {
   Global& g = Global::instance();
   std::lock_guard<std::mutex> lock(g.mu);
   lane_slot() = g.lane_by_name_locked(name);
-}
-
-const char* intern(std::string_view s) {
-  Global& g = Global::instance();
-  std::lock_guard<std::mutex> lock(g.mu);
-  if (auto it = g.interned.find(s); it != g.interned.end()) return it->second;
-  const std::string& stored = g.interned_storage.emplace_back(s);
-  g.interned.emplace(stored, stored.c_str());
-  return stored.c_str();
 }
 
 void trace_instant(const char* name) noexcept {

@@ -34,7 +34,10 @@ DigitalDivideResult solve_digital_divide(const graph::Graph& g,
     }
   }
 
-  std::vector<core::StageBits> bits(n);
+  // Each node's bits so far, packed as a SHIL_SEL register
+  // (core/shil_plan.hpp).
+  std::vector<std::uint8_t> sel(n, 0);
+  result.colors.resize(n);
   SaPottsOptions kernel;  // per-stage max-cut: a 2-coloring anneal
   kernel.num_colors = 2;
 
@@ -55,7 +58,12 @@ DigitalDivideResult solve_digital_divide(const graph::Graph& g,
       result.bytes_transferred += sides.size() * sizeof(std::uint8_t);
 
       for (std::size_t local = 0; local < sides.size(); ++local) {
-        bits[group.to_original[local]].push_back(sides[local]);
+        const graph::NodeId i = group.to_original[local];
+        if (stage < num_stages) {
+          sel[i] = static_cast<std::uint8_t>(2 * sel[i] + sides[local]);
+        } else {
+          result.colors[i] = core::final_color(sel[i], sides[local], num_stages);
+        }
       }
       if (stage < num_stages) {
         auto halves = graph::split_by_labels(group.graph, sides, 2);
@@ -71,10 +79,6 @@ DigitalDivideResult solve_digital_divide(const graph::Graph& g,
     groups = std::move(next_groups);
   }
 
-  result.colors.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    result.colors[i] = static_cast<graph::Color>(core::color_from_bits(bits[i]));
-  }
   return result;
 }
 

@@ -42,8 +42,7 @@ NShilRopmResult NShilRopm::solve(util::Rng& rng) const {
   const std::vector<double> zero_psi(theta.size(), 0.0);
   result.max_lock_residual =
       phase::max_lock_residual(theta, zero_psi, config_.num_colors);
-  const auto spins = model::potts_from_phases(theta, config_.num_colors);
-  result.colors = model::coloring_from_potts(spins);
+  result.colors = model::potts_from_phases(theta, config_.num_colors);
   return result;
 }
 

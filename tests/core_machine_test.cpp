@@ -52,7 +52,7 @@ TEST(Machine, ResultShape) {
   ASSERT_EQ(r.stages.size(), 2u);
   EXPECT_EQ(r.stages[0].bits.size(), 9u);
   EXPECT_EQ(r.stages[0].active_edges, g.num_edges());
-  EXPECT_NEAR(r.total_time_s, 60e-9, 1e-15);
+  EXPECT_NEAR(machine.config().total_time_s(), 60e-9, 1e-15);
   for (auto c : r.colors) EXPECT_LT(c, 4);
 }
 
@@ -83,8 +83,8 @@ TEST(Machine, BitsDetermineColors) {
   util::Rng rng(4);
   const auto r = machine.solve(rng);
   for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-    const core::StageBits bits{r.stages[0].bits[i], r.stages[1].bits[i]};
-    EXPECT_EQ(r.colors[i], core::color_from_bits(bits));
+    EXPECT_EQ(r.colors[i],
+              core::final_color(r.stages[0].bits[i], r.stages[1].bits[i], 2));
   }
 }
 
@@ -143,7 +143,7 @@ TEST(Machine, TwoColorModeIsMaxCut) {
   util::Rng rng(7);
   const auto r = machine.solve(rng);
   EXPECT_EQ(r.stages.size(), 1u);
-  EXPECT_NEAR(r.total_time_s, 30e-9, 1e-15);
+  EXPECT_NEAR(machine.config().total_time_s(), 30e-9, 1e-15);
   // Even cycle: the machine should find the perfect alternating cut often.
   double best = 0.0;
   for (std::uint64_t seed = 0; seed < 5; ++seed) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "msropm/analysis/experiments.hpp"
 #include "msropm/graph/builders.hpp"
@@ -113,10 +114,13 @@ TEST(Runner, Stage1CutRecorded) {
   opts.iterations = 4;
   opts.seed = 13;
   const auto summary = run_iterations(machine, opts);
-  for (const auto& it : summary.iterations) {
-    EXPECT_GT(it.stage1_cut, 0u);
-    EXPECT_LE(it.stage1_cut, g.num_edges());
-    EXPECT_EQ(it.stage1_cut, it.result.stages.front().cut_edges);
+  const std::vector<double> cuts = summary.stage1_cut_series();
+  ASSERT_EQ(cuts.size(), summary.iterations.size());
+  for (std::size_t i = 0; i < cuts.size(); ++i) {
+    const std::size_t cut = summary.iterations[i].result.stages.front().cut_edges;
+    EXPECT_GT(cut, 0u);
+    EXPECT_LE(cut, g.num_edges());
+    EXPECT_EQ(cuts[i], static_cast<double>(cut));
   }
 }
 

@@ -51,7 +51,7 @@ TEST(OneHot, ConflictCostsMatchPottsEnergy) {
   const model::PottsModel potts(g, 3, 1.0);
   const graph::Coloring colors{0, 0, 1, 2, 2};  // two conflicts (0-1, 3-4)
   EXPECT_DOUBLE_EQ(onehot.energy(onehot.encode(colors)),
-                   potts.energy(model::potts_from_coloring(colors)));
+                   potts.energy(colors));
 }
 
 TEST(OneHot, ConstraintTermPenalizesNonOneHot) {

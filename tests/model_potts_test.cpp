@@ -5,6 +5,8 @@
 
 #include <numbers>
 #include <stdexcept>
+#include <type_traits>
+#include <vector>
 
 #include "msropm/graph/builders.hpp"
 
@@ -34,7 +36,7 @@ TEST(PottsModel, ColorableGroundEnergyIsZero) {
   const auto g = graph::kings_graph_square(4);
   const PottsModel m(g, 4);
   const auto pattern = graph::kings_graph_pattern_coloring(4, 4);
-  EXPECT_DOUBLE_EQ(m.energy(model::potts_from_coloring(pattern)), 0.0);
+  EXPECT_DOUBLE_EQ(m.energy(pattern), 0.0);
 }
 
 // Ideal phase of Potts spin s in an n-state machine: 2*pi*s/n.
@@ -77,11 +79,8 @@ TEST(PhaseQuantization, RejectsBadOrders) {
   EXPECT_THROW((void)model::potts_from_phase(0.0, 256), std::invalid_argument);
 }
 
-TEST(ColoringConversion, Identity) {
-  const graph::Coloring c{0, 1, 2, 3};
-  const auto spins = model::potts_from_coloring(c);
-  EXPECT_EQ(model::coloring_from_potts(spins), c);
-}
+// A coloring passes straight through as a Potts spin vector.
+static_assert(std::is_same_v<std::vector<PottsSpin>, graph::Coloring>);
 
 TEST(PottsModel, PerEdgeCouplings) {
   const auto g = graph::path_graph(3);
