@@ -29,7 +29,7 @@ void BM_PhaseEngineStep(benchmark::State& state) {
   const auto side = static_cast<std::size_t>(state.range(0));
   const auto g = graph::kings_graph_square(side);
   phase::PhaseBatch net(g, analysis::default_machine_config().network, 1);
-  net.set_couplings_active(0, true);
+  net.set_couplings_active(true);
   util::Rng rng(1);
   net.randomize_phases(0, rng);
   const double dt = net.params().dt;

@@ -222,8 +222,8 @@ Measurement measure(const graph::Graph& g, const Workload& w, int reps,
         nets.emplace_back(g, p, 1);
         rngs.emplace_back(r + 1);
         nets[r].randomize_phases(0, rngs[r]);
-        nets[r].set_couplings_active(0, true);
-        nets[r].set_shil_active(0, w.shil);
+        nets[r].set_couplings_active(true);
+        nets[r].set_shil_active(w.shil);
       }
       const double duration = static_cast<double>(w.steps) * p.dt;
       best.batch1_s = std::min(best.batch1_s, seconds([&] {
@@ -236,12 +236,12 @@ Measurement measure(const graph::Graph& g, const Workload& w, int reps,
     // Batch-of-40 through run(): the lane-group solve_batch path.
     {
       phase::PhaseBatch batch(g, p, kReplicas);
+      batch.set_couplings_active(true);
+      batch.set_shil_active(w.shil);
       std::vector<util::Rng> rngs;
       for (std::size_t r = 0; r < kReplicas; ++r) {
         rngs.emplace_back(r + 1);
         batch.randomize_phases(r, rngs[r]);
-        batch.set_couplings_active(r, true);
-        batch.set_shil_active(r, w.shil);
       }
       best.batch40_s = std::min(best.batch40_s, seconds([&] {
         batch.run(static_cast<double>(w.steps) * p.dt, rngs);
@@ -259,11 +259,11 @@ double noise_overhead(const graph::Graph& g, int steps) {
   constexpr int kPairs = 9;
   const auto lock_batch = [&](double noise, std::vector<util::Rng>& rngs) {
     phase::PhaseBatch batch(g, tuned_params(noise), kReplicas);
+    batch.set_couplings_active(true);
+    batch.set_shil_active(true);
     for (std::size_t r = 0; r < kReplicas; ++r) {
       rngs.emplace_back(r + 1);
       batch.randomize_phases(r, rngs[r]);
-      batch.set_couplings_active(r, true);
-      batch.set_shil_active(r, true);
     }
     return batch;
   };

@@ -89,11 +89,11 @@ using StageObserver =
 /// allocated, instead of letting a hostile DIMACS header exhaust memory.
 ///
 /// Sizing: dimacs_solver's default run (40 iterations, batches of 8 on 4
-/// worker threads, 4-vCPU x86-64 host) peaked at 31 MB RSS on a 10,000-node
-/// King's graph, 113 MB on 40,000 nodes and 183 MB on 65,536 (256 x 256),
-/// about 2.8 kB per node, nearly all of it the in-flight replicas' phase
+/// worker threads, 4-vCPU x86-64 host) peaked at 29 MB RSS on a 10,000-node
+/// King's graph, 104 MB on 40,000 nodes and 169 MB on 65,536 (256 x 256),
+/// about 2.6 kB per node, nearly all of it the in-flight replicas' phase
 /// state. 40 iterations are at most 5 batches in flight, so at this cap the
-/// run should stay near 0.25 GB on any host (5/4 of the measured peak). The
+/// run should stay near 0.21 GB on any host (5/4 of the measured peak). The
 /// largest paper graph (46 x 46, 2116 nodes) is 31x below the cap.
 inline constexpr std::size_t kMaxMachineNodes = std::size_t{1} << 16;
 

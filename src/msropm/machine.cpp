@@ -45,11 +45,8 @@ std::vector<MsropmResult> MultiStagePottsMachine::solve_batch(
   if (replicas == 0) return {};
 
   phase::PhaseBatch net(g, config_.network, replicas);
-  for (std::size_t r = 0; r < replicas; ++r) {
-    net.set_uniform_coupling(r, -1.0);  // B2B inverters: anti-ferromagnetic
-    net.set_couplings_active(r, false);
-    net.set_shil_active(r, false);
-  }
+  net.set_couplings_active(false);
+  net.set_shil_active(false);
   if (config_.network.frequency_mismatch_stddev_hz > 0.0) {
     // Process variation: each ROSC free-runs slightly off nominal; the SHIL
     // must overcome this residual detune to capture the oscillator. Drawn
@@ -72,39 +69,33 @@ std::vector<MsropmResult> MultiStagePottsMachine::solve_batch(
 
   // SHIL_SEL registers, one byte per oscillator, replica r's at
   // [r*n, (r+1)*n): the readout bits so far, MSB first (shil_plan.hpp). Each
-  // stage's SHIL phases and P_EN mask derive from them; no other state
+  // stage's SHIL phases and P_EN groups derive from them; no other state
   // carries over from one stage to the next.
   std::vector<std::uint8_t> sel(replicas * n, 0);
   std::vector<MsropmResult> results(replicas);
 
   const auto edges = g.edges();
   std::vector<double> psi(n);
-  std::vector<std::uint8_t> edge_mask(edges.size());
   for (unsigned stage = 1; stage <= num_stages; ++stage) {
-    // SHIL phases + P_EN masks for each replica's current grouping: an edge
-    // stays coupled iff its endpoints' registers match.
+    // SHIL phases + P_EN groups for each replica: the registers are the
+    // group labels, so an edge stays coupled iff its endpoints' match.
     for (std::size_t r = 0; r < replicas; ++r) {
-      const std::uint8_t* sel_r = sel.data() + r * n;
+      const std::span<const std::uint8_t> sel_r(sel.data() + r * n, n);
       for (std::size_t i = 0; i < n; ++i) psi[i] = shil_phase(sel_r[i], stage);
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        edge_mask[e] = sel_r[edges[e].u] == sel_r[edges[e].v];
-      }
       net.set_shil_phases(r, psi);
-      net.set_edge_mask(r, edge_mask);
-      net.set_couplings_active(r, true);
-      net.set_shil_active(r, false);
+      net.set_groups(r, sel_r);
     }
 
     // --- anneal: couplings on within groups, SHIL off -------------------
+    net.set_couplings_active(true);
+    net.set_shil_active(false);
     net.run(config_.schedule.anneal_s, rngs);
     if (observer) observer(stage, "anneal", net);
 
     // --- lock: ramped SHIL binarizes each group; couplings stay on, so
     // the short SHIL-assisted settling also anneals (as in Fig. 3) --------
-    for (std::size_t r = 0; r < replicas; ++r) {
-      net.set_shil_active(r, true);
-      net.set_shil_level(r, 1.0);
-    }
+    net.set_shil_active(true);
+    net.set_shil_level(1.0);
     net.run(config_.schedule.discretize_s, rngs, &config_.shil_ramp);
     if (observer) observer(stage, "lock", net);
 
@@ -142,11 +133,9 @@ std::vector<MsropmResult> MultiStagePottsMachine::solve_batch(
 
     // --- reinit between stages -------------------------------------------
     if (stage < num_stages) {
-      for (std::size_t r = 0; r < replicas; ++r) {
-        net.set_shil_active(r, false);
-        net.set_couplings_active(r, false);
-        net.randomize_phases(r, rngs[r]);
-      }
+      net.set_shil_active(false);
+      net.set_couplings_active(false);
+      for (std::size_t r = 0; r < replicas; ++r) net.randomize_phases(r, rngs[r]);
       net.run(config_.schedule.reinit_s, rngs);
       if (observer) observer(stage, "reinit", net);
     }

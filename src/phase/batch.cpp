@@ -14,6 +14,8 @@ namespace msropm::phase {
 namespace {
 
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
+/// Coupling sign of every edge: the couplings are B2B inverters.
+constexpr double kJ = -1.0;
 
 // Batched-stepping observability: one span per run() window plus replica
 // throughput heartbeat gauges. All write-only behind obs::gate() -- the
@@ -63,9 +65,9 @@ PhaseBatch::PhaseBatch(const graph::Graph& g, NetworkParams params,
   if (params_.shil_order < 1) throw std::invalid_argument("PhaseBatch: order >= 1");
   if (r_ == 0) throw std::invalid_argument("PhaseBatch: num_replicas >= 1");
 
-  // CSR: count directed entries per node, then fill (neighbor, edge id). The
-  // edge list is canonical (u < v, lexicographic), so both the entry order
-  // within a node and the edge-bit layout are deterministic.
+  // CSR: count directed entries per node, then fill the neighbors. The edge
+  // list is canonical (u < v, lexicographic), so both the entry order within
+  // a node and the edge-bit layout are deterministic.
   csr_offsets_.assign(n_ + 1, 0);
   const auto edges = g.edges();
   for (const graph::Edge& e : edges) {
@@ -74,15 +76,10 @@ PhaseBatch::PhaseBatch(const graph::Graph& g, NetworkParams params,
   }
   for (std::size_t i = 0; i < n_; ++i) csr_offsets_[i + 1] += csr_offsets_[i];
   csr_neighbor_.resize(2 * m_);
-  csr_edge_.resize(2 * m_);
   std::vector<std::uint32_t> cursor(csr_offsets_.begin(), csr_offsets_.end() - 1);
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    const auto u = edges[e].u;
-    const auto v = edges[e].v;
-    csr_neighbor_[cursor[u]] = v;
-    csr_edge_[cursor[u]++] = static_cast<std::uint32_t>(e);
-    csr_neighbor_[cursor[v]] = u;
-    csr_edge_[cursor[v]++] = static_cast<std::uint32_t>(e);
+  for (const graph::Edge& e : edges) {
+    csr_neighbor_[cursor[e.u]++] = e.v;
+    csr_neighbor_[cursor[e.v]++] = e.u;
   }
 
   // Lane groups only pay from two lanes up; with L = 1 every replica is a
@@ -94,16 +91,12 @@ PhaseBatch::PhaseBatch(const graph::Graph& g, NetworkParams params,
   const std::size_t units = groups_ + (r_ - groups_ * lanes_);
 
   theta_.assign(r_ * n_, 0.0);
-  edge_mask_.assign(r_ * m_, 1);
+  group_.assign(r_ * n_, 0);
   shil_phase_.assign(r_ * n_, 0.0);
   lanes_theta_.assign(groups_ * n_ * lanes_, 0.0);
   shil_sin_.assign(r_ * n_, 0.0);
   shil_cos_.assign(r_ * n_, 1.0);
   detune_.assign(r_ * n_, 0.0);
-  j_.assign(r_, -1.0);  // B2B inverters: anti-ferromagnetic
-  couplings_active_.assign(r_, 1);
-  shil_active_.assign(r_, 0);
-  shil_level_.assign(r_, 1.0);
   edge_bits_.assign(units * 2 * m_, 0);
   edge_bits_dirty_.assign(r_, 1);
   sin_.assign(scratch, 0.0);
@@ -144,17 +137,12 @@ void PhaseBatch::randomize_phases(std::size_t r, util::Rng& rng) {
   for (std::size_t i = 0; i < n_; ++i) theta[i] = rng.uniform_phase();
 }
 
-void PhaseBatch::set_uniform_coupling(std::size_t r, double j) {
+void PhaseBatch::set_groups(std::size_t r, std::span<const std::uint8_t> group) {
   check_replica(r);
-  j_[r] = j;
-}
-
-void PhaseBatch::set_edge_mask(std::size_t r, std::span<const std::uint8_t> mask) {
-  check_replica(r);
-  if (mask.size() != m_) {
-    throw std::invalid_argument("PhaseBatch::set_edge_mask: size mismatch");
+  if (group.size() != n_) {
+    throw std::invalid_argument("PhaseBatch::set_groups: size mismatch");
   }
-  std::copy(mask.begin(), mask.end(), edge_mask_.begin() + r * m_);
+  std::copy(group.begin(), group.end(), group_.begin() + r * n_);
   edge_bits_dirty_[r] = 1;
 }
 
@@ -187,9 +175,8 @@ void PhaseBatch::set_uniform_shil_phase(std::size_t r, double psi) {
   refresh_shil_trig(r);
 }
 
-void PhaseBatch::set_shil_level(std::size_t r, double level) {
-  check_replica(r);
-  shil_level_[r] = std::clamp(level, 0.0, 1.0);
+void PhaseBatch::set_shil_level(double level) noexcept {
+  shil_level_ = std::clamp(level, 0.0, 1.0);
 }
 
 void PhaseBatch::set_detune(std::size_t r,
@@ -208,15 +195,17 @@ std::size_t PhaseBatch::unit_of(std::size_t r) const noexcept {
 }
 
 void PhaseBatch::rebuild_edge_bits(std::size_t r) {
-  // Replica r's bit in its unit's byte per directed CSR entry: set where its
-  // P_EN mask couples the entry's edge.
+  // Replica r's bit in its unit's byte per directed CSR entry: set where the
+  // entry's two endpoints carry the same group label.
   const std::size_t grouped = groups_ * lanes_;
   const auto bit = static_cast<std::uint8_t>(r < grouped ? 1u << (r % lanes_) : 1u);
-  const std::uint8_t* mask = edge_mask_.data() + r * m_;
-  const std::size_t nnz = 2 * m_;
-  std::uint8_t* bits = edge_bits_.data() + unit_of(r) * nnz;
-  for (std::size_t k = 0; k < nnz; ++k) {
-    bits[k] = mask[csr_edge_[k]] != 0 ? bits[k] | bit : bits[k] & ~bit;
+  const std::uint8_t* group = group_.data() + r * n_;
+  std::uint8_t* bits = edge_bits_.data() + unit_of(r) * 2 * m_;
+  for (std::size_t i = 0; i < n_; ++i) {
+    for (std::size_t k = csr_offsets_[i]; k < csr_offsets_[i + 1]; ++k) {
+      bits[k] = group[i] == group[csr_neighbor_[k]] ? bits[k] | bit
+                                                    : bits[k] & ~bit;
+    }
   }
   edge_bits_dirty_[r] = 0;
 }
@@ -229,9 +218,9 @@ void PhaseBatch::refresh_trig(const double* theta) const {
 
 void PhaseBatch::euler_step_lanes(std::size_t first, std::size_t lanes,
                                   double* x, util::Rng* rngs,
-                                  double noise_scale) {
+                                  double noise_scale, double level) {
   // One kernel template on the lane count serves groups and singles alike
-  // (simd_kernels.hpp); here only the raw views and per-lane flags are set.
+  // (simd_kernels.hpp); here only the raw views and the switches are set.
   detail::LaneStep step;
   step.trig = simd_;
   step.n = n_;
@@ -250,13 +239,13 @@ void PhaseBatch::euler_step_lanes(std::size_t first, std::size_t lanes,
   step.dt = params_.dt;
   step.noise_scale = noise_scale;
   step.shil_order = params_.shil_order;
+  step.couple = couplings_active_;
+  step.kcj = params_.coupling_gain * kJ;
+  step.shil = shil_active_ && level > 0.0;
+  step.ks = params_.shil_gain * level;
   for (std::size_t l = 0; l < lanes; ++l) {
     const std::size_t r = first + l;
     if (edge_bits_dirty_[r]) rebuild_edge_bits(r);
-    step.couple[l] = couplings_active_[r] != 0;
-    step.kcj[l] = params_.coupling_gain * j_[r];
-    step.shil[l] = shil_active_[r] != 0 && shil_level_[r] > 0.0;
-    step.ks[l] = step.shil[l] ? params_.shil_gain * shil_level_[r] : 0.0;
     step.psi[l] = shil_phase_.data() + r * n_;
   }
   // The kernel draws the noise chunk by chunk from the lanes' own streams;
@@ -322,10 +311,6 @@ bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
   }
 
   const double noise_scale = params_.noise_stddev * std::sqrt(dt);
-  std::vector<double> saved_level;
-  if (shil_ramp != nullptr) {
-    saved_level.assign(shil_level_.begin(), shil_level_.end());
-  }
   // Unit-major: a group's (or single's) whole window runs back-to-back,
   // keeping its state and edge bits cache-hot across steps. A lane only
   // ever touches its replica's state and rngs[r], so a unit's trajectory
@@ -346,20 +331,16 @@ bool PhaseBatch::run(double duration, std::span<util::Rng> rngs,
         interrupted = true;
         break;
       }
+      double level = shil_level_;
       if (shil_ramp != nullptr) {
         const double frac = static_cast<double>(s) / static_cast<double>(steps);
-        for (std::size_t r = first; r < first + lanes; ++r) {
-          shil_level_[r] =
-              std::clamp(saved_level[r] * shil_ramp->value(frac), 0.0, 1.0);
-        }
+        level = std::clamp(level * shil_ramp->value(frac), 0.0, 1.0);
       }
-      euler_step_lanes(first, lanes, x, rngs.data() + first, noise_scale);
+      euler_step_lanes(first, lanes, x, rngs.data() + first, noise_scale,
+                       level);
     }
   }
   if (groups_ > 0) unpack_lanes();
-  if (shil_ramp != nullptr) {
-    std::copy(saved_level.begin(), saved_level.end(), shil_level_.begin());
-  }
 
   if (obs_gate != 0) {
     const double elapsed_s =
@@ -384,23 +365,21 @@ double PhaseBatch::coupling_energy(std::size_t r) const {
   // addition identity -- no per-edge std::cos (mirrors the step's gather).
   const double* theta = theta_.data() + r * n_;
   refresh_trig(theta);
-  const double j = j_[r];
-  const std::uint8_t* mask = edge_mask_.data() + r * m_;
-  const auto edges = graph_->edges();
+  const std::uint8_t* group = group_.data() + r * n_;
   double e = 0.0;
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    if (!mask[k]) continue;
-    const auto u = edges[k].u;
-    const auto v = edges[k].v;
-    e -= j * (cos_[u] * cos_[v] + sin_[u] * sin_[v]);
+  for (const graph::Edge& edge : graph_->edges()) {
+    const auto u = edge.u;
+    const auto v = edge.v;
+    if (group[u] != group[v]) continue;
+    e -= kJ * (cos_[u] * cos_[v] + sin_[u] * sin_[v]);
   }
   return e;
 }
 
 double PhaseBatch::shil_energy(std::size_t r) const {
   check_replica(r);
-  if (!shil_active(r)) return 0.0;
-  const double ks = params_.shil_gain * shil_level_[r];
+  if (!shil_active_) return 0.0;
+  const double ks = params_.shil_gain * shil_level_;
   const double order = static_cast<double>(params_.shil_order);
   const double* theta = theta_.data() + r * n_;
   const Slice node = slice(r, n_);

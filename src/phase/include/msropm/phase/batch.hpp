@@ -13,11 +13,13 @@
 //                 + sigma * xi_i(t)
 //
 //   d_i    : frequency detune (0 for matched oscillators)
-//   J      : coupling sign/weight, one per replica; B2B inverters give J = -1
-//   m_ij   : P_EN edge mask (1 = coupling on)
-//   Kc     : coupling gain [rad/s]
+//   J      : coupling sign, fixed at -1: every coupling is a B2B inverter
+//   m_ij   : P_EN edge mask, 1 iff oscillators i and j carry the same group
+//            label (the SHIL_SEL register in the MSROPM), else 0
+//   Kc     : coupling gain [rad/s]; the coupling enable (G_EN) switches the
+//            whole term for every replica at once
 //   Ks(t)  : SHIL injection gain [rad/s], possibly ramped; the SHIL acts on
-//            every oscillator at once (SHIL_EN)
+//            every oscillator of every replica at once (SHIL_EN)
 //   psi_i  : per-oscillator SHIL phase offset (SHIL_SEL); order-2 SHIL locks
 //            theta_i at {psi_i, psi_i + pi}
 //   order  : sub-harmonic order (2 for the MSROPM; the ICCAD'24 ROPM [14]
@@ -44,9 +46,9 @@
 //       J sum_j m_ij sin(theta_i - theta_j)
 //         = sin_i * sum_j w_ij cos_j  -  cos_i * sum_j w_ij sin_j
 //
-//     with w_ij = Kc * J * m_ij. The kernel holds Kc * J per replica and the
-//     masks m_ij as one byte of lane bits per CSR entry (bit l = lane l's
-//     P_EN mask), rebuilt lazily when a replica's mask changes (once per
+//     with w_ij = Kc * J * m_ij. The kernel holds Kc * J once and the masks
+//     m_ij as one byte of lane bits per CSR entry (bit l = lane l's P_EN
+//     mask), rebuilt lazily when a replica's group labels change (once per
 //     MSROPM stage); the sums add Kc * J * cos_j / sin_j only over the
 //     entries whose bit is set.
 //   * Replica lanes. The replicas run as floor(R/L) interleaved lane groups
@@ -59,8 +61,10 @@
 //     xoshiro256** whose lane l is exactly rngs[l]'s stream. One kernel
 //     template on L serves both the groups and the single-lane replicas.
 //   * The order-2 SHIL term reuses the sin/cos pass through the double-angle
-//     identity; per-replica edge masks, SHIL phases, levels and detune are
-//     per-lane state because replicas diverge after each readout.
+//     identity. A replica's own state is per oscillator only -- phases,
+//     group labels, SHIL phases and detune -- because replicas diverge after
+//     each readout; the enables, the SHIL level and J are the same for every
+//     lane, as one chip runs one schedule.
 //
 // The lane layout is internal working state: phases(r) and theta_flat() stay
 // replica-major (`theta[r*N + i]`). run() packs the groups' phases on entry
@@ -68,9 +72,8 @@
 //
 // Determinism contract: a lane computes exactly what a lone replica computes
 // -- every transcendental runs at the process's one vector width on padded
-// blocks, terms a lane has switched off are blended out rather than added as
-// zero, masked-off edges add nothing to a finite sum, and FP contraction is
-// off -- and replica r only ever reads replica-r state and rngs[r]. So for
+// blocks, masked-off edges add nothing to a finite sum, and FP contraction
+// is off -- and replica r only ever reads replica-r state and rngs[r]. So for
 // finite phases a batch-of-R run is bit-identical to R batch-of-1
 // runs (hard-gated by tests/core_batch_equivalence_test.cpp), and "serial"
 // and "batched" share this single implementation.
@@ -128,46 +131,30 @@ class PhaseBatch {
   /// Random uniform phases in [0, 2pi): the paper's random initialization.
   void randomize_phases(std::size_t r, util::Rng& rng);
 
-  // --- couplings (B2B / P_EN / L_EN) -------------------------------------
-  /// Replica r's coupling J on every edge (B2B inverters: -1, the default).
-  void set_uniform_coupling(std::size_t r, double j);
-  /// P_EN: mask[e] = 1 couples edge e (every edge starts on).
-  void set_edge_mask(std::size_t r, std::span<const std::uint8_t> mask);
-  [[nodiscard]] std::span<const std::uint8_t> edge_mask(std::size_t r) const {
-    check_replica(r);
-    return {edge_mask_.data() + r * m_, m_};
-  }
-  /// Global coupling enable (G_EN for B2B blocks).
-  void set_couplings_active(std::size_t r, bool active) {
-    check_replica(r);
-    couplings_active_[r] = active ? 1 : 0;
-  }
-  [[nodiscard]] bool couplings_active(std::size_t r) const {
-    check_replica(r);
-    return couplings_active_[r] != 0;
+  // --- couplings (B2B / P_EN / G_EN) -------------------------------------
+  /// P_EN for replica r: edge (u, v) couples iff group[u] == group[v]. Every
+  /// oscillator starts in group 0, so every edge starts on.
+  void set_groups(std::size_t r, std::span<const std::uint8_t> group);
+  /// Global coupling enable (G_EN), for every replica.
+  void set_couplings_active(bool active) noexcept { couplings_active_ = active; }
+  [[nodiscard]] bool couplings_active() const noexcept {
+    return couplings_active_;
   }
 
   // --- SHIL (SHIL_EN / SHIL_SEL) ------------------------------------------
-  void set_shil_active(std::size_t r, bool active) {
-    check_replica(r);
-    shil_active_[r] = active ? 1 : 0;
-  }
-  [[nodiscard]] bool shil_active(std::size_t r) const {
-    check_replica(r);
-    return shil_active_[r] != 0;
-  }
+  /// SHIL_EN, for every replica.
+  void set_shil_active(bool active) noexcept { shil_active_ = active; }
+  [[nodiscard]] bool shil_active() const noexcept { return shil_active_; }
   void set_shil_phases(std::size_t r, std::span<const double> psi);
   void set_uniform_shil_phase(std::size_t r, double psi);
   [[nodiscard]] std::span<const double> shil_phases(std::size_t r) const {
     check_replica(r);
     return {shil_phase_.data() + r * n_, n_};
   }
-  /// Instantaneous SHIL gain multiplier in [0,1] (ramp support).
-  void set_shil_level(std::size_t r, double level);
-  [[nodiscard]] double shil_level(std::size_t r) const {
-    check_replica(r);
-    return shil_level_[r];
-  }
+  /// Instantaneous SHIL gain multiplier in [0,1] (ramp support), for every
+  /// replica.
+  void set_shil_level(double level) noexcept;
+  [[nodiscard]] double shil_level() const noexcept { return shil_level_; }
 
   // --- detune (oscillator mismatch) ---------------------------------------
   void set_detune(std::size_t r, std::span<const double> detune_rad_per_s);
@@ -176,9 +163,9 @@ class PhaseBatch {
   /// Integrate every replica for a duration [s] by Euler-Maruyama steps of
   /// params.dt; rngs[r] supplies replica r's jitter (rngs.size() must equal
   /// num_replicas()). An optional ramp shapes the SHIL level across the
-  /// window (scaling each replica's level set on entry). An optional stop
-  /// token is polled every 32 steps: when it fires the window ends early —
-  /// state is a valid trajectory prefix, ramp levels are restored, and the
+  /// window (scaling the level set on entry, which the window leaves as it
+  /// was). An optional stop token is polled every 32 steps: when it fires
+  /// the window ends early — state is a valid trajectory prefix and the
   /// batch stays fully usable — and run() returns false. A null/never-firing
   /// token changes nothing (bit-identical trajectories, the core determinism
   /// gate).
@@ -186,7 +173,7 @@ class PhaseBatch {
            const GainRamp* shil_ramp = nullptr,
            const util::StopToken* stop = nullptr);
 
-  /// Replica r's energy E(theta) under its active mask (excludes SHIL term).
+  /// Replica r's energy E(theta) under its P_EN mask (excludes SHIL term).
   [[nodiscard]] double coupling_energy(std::size_t r) const;
   /// Replica r's SHIL pinning energy term.
   [[nodiscard]] double shil_energy(std::size_t r) const;
@@ -217,9 +204,9 @@ class PhaseBatch {
   void refresh_trig(const double* theta) const;
   void refresh_shil_trig(std::size_t r);
   /// One Euler-Maruyama step of replicas [first, first + lanes), lanes 1 or
-  /// lanes_, whose phases are x in lane layout.
+  /// lanes_, whose phases are x in lane layout, at SHIL level `level`.
   void euler_step_lanes(std::size_t first, std::size_t lanes, double* x,
-                        util::Rng* rngs, double noise_scale);
+                        util::Rng* rngs, double noise_scale, double level);
   void pack_lanes();
   void unpack_lanes();
 
@@ -233,16 +220,13 @@ class PhaseBatch {
   std::size_t groups_ = 0;  ///< lane groups; replicas [0, groups_*L) are grouped
 
   // CSR neighbor structure: structural, shared by all replicas. Entry k in
-  // [csr_offsets_[i], csr_offsets_[i+1]) is neighbor csr_neighbor_[k] via
-  // edge csr_edge_[k].
+  // [csr_offsets_[i], csr_offsets_[i+1]) is neighbor csr_neighbor_[k].
   std::vector<std::uint32_t> csr_offsets_;   // n+1
   std::vector<std::uint32_t> csr_neighbor_;  // 2m
-  std::vector<std::uint32_t> csr_edge_;      // 2m
 
-  // Replica-major state behind the span API: slice r of an N-array is
-  // [r*n_, (r+1)*n_), of an M-array [r*m_, (r+1)*m_).
+  // Replica-major state behind the span API: slice r is [r*n_, (r+1)*n_).
   std::vector<double> theta_;              // R*N
-  std::vector<std::uint8_t> edge_mask_;    // R*M
+  std::vector<std::uint8_t> group_;        // R*N: P_EN group labels
   std::vector<double> shil_phase_;         // R*N
   // Kernel-side per-node state in lane layout (see slice()): group g holds
   // [g*N*L, (g+1)*N*L) node-major with lanes innermost, then the singles
@@ -251,15 +235,15 @@ class PhaseBatch {
   std::vector<double> shil_sin_;           // R*N: sin(order * psi)
   std::vector<double> shil_cos_;           // R*N: cos(order * psi)
   std::vector<double> detune_;             // R*N
-  std::vector<double> j_;                       // R: coupling J
-  std::vector<std::uint8_t> couplings_active_;  // R
-  std::vector<std::uint8_t> shil_active_;       // R
-  std::vector<double> shil_level_;              // R
+  // Batch-wide switches: one chip, one schedule.
+  bool couplings_active_ = true;
+  bool shil_active_ = false;
+  double shil_level_ = 1.0;
 
   // P_EN masks in CSR order, one byte per directed entry per unit
   // (units*2M, unit u at [u*2M, (u+1)*2M)): bit l is lane l's mask, bit 0 a
-  // single's. Replica r's bit is rebuilt lazily before its next step after
-  // set_edge_mask; J enters the kernel per lane as Kc * J.
+  // single's. Replica r's bit is rebuilt lazily from its group labels before
+  // its next step after set_groups.
   std::vector<std::uint8_t> edge_bits_;
   std::vector<std::uint8_t> edge_bits_dirty_;  // R
 

@@ -34,17 +34,15 @@ __m512d _ZGVeN8v_log(__m512d);
 namespace msropm::phase::detail {
 namespace {
 
-/// Lane types: D doubles, M blend masks, U xoshiro words, L of each.
+/// Lane types: D doubles, U xoshiro words, L of each.
 template <std::size_t L>
 struct Lanes {
   typedef double D __attribute__((vector_size(8 * L)));
-  typedef std::int64_t M __attribute__((vector_size(8 * L)));
   typedef std::uint64_t U __attribute__((vector_size(8 * L)));
 };
 template <>
 struct Lanes<1> {
   using D = double;
-  using M = bool;
   using U = std::uint64_t;
 };
 
@@ -71,30 +69,19 @@ inline typename Lanes<L>::D splat(double x) {
   }
 }
 
-template <std::size_t L>
-inline typename Lanes<L>::M mask_of(const bool* on) {
-  if constexpr (L == 1) {
-    return on[0];
-  } else {
-    typename Lanes<L>::M m{};
-    for (std::size_t l = 0; l < L; ++l) m[l] = on[l] ? -1 : 0;
-    return m;
-  }
-}
-
 template <class M, class T>
 inline T select(M m, T a, T b) {
   return m ? a : b;
 }
 
-/// Lane l gets kcj[l] where bit l of `bits` is set, else 0.0.
+/// Lane l gets kcj where bit l of `bits` is set, else 0.0.
 template <std::size_t L>
-inline typename Lanes<L>::D weights_of(unsigned bits, const double* kcj) {
+inline typename Lanes<L>::D weights_of(unsigned bits, double kcj) {
   if constexpr (L == 1) {
-    return (bits & 1u) != 0 ? kcj[0] : 0.0;
+    return (bits & 1u) != 0 ? kcj : 0.0;
   } else {
     typename Lanes<L>::D v{};
-    for (std::size_t l = 0; l < L; ++l) v[l] = (bits >> l & 1u) != 0 ? kcj[l] : 0.0;
+    for (std::size_t l = 0; l < L; ++l) v[l] = (bits >> l & 1u) != 0 ? kcj : 0.0;
     return v;
   }
 }
@@ -318,8 +305,8 @@ void uniform_lanes_l(std::uint64_t* state, double* u, double* v,
 /// One step of an L-lane group. Every lane runs the same floating-point
 /// sequence a lone replica does (L = 1 is the lone replica): the gather
 /// reads only the pre-step sin/cos snapshot, so x advances in place, and a
-/// term that is off in some lane is computed for the group and blended out
-/// of that lane, never added as a zero. Term order, per node i:
+/// term that is off (couple / shil) is skipped in every lane, never added as
+/// a zero. Term order, per node i:
 ///   d  = detune_i
 ///   d -= sin_i * (sum_k kcj cos_j) - cos_i * (sum_k kcj sin_j)  [CSR order,
 ///        only the entries k whose edge bit is set in the lane]
@@ -337,27 +324,16 @@ void uniform_lanes_l(std::uint64_t* state, double* u, double* v,
 template <std::size_t L>
 void euler_step_l(const LaneStep& s) {
   using D = typename Lanes<L>::D;
-  using M = typename Lanes<L>::M;
   using U = typename Lanes<L>::U;
-  bool any_couple = false;
-  bool all_couple = true;
-  bool any_shil = false;
-  for (std::size_t l = 0; l < L; ++l) {
-    any_couple = any_couple || s.couple[l];
-    all_couple = all_couple && s.couple[l];
-    any_shil = any_shil || s.shil[l];
-  }
-  const M couple_m = mask_of<L>(s.couple);
-  const M shil_m = mask_of<L>(s.shil);
-  const D ks = load<D>(s.ks);
+  const D ks = splat<L>(s.ks);
   const bool order2 = s.shil_order == 2;
   const std::size_t n = s.n;
   const std::size_t nl = n * L;
 
-  if (any_couple || (any_shil && order2)) {
+  if (s.couple || (s.shil && order2)) {
     s.trig->sincos(s.x, s.sin, s.cos, nl);
   }
-  if (any_shil && !order2) {
+  if (s.shil && !order2) {
     const double order = static_cast<double>(s.shil_order);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t l = 0; l < L; ++l) {
@@ -368,12 +344,12 @@ void euler_step_l(const LaneStep& s) {
   }
 
   constexpr bool kMaskedAdd = L == 8;
-  const D kcj = load<D>(s.kcj);
+  const D kcj = splat<L>(s.kcj);
   U lane_bit{};
   D lut[kMaskedAdd ? 1 : std::size_t{1} << L] = {};
   if constexpr (kMaskedAdd) {
     for (std::size_t l = 0; l < L; ++l) lane_bit[l] = std::uint64_t{1} << l;
-  } else if (any_couple) {
+  } else if (s.couple) {
     for (unsigned b = 0; b < (1u << L); ++b) lut[b] = weights_of<L>(b, s.kcj);
   }
 
@@ -393,7 +369,7 @@ void euler_step_l(const LaneStep& s) {
     }
     const std::size_t at = i * L;
     D d = load<D>(s.detune + at);
-    if (any_couple) {
+    if (s.couple) {
       // sum_j w_ij sin(theta_i - theta_j)
       //   = sin_i * sum_j w_ij cos_j - cos_i * sum_j w_ij sin_j,
       // one L-wide load of cos_j and of sin_j and one edge-bit byte per entry.
@@ -414,11 +390,9 @@ void euler_step_l(const LaneStep& s) {
           acc_sin += w * sj;
         }
       }
-      const D coupled =
-          d - (load<D>(s.sin + at) * acc_cos - load<D>(s.cos + at) * acc_sin);
-      d = all_couple ? coupled : select(couple_m, coupled, d);
+      d = d - (load<D>(s.sin + at) * acc_cos - load<D>(s.cos + at) * acc_sin);
     }
-    if (any_shil) {
+    if (s.shil) {
       D term{};
       if (order2) {
         // sin(2(theta - psi)) from the snapshot through the double-angle
@@ -431,7 +405,7 @@ void euler_step_l(const LaneStep& s) {
       } else {
         term = load<D>(s.gsin + at);
       }
-      d = select(shil_m, d - ks * term, d);
+      d = d - ks * term;
     }
     D x = load<D>(s.x + at);
     x += d * dt;

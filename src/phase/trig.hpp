@@ -46,7 +46,8 @@ struct SimdKernels;
 /// One Euler-Maruyama step of one lane group of L replicas, as raw views.
 /// Per-node arrays are node-major with the lanes innermost: element
 /// (node i, lane l) lives at [i*L + l]. The coupling of CSR entry k in lane l
-/// is kcj[l] where bit l of edge_bits[k] is set, else none.
+/// is kcj where bit l of edge_bits[k] is set, else none. The switches, the
+/// SHIL gain and kcj are the same in every lane.
 struct LaneStep {
   const SimdKernels* trig = nullptr;  ///< W-wide transcendentals
   std::size_t n = 0;                  ///< oscillators
@@ -70,10 +71,10 @@ struct LaneStep {
   double dt = 0.0;
   double noise_scale = 0.0;
   unsigned shil_order = 2;
-  bool couple[kMaxLanes] = {};  ///< coupling term on, per lane
-  bool shil[kMaxLanes] = {};    ///< SHIL term on (active, level > 0), per lane
-  double ks[kMaxLanes] = {};    ///< SHIL gain * level, per lane
-  double kcj[kMaxLanes] = {};   ///< coupling gain * J, per lane
+  bool couple = false;  ///< coupling term on (G_EN)
+  bool shil = false;    ///< SHIL term on (SHIL_EN and level > 0)
+  double ks = 0.0;      ///< SHIL gain * level
+  double kcj = 0.0;     ///< coupling gain * J
 };
 
 /// The kernels of one vector width W. Array lengths are arbitrary: tails

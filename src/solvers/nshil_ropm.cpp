@@ -19,22 +19,22 @@ NShilRopmResult NShilRopm::solve(util::Rng& rng) const {
   // One trajectory: a batch of one, replica 0.
   phase::PhaseBatch net(*graph_, config_.network, 1);
   const std::span<util::Rng> rngs(&rng, 1);
-  net.set_uniform_coupling(0, -1.0);
   net.set_uniform_shil_phase(0, 0.0);
 
   // Init: free-running random phases.
-  net.set_couplings_active(0, false);
-  net.set_shil_active(0, false);
+  net.set_couplings_active(false);
+  net.set_shil_active(false);
   net.randomize_phases(0, rng);
   net.run(config_.init_s, rngs);
 
-  // Anneal: couplings on (every edge: the mask starts all-on), SHIL off.
-  net.set_couplings_active(0, true);
+  // Anneal: couplings on (every edge: all oscillators start in group 0),
+  // SHIL off.
+  net.set_couplings_active(true);
   net.run(config_.anneal_s, rngs);
 
   // Lock: order-N SHIL ramps in, pinning phases at the N Potts spots.
-  net.set_shil_active(0, true);
-  net.set_shil_level(0, 1.0);
+  net.set_shil_active(true);
+  net.set_shil_level(1.0);
   net.run(config_.lock_s, rngs, &config_.shil_ramp);
 
   NShilRopmResult result;

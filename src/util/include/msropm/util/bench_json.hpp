@@ -53,7 +53,7 @@ class BenchJsonWriter {
     rows_.back().emplace_back(key, std::to_string(value));
   }
   void metric(const std::string& key, const std::string& value) {
-    rows_.back().emplace_back(key, "\"" + escape(value) + "\"");
+    rows_.back().emplace_back(key, quoted(value));
   }
   void metric(const std::string& key, const char* value) {
     metric(key, std::string(value));
@@ -62,7 +62,7 @@ class BenchJsonWriter {
   /// Append a bench-specific provenance pair to the "meta" object (e.g. the
   /// baseline a ratio gate compared against).
   void meta(const std::string& key, const std::string& value) {
-    extra_meta_.emplace_back(key, "\"" + escape(value) + "\"");
+    extra_meta_.emplace_back(key, quoted(value));
   }
   void meta(const std::string& key, double value) {
     char buf[64];
@@ -135,11 +135,20 @@ class BenchJsonWriter {
     if (std::tm tm_utc{}; gmtime_r(&now, &tm_utc) != nullptr) {
       std::strftime(stamp, sizeof stamp, "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
     }
-    return {{"git_rev", "\"" + escape(git_rev) + "\""},
-            {"timestamp", std::string("\"") + stamp + "\""},
-            {"compiler", "\"" + escape(compiler) + "\""},
-            {"build_type", "\"" + escape(build_type) + "\""},
-            {"obs", "\"" + obs + "\""}};
+    return {{"git_rev", quoted(git_rev)},
+            {"timestamp", quoted(stamp)},
+            {"compiler", quoted(compiler)},
+            {"build_type", quoted(build_type)},
+            {"obs", quoted(obs)}};
+  }
+
+  /// `s` escaped, in double quotes. Built by += because GCC 12 warns
+  /// (-Wrestrict, -Wstringop-overread) on an inlined operator+ chain.
+  static std::string quoted(const std::string& s) {
+    std::string out = "\"";
+    out += escape(s);
+    out += '"';
+    return out;
   }
 
   static std::string escape(const std::string& s) {

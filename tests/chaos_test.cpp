@@ -323,8 +323,8 @@ TEST_F(ChaosTest, PhaseBatchDeadlineMidWindowEndsEarlyAndRestoresLevels) {
   phase::PhaseBatch batch(g, params, 1);
   std::vector<util::Rng> rngs{util::Rng(4)};
   batch.randomize_phases(0, rngs[0]);
-  batch.set_shil_active(0, true);
-  batch.set_shil_level(0, 0.75);
+  batch.set_shil_active(true);
+  batch.set_shil_level(0.75);
   const std::vector<double> before = batch.theta_flat();
 
   // 10^7 steps: far longer than the 50 ms deadline, which therefore
@@ -334,7 +334,7 @@ TEST_F(ChaosTest, PhaseBatchDeadlineMidWindowEndsEarlyAndRestoresLevels) {
   phase::GainRamp ramp;
   EXPECT_FALSE(batch.run(1e7 * params.dt, rngs, &ramp, &token));
   EXPECT_NE(batch.theta_flat(), before);  // a prefix of the window ran
-  EXPECT_DOUBLE_EQ(batch.shil_level(0), 0.75);
+  EXPECT_DOUBLE_EQ(batch.shil_level(), 0.75);
 
   EXPECT_TRUE(batch.run(2e-9, rngs));
   for (const double theta : batch.phases(0)) EXPECT_TRUE(std::isfinite(theta));

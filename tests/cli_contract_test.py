@@ -201,7 +201,7 @@ class CliContract(unittest.TestCase):
     def test_out_of_memory_in_a_machine_worker_exits_3(self):
         # 40 iterations of the machine on a 65,536-node King's graph need
         # more than 200 MiB of address space (on a 4-vCPU x86-64 host the run
-        # completes under a 275 MiB cap and fails under 250 MiB), so a
+        # completes under a 280 MiB cap and fails under 275 MiB), so a
         # machine worker thread runs out of memory.
         # Its std::bad_alloc must reach the CLI's top-level handler (exit 3),
         # not std::terminate. ASan cannot run under RLIMIT_AS, and without

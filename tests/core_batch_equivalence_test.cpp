@@ -89,6 +89,33 @@ std::uint8_t color_from_bits(const StageBits& bits) {
   return static_cast<std::uint8_t>(idx);
 }
 
+/// P_EN group labels for the reference's register files: oscillators share a
+/// label iff their accumulated bits are equal, labels numbered by first
+/// appearance (not by register value). Throws unless the labels imply
+/// exactly `edge_mask`, i.e. coupled iff the endpoints share a label.
+std::vector<std::uint8_t> groups_for_mask(
+    const graph::Graph& g, const std::vector<StageBits>& bits,
+    const std::vector<std::uint8_t>& edge_mask) {
+  // Keyed by the bits as a string: a std::vector<std::uint8_t> key makes
+  // GCC 12 print a false -Wstringop-overread for the map's comparison.
+  std::map<std::string, std::uint8_t> label_of;
+  std::vector<std::uint8_t> groups(bits.size());
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    const auto next = static_cast<std::uint8_t>(label_of.size());
+    const std::string key(bits[i].begin(), bits[i].end());
+    groups[i] = label_of.emplace(key, next).first->second;
+  }
+  const auto edges = g.edges();
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    const bool same = groups[edges[e].u] == groups[edges[e].v];
+    if (same != (edge_mask[e] != 0)) {
+      throw std::logic_error("groups_for_mask: labels disagree with edge " +
+                             std::to_string(e));
+    }
+  }
+  return groups;
+}
+
 /// Stage-boundary callback of the reference: (stage, label, network state).
 using ReferenceObserver =
     std::function<void(unsigned, const char*, const phase::PhaseBatch&)>;
@@ -108,9 +135,8 @@ MsropmResult reference_solve(const MultiStagePottsMachine& machine,
 
   phase::PhaseBatch net(g, config_.network, 1);
   const std::span<util::Rng> rngs(&rng, 1);
-  net.set_uniform_coupling(0, -1.0);  // B2B inverters: anti-ferromagnetic
-  net.set_couplings_active(0, false);
-  net.set_shil_active(0, false);
+  net.set_couplings_active(false);
+  net.set_shil_active(false);
   if (config_.network.frequency_mismatch_stddev_hz > 0.0) {
     // Process variation: each ROSC free-runs slightly off nominal; the SHIL
     // must overcome this residual detune to capture the oscillator.
@@ -141,16 +167,16 @@ MsropmResult reference_solve(const MultiStagePottsMachine& machine,
     net.set_shil_phases(0, psi);
 
     // --- anneal: couplings on within groups, SHIL off -------------------
-    net.set_edge_mask(0, edge_mask);
-    net.set_couplings_active(0, true);
-    net.set_shil_active(0, false);
+    net.set_groups(0, groups_for_mask(g, bits, edge_mask));
+    net.set_couplings_active(true);
+    net.set_shil_active(false);
     net.run(config_.schedule.anneal_s, rngs);
     if (observer) observer(stage, "anneal", net);
 
     // --- lock: ramped SHIL binarizes each group ----------------------
-    net.set_couplings_active(0, true);
-    net.set_shil_active(0, true);
-    net.set_shil_level(0, 1.0);
+    net.set_couplings_active(true);
+    net.set_shil_active(true);
+    net.set_shil_level(1.0);
     net.run(config_.schedule.discretize_s, rngs, &config_.shil_ramp);
     if (observer) observer(stage, "lock", net);
 
@@ -179,8 +205,8 @@ MsropmResult reference_solve(const MultiStagePottsMachine& machine,
 
     // --- reinit between stages -------------------------------------------
     if (stage < num_stages) {
-      net.set_shil_active(0, false);
-      net.set_couplings_active(0, false);
+      net.set_shil_active(false);
+      net.set_couplings_active(false);
       // Free-running drift (jitter + mismatch) decorrelates the phases; the
       // stage memory lives in the bits/edge_mask registers.
       net.randomize_phases(0, rng);

@@ -1,6 +1,7 @@
 // Tests for the batched SoA phase engine: replica isolation, bit-identity
 // against batch-of-one runs at every lane-group boundary and every
-// dispatched SIMD width, bit-identity against a frozen fused-weight gather,
+// dispatched SIMD width, bit-identity against a frozen fused-weight gather
+// that masks edges by edge id (pinning the P_EN group-label rule),
 // the lane-vectorised xoshiro, the step's drift against the energy
 // gradient, and argument validation. The full machine-level equivalence
 // gate lives in core_batch_equivalence_test.cpp.
@@ -39,27 +40,29 @@ NetworkParams tuned_params(double noise = 2.0e3) {
   return p;
 }
 
-/// Give `slot` of `batch` the diverged state of replica r: phases, mask,
-/// SHIL setup and detune all keyed off r, so a batch-of-1 gets the
-/// identical setup with slot 0.
+/// Random P_EN group labels, from 1 to 4 distinct ones depending on r.
+std::vector<std::uint8_t> random_groups(std::size_t n, std::size_t r,
+                                        util::Rng& rng) {
+  std::vector<std::uint8_t> group(n);
+  for (auto& label : group) {
+    label = static_cast<std::uint8_t>(rng.uniform_index(1 + r % 4));
+  }
+  return group;
+}
+
+/// Give `slot` of `batch` the diverged per-oscillator state of replica r:
+/// phases, P_EN group labels, SHIL phases and detune, all keyed off r, so a
+/// batch-of-1 gets the identical setup with slot 0.
 void configure_replica(PhaseBatch& batch, std::size_t slot, std::size_t r) {
   util::Rng rng(1000 + 7 * r);
   batch.randomize_phases(slot, rng);
-
-  const std::size_t m = batch.graph().num_edges();
-  std::vector<std::uint8_t> mask(m, 1);
-  for (std::size_t e = r % 3; e < m; e += 3) mask[e] = 0;
-  batch.set_edge_mask(slot, mask);
-  batch.set_uniform_coupling(slot, -1.0);
-  batch.set_couplings_active(slot, true);
+  batch.set_groups(slot, random_groups(batch.size(), r, rng));
 
   std::vector<double> psi(batch.size());
   for (std::size_t i = 0; i < psi.size(); ++i) {
     psi[i] = (i + r) % 2 == 0 ? 0.0 : kPi / 2;
   }
   batch.set_shil_phases(slot, psi);
-  batch.set_shil_active(slot, true);
-  batch.set_shil_level(slot, 0.5 + 0.1 * static_cast<double>(r % 4));
 
   std::vector<double> detune(batch.size());
   for (std::size_t i = 0; i < detune.size(); ++i) {
@@ -68,9 +71,23 @@ void configure_replica(PhaseBatch& batch, std::size_t slot, std::size_t r) {
   batch.set_detune(slot, detune);
 }
 
+/// The batch-wide switches of one window: G_EN, SHIL_EN and the SHIL level.
+struct Switches {
+  bool couple = true;
+  bool shil = true;
+  double level = 1.0;
+
+  void apply(PhaseBatch& batch) const {
+    batch.set_couplings_active(couple);
+    batch.set_shil_active(shil);
+    batch.set_shil_level(level);
+  }
+};
+
 /// Batch-of-R stepping must be bit-identical to R independent batch-of-one
-/// runs consuming the same per-replica RNG streams — a plain run() window
-/// with noise, then a ramped one.
+/// runs consuming the same per-replica RNG streams, window after window: a
+/// plain window with noise, a ramped one, one with the couplings off and one
+/// with the SHIL active at level 0.
 void expect_batch_matches_serial(std::size_t replicas, double noise,
                                  std::size_t side = 5, int raw_steps = 25,
                                  int run_steps = 40) {
@@ -92,35 +109,42 @@ void expect_batch_matches_serial(std::size_t replicas, double noise,
     serial_rngs.emplace_back(42 + r);
   }
 
-  // A plain window.
-  const double raw = static_cast<double>(raw_steps) * params.dt;
-  batch.run(raw, batch_rngs);
-  for (std::size_t r = 0; r < replicas; ++r) {
-    serial[r].run(raw, {&serial_rngs[r], 1});
-  }
-  for (std::size_t r = 0; r < replicas; ++r) {
-    const auto theta = batch.phases(r);
-    const auto ref = serial[r].phases(0);
-    for (std::size_t i = 0; i < theta.size(); ++i) {
-      ASSERT_EQ(theta[i], ref[i]) << "replica " << r << " node " << i;
-    }
-  }
-
-  // A ramped window (exercises the SHIL ramp).
   const GainRamp ramp{0.0, 0.5};
-  const double duration = static_cast<double>(run_steps) * params.dt;
-  batch.run(duration, batch_rngs, &ramp);
-  for (std::size_t r = 0; r < replicas; ++r) {
-    serial[r].run(duration, {&serial_rngs[r], 1}, &ramp);
-  }
-  for (std::size_t r = 0; r < replicas; ++r) {
-    const auto theta = batch.phases(r);
-    const auto ref = serial[r].phases(0);
-    for (std::size_t i = 0; i < theta.size(); ++i) {
-      ASSERT_EQ(theta[i], ref[i]) << "replica " << r << " node " << i;
+  const auto window = [&](const Switches& sw, int steps,
+                          const GainRamp* shil_ramp) {
+    const double duration = static_cast<double>(steps) * params.dt;
+    sw.apply(batch);
+    batch.run(duration, batch_rngs, shil_ramp);
+    for (std::size_t r = 0; r < replicas; ++r) {
+      sw.apply(serial[r]);
+      serial[r].run(duration, {&serial_rngs[r], 1}, shil_ramp);
     }
-    ASSERT_EQ(batch.coupling_energy(r), serial[r].coupling_energy(0));
-    ASSERT_EQ(batch.shil_energy(r), serial[r].shil_energy(0));
+    for (std::size_t r = 0; r < replicas; ++r) {
+      const auto theta = batch.phases(r);
+      const auto ref = serial[r].phases(0);
+      for (std::size_t i = 0; i < theta.size(); ++i) {
+        ASSERT_EQ(theta[i], ref[i]) << "replica " << r << " node " << i;
+      }
+      ASSERT_EQ(batch_rngs[r].state(), serial_rngs[r].state()) << "replica " << r;
+      ASSERT_EQ(batch.coupling_energy(r), serial[r].coupling_energy(0));
+      ASSERT_EQ(batch.shil_energy(r), serial[r].shil_energy(0));
+    }
+  };
+  {
+    SCOPED_TRACE("plain window, SHIL at level 0.6");
+    window({true, true, 0.6}, raw_steps, nullptr);
+  }
+  {
+    SCOPED_TRACE("ramped window");
+    window({true, true, 0.8}, run_steps, &ramp);
+  }
+  {
+    SCOPED_TRACE("couplings off");
+    window({false, true, 0.5}, raw_steps, nullptr);
+  }
+  {
+    SCOPED_TRACE("SHIL active at level 0");
+    window({true, true, 0.0}, raw_steps, nullptr);
   }
 }
 
@@ -174,70 +198,12 @@ TEST(PhaseBatch, EveryDispatchedWidthMatchesSerial) {
   }
 }
 
-/// Configures `slot` of `batch` as lane r of a mixed lane group: every
-/// per-lane switch the kernel blends, keyed off r, so a batch-of-1 gets the
-/// identical setup with slot 0.
-void configure_mixed(PhaseBatch& batch, std::size_t slot, std::size_t r) {
-  const std::size_t n = batch.size();
-  const std::size_t m = batch.graph().num_edges();
-  util::Rng init(500 + r);
-  batch.randomize_phases(slot, init);
-  std::vector<std::uint8_t> mask(m, 1);
-  for (std::size_t e = r % 4; e < m; e += 4 + r % 3) mask[e] = 0;
-  batch.set_edge_mask(slot, mask);
-  batch.set_uniform_coupling(slot, r % 2 == 0 ? -1.0 : -0.75);
-  batch.set_uniform_shil_phase(slot, 0.2 * static_cast<double>(r));
-  batch.set_couplings_active(slot, r != 1);      // lane 1: couplings off
-  batch.set_shil_active(slot, r != 4);           // lane 4: SHIL off
-  batch.set_shil_level(slot, r == 2 ? 0.3 : 1.0);  // lane 2: level 0.3
-  if (r == 5) batch.set_shil_level(slot, 0.0);   // lane 5: active at level 0
-  if (r == 3) {                                  // lane 3: detune
-    std::vector<double> detune(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      detune[i] = 2.0e6 * static_cast<double>(i % 7) - 5.0e6;
-    }
-    batch.set_detune(slot, detune);
-  }
-}
-
-TEST(PhaseBatch, MixedLaneGroupMatchesSoloRuns) {
-  const auto g = graph::kings_graph_square(7);
-  const NetworkParams params = tuned_params(2.0e3);
-  const std::size_t replicas = 8;  // one full group at L = 8, two at L = 4
-
-  PhaseBatch batch(g, params, replicas);
-  std::vector<PhaseBatch> solo;
-  std::vector<util::Rng> batch_rngs, solo_rngs;
-  for (std::size_t r = 0; r < replicas; ++r) {
-    solo.emplace_back(g, params, 1);
-    configure_mixed(batch, r, r);
-    configure_mixed(solo[r], 0, r);
-    batch_rngs.emplace_back(900 + r);
-    solo_rngs.emplace_back(900 + r);
-  }
-
-  const GainRamp ramp{0.1, 0.6};
-  batch.run(60.0 * params.dt, batch_rngs, &ramp);
-  batch.run(params.dt, batch_rngs);
-  for (std::size_t r = 0; r < replicas; ++r) {
-    solo[r].run(60.0 * params.dt, {&solo_rngs[r], 1}, &ramp);
-    solo[r].run(params.dt, {&solo_rngs[r], 1});
-    const auto theta = batch.phases(r);
-    const auto ref = solo[r].phases(0);
-    for (std::size_t i = 0; i < theta.size(); ++i) {
-      ASSERT_EQ(theta[i], ref[i]) << "lane " << r << " node " << i;
-    }
-    ASSERT_EQ(batch_rngs[r].state(), solo_rngs[r].state()) << "lane " << r;
-    ASSERT_EQ(batch.coupling_energy(r), solo[r].coupling_energy(0));
-    ASSERT_EQ(batch.shil_energy(r), solo[r].shil_energy(0));
-  }
-}
-
 /// One replica stepped the way the engine did before its gather read edge
-/// bits: fused CSR weights w_k = Kc * J * mask_e, added as w_k * cos_j in
-/// every entry, masked-off ones as 0.0 * cos_j. The transcendentals and the
-/// noise are the engine's own width-W kernels, so at one width this must
-/// match a lane of PhaseBatch bit for bit. Order-2 SHIL only.
+/// bits: fused CSR weights w_k = Kc * J * mask_e (J = -1), looked up by edge
+/// id and added as w_k * cos_j in every entry, masked-off ones as
+/// 0.0 * cos_j. The transcendentals and the noise are the engine's own
+/// width-W kernels, so at one width this must match a lane of PhaseBatch
+/// bit for bit. Order-2 SHIL only.
 class FusedWeightReference {
  public:
   FusedWeightReference(const graph::Graph& g, const NetworkParams& p,
@@ -270,18 +236,20 @@ class FusedWeightReference {
 
   void set_phases(std::span<const double> x) { x_.assign(x.begin(), x.end()); }
   void set_detune(std::span<const double> d) { detune_.assign(d.begin(), d.end()); }
-  void set_coupling(double j, std::span<const std::uint8_t> mask, bool on) {
+  void set_mask(std::span<const std::uint8_t> mask) {
     w_.resize(edge_.size());
     for (std::size_t k = 0; k < edge_.size(); ++k) {
-      w_[k] = mask[edge_[k]] ? p_.coupling_gain * j : 0.0;
+      w_[k] = mask[edge_[k]] ? p_.coupling_gain * -1.0 : 0.0;
     }
-    couple_ = on;
   }
-  void set_shil(std::span<const double> psi, double level, bool on) {
+  void set_shil_phases(std::span<const double> psi) {
     for (std::size_t i = 0; i < n_; ++i) sin_[i] = 2.0 * psi[i];
     trig_->sincos(sin_.data(), shil_sin_.data(), shil_cos_.data(), n_);
-    shil_ = on && level > 0.0;
-    ks_ = p_.shil_gain * level;
+  }
+  void set_switches(const Switches& sw) {
+    couple_ = sw.couple;
+    shil_ = sw.shil && sw.level > 0.0;
+    ks_ = p_.shil_gain * sw.level;
   }
 
   void step(util::Rng& rng) {
@@ -333,16 +301,13 @@ class FusedWeightReference {
 };
 
 /// Replica r's setup, applied alike to a PhaseBatch slot and a reference:
-/// a random edge mask of r-dependent density, J in {-1, 0.5}, couplings off
-/// or order-2 SHIL on in some replicas, detune in some, and phases with a
-/// block of exact +0.0 and -0.0 (whose sines are +-0).
+/// random group labels (1 to 4 distinct ones), from which the test derives
+/// the reference's edge mask itself, random SHIL phases, detune in some
+/// replicas, and phases with a block of exact +0.0 and -0.0 (whose sines
+/// are +-0).
 struct ReferenceSetup {
   std::vector<double> phases, detune, psi;
-  std::vector<std::uint8_t> mask;
-  double j = -1.0;
-  bool couple = true;
-  bool shil = false;
-  double level = 1.0;
+  std::vector<std::uint8_t> group, mask;
 
   ReferenceSetup(const graph::Graph& g, std::size_t r) {
     const std::size_t n = g.num_nodes();
@@ -351,13 +316,10 @@ struct ReferenceSetup {
     for (std::size_t i = 0; i < n; ++i) {
       phases[i] = i < n / 3 ? (i % 4 == 1 ? -0.0 : 0.0) : rng.uniform_phase();
     }
-    const double density = 0.2 + 0.3 * static_cast<double>(r % 3);
-    mask.resize(g.num_edges());
-    for (auto& m : mask) m = rng.uniform() < density ? 1 : 0;
-    j = r % 2 == 0 ? -1.0 : 0.5;
-    couple = r % 5 != 2;
-    shil = r % 3 == 1;
-    level = 0.4 + 0.2 * static_cast<double>(r % 4);
+    group = random_groups(n, r, rng);
+    for (const graph::Edge& e : g.edges()) {
+      mask.push_back(group[e.u] == group[e.v] ? 1 : 0);
+    }
     psi.resize(n);
     for (double& v : psi) v = rng.uniform_phase();
     detune.assign(n, 0.0);
@@ -370,29 +332,29 @@ struct ReferenceSetup {
 
   void apply(PhaseBatch& batch, std::size_t slot) const {
     batch.set_phases(slot, phases);
-    batch.set_edge_mask(slot, mask);
-    batch.set_uniform_coupling(slot, j);
-    batch.set_couplings_active(slot, couple);
+    batch.set_groups(slot, group);
     batch.set_shil_phases(slot, psi);
-    batch.set_shil_active(slot, shil);
-    batch.set_shil_level(slot, level);
     batch.set_detune(slot, detune);
   }
 
   void apply(FusedWeightReference& ref) const {
     ref.set_phases(phases);
-    ref.set_coupling(j, mask, couple);
-    ref.set_shil(psi, level, shil);
+    ref.set_mask(mask);
+    ref.set_shil_phases(psi);
     ref.set_detune(detune);
   }
 };
 
 TEST(PhaseBatch, EdgeBitGatherMatchesFusedWeightReference) {
-  // The gather adds Kc*J*cos_j only where a lane's edge bit is set; the
-  // reference adds 0.0*cos_j for masked-off entries. For finite phases both
-  // sums are the same doubles, at every width and lane-group boundary.
+  // The gather adds Kc*J*cos_j only where a lane's edge bit (from its group
+  // labels) is set; the reference adds 0.0*cos_j for the entries its
+  // per-edge mask switches off. For finite phases both sums are the same
+  // doubles, at every width and lane-group boundary, through windows with
+  // the SHIL off, on, on at level 0 and with the couplings off.
   const auto g = graph::kings_graph_square(7);
-  constexpr int kSteps = 40;
+  constexpr int kSteps = 10;
+  const Switches windows[] = {
+      {true, false, 1.0}, {true, true, 0.6}, {false, true, 0.4}, {true, true, 0.0}};
   for (const std::size_t width : {std::size_t{8}, std::size_t{4}, std::size_t{1}}) {
     if (width > phase::detail::simd_width()) continue;
     SCOPED_TRACE(width);
@@ -408,12 +370,18 @@ TEST(PhaseBatch, EdgeBitGatherMatchesFusedWeightReference) {
           ReferenceSetup(g, r).apply(batch, r);
           rngs.emplace_back(600 + r);
         }
-        batch.run(kSteps * params.dt, rngs);
+        for (const Switches& sw : windows) {
+          sw.apply(batch);
+          batch.run(kSteps * params.dt, rngs);
+        }
         for (std::size_t r = 0; r < replicas; ++r) {
           FusedWeightReference ref(g, params, width);
           ReferenceSetup(g, r).apply(ref);
           util::Rng rng(600 + r);
-          for (int s = 0; s < kSteps; ++s) ref.step(rng);
+          for (const Switches& sw : windows) {
+            ref.set_switches(sw);
+            for (int s = 0; s < kSteps; ++s) ref.step(rng);
+          }
           // Bit patterns, so that the sign of a zero phase counts too.
           const auto theta = batch.phases(r);
           for (std::size_t i = 0; i < theta.size(); ++i) {
@@ -497,9 +465,9 @@ TEST(PhaseBatch, NoiselessRunLeavesRngsUntouched) {
   PhaseBatch batch(g, params, 3);
   util::Rng init(5);
   std::vector<util::Rng> rngs;
+  batch.set_shil_active(true);
   for (std::size_t r = 0; r < 3; ++r) {
     batch.randomize_phases(r, init);
-    batch.set_shil_active(r, true);
     rngs.emplace_back(100 + r);
   }
   std::vector<std::array<std::uint64_t, 4>> before;
@@ -520,7 +488,7 @@ void expect_noise_increments_normal(std::size_t side, std::size_t first,
   const NetworkParams params = tuned_params(2.0e3);
   const double scale = params.noise_stddev * std::sqrt(params.dt);
   PhaseBatch batch(g, params, 1);
-  batch.set_couplings_active(0, false);
+  batch.set_couplings_active(false);
   std::vector<util::Rng> rngs{util::Rng(side)};
 
   const std::size_t n = batch.size();
@@ -584,8 +552,8 @@ std::vector<double> energy_gradient_drift(PhaseBatch& batch, std::size_t r) {
 /// One noiseless step must move replica r by dt times the model's drift,
 /// (theta' - theta) / dt = -Kc * dE_c/dtheta - dE_s/dtheta, on the last lane
 /// of a lane group and on the single-lane replica after it. Per-replica
-/// couplings, a partial mask and, with `shil`, order-2 SHIL at a partial
-/// level with per-node offsets.
+/// group labels and, with `shil`, order-2 SHIL at a partial level with
+/// per-node offsets.
 void expect_step_follows_energy_gradient(bool shil) {
   const auto g = graph::kings_graph_square(3);
   const NetworkParams params = tuned_params(0.0);
@@ -593,23 +561,17 @@ void expect_step_follows_energy_gradient(bool shil) {
   const std::size_t replicas = lanes + 1;
   PhaseBatch batch(g, params, replicas);
   const std::size_t n = batch.size();
-  const std::size_t m = g.num_edges();
-  std::vector<std::uint8_t> mask(m, 1);
-  for (std::size_t e = 0; e < m; ++e) {
-    if (e % 4 == 3) mask[e] = 0;
-  }
   std::vector<double> psi(n);
   for (std::size_t i = 0; i < n; ++i) psi[i] = 0.3 * static_cast<double>(i);
+  batch.set_couplings_active(true);
+  batch.set_shil_active(shil);
+  batch.set_shil_level(0.7);
   std::vector<util::Rng> rngs;
   for (std::size_t r = 0; r < replicas; ++r) {
     util::Rng init(40 + r);
     batch.randomize_phases(r, init);
-    batch.set_uniform_coupling(r, -1.0 + 0.4 * static_cast<double>(r % 5));
-    batch.set_edge_mask(r, mask);
-    batch.set_couplings_active(r, true);
+    batch.set_groups(r, random_groups(n, r + 2, init));
     batch.set_shil_phases(r, psi);
-    batch.set_shil_active(r, shil);
-    batch.set_shil_level(r, 0.7);
     rngs.emplace_back(r);
   }
 
@@ -655,10 +617,6 @@ TEST(PhaseBatch, ReplicaStateIsIsolated) {
   util::Rng rng(3);
   batch.randomize_phases(0, rng);
   batch.randomize_phases(1, rng);
-  batch.set_uniform_coupling(0, -1.0);
-  batch.set_uniform_coupling(1, -1.0);
-  batch.set_couplings_active(0, true);
-  batch.set_couplings_active(1, true);
 
   const std::vector<double> before(batch.phases(1).begin(),
                                    batch.phases(1).end());
@@ -668,14 +626,16 @@ TEST(PhaseBatch, ReplicaStateIsIsolated) {
   const std::vector<double> after(batch.phases(1).begin(),
                                   batch.phases(1).end());
 
-  // Re-run replica 1 alone from the same state; replica 0 gets a different
-  // mask/coupling setup this time.
+  // Re-run replica 1 alone from the same state; replica 0 gets different
+  // phases, groups (every oscillator alone: no edge couples) and SHIL
+  // phases this time.
   PhaseBatch redo(g, tuned_params(0.0), 2);
   redo.set_phases(1, before);
-  redo.set_uniform_coupling(1, -1.0);
-  redo.set_couplings_active(1, true);
-  redo.set_edge_mask(0, std::vector<std::uint8_t>(g.num_edges(), 0));
-  redo.set_shil_active(0, true);
+  std::vector<std::uint8_t> alone(g.num_nodes());
+  for (std::size_t i = 0; i < alone.size(); ++i) {
+    alone[i] = static_cast<std::uint8_t>(i);
+  }
+  redo.set_groups(0, alone);
   redo.set_uniform_shil_phase(0, 1.0);
   std::vector<util::Rng> redo_rngs{util::Rng(99), util::Rng(2)};
   redo.run(dt, redo_rngs);
@@ -690,8 +650,8 @@ TEST(PhaseBatch, ValidatesArguments) {
   PhaseBatch batch(g, tuned_params(), 2);
   EXPECT_THROW(batch.set_phases(0, std::vector<double>(3)),
                std::invalid_argument);
-  EXPECT_THROW(batch.set_edge_mask(
-                   0, std::vector<std::uint8_t>(g.num_edges() + 1, 1)),
+  EXPECT_THROW(batch.set_groups(
+                   0, std::vector<std::uint8_t>(g.num_nodes() + 1, 0)),
                std::invalid_argument);
   EXPECT_THROW(batch.set_shil_phases(1, std::vector<double>(1)),
                std::invalid_argument);
@@ -703,14 +663,9 @@ TEST(PhaseBatch, ValidatesArguments) {
   // Every per-replica accessor rejects r = num_replicas().
   const std::size_t past = batch.num_replicas();
   EXPECT_THROW((void)batch.phases(past), std::out_of_range);
-  EXPECT_THROW((void)batch.edge_mask(past), std::out_of_range);
+  EXPECT_THROW(batch.set_groups(past, std::vector<std::uint8_t>(g.num_nodes())),
+               std::out_of_range);
   EXPECT_THROW((void)batch.shil_phases(past), std::out_of_range);
-  EXPECT_THROW(batch.set_couplings_active(past, true), std::out_of_range);
-  EXPECT_THROW((void)batch.couplings_active(past), std::out_of_range);
-  EXPECT_THROW(batch.set_shil_active(past, true), std::out_of_range);
-  EXPECT_THROW((void)batch.shil_active(past), std::out_of_range);
-  EXPECT_THROW(batch.set_shil_level(past, 0.5), std::out_of_range);
-  EXPECT_THROW((void)batch.shil_level(past), std::out_of_range);
 }
 
 }  // namespace

@@ -63,8 +63,7 @@ TEST(GainRamp, PiecewiseLinearEnvelope) {
 TEST(PhaseDynamics, TwoAntiferromagneticOscillatorsAntiAlign) {
   const auto g = graph::path_graph(2);
   PhaseBatch net(g, quiet_params(), 1);
-  net.set_uniform_coupling(0, -1.0);  // B2B inverter
-  net.set_couplings_active(0, true);
+  net.set_couplings_active(true);
   net.set_phases(0, std::vector<double>{0.0, 0.7});
   util::Rng rng(1);
   run(net, 20e-9, rng);
@@ -73,22 +72,10 @@ TEST(PhaseDynamics, TwoAntiferromagneticOscillatorsAntiAlign) {
       << "negative coupling must push ROSCs out of phase (paper Fig. 1)";
 }
 
-TEST(PhaseDynamics, FerromagneticCouplingAligns) {
-  const auto g = graph::path_graph(2);
-  PhaseBatch net(g, quiet_params(), 1);
-  net.set_uniform_coupling(0, +1.0);
-  net.set_couplings_active(0, true);
-  net.set_phases(0, std::vector<double>{0.0, 2.0});
-  util::Rng rng(1);
-  run(net, 20e-9, rng);
-  const auto th = net.phases(0);
-  EXPECT_NEAR(angular_distance(th[0], th[1]), 0.0, 0.02);
-}
-
 TEST(PhaseDynamics, EnergyDescendsWithoutNoise) {
   const auto g = graph::kings_graph(4, 4);
   PhaseBatch net(g, quiet_params(), 1);
-  net.set_couplings_active(0, true);
+  net.set_couplings_active(true);
   util::Rng rng(3);
   net.randomize_phases(0, rng);
   double prev = net.coupling_energy(0);
@@ -103,8 +90,8 @@ TEST(PhaseDynamics, EnergyDescendsWithoutNoise) {
 TEST(PhaseDynamics, ShilBinarizesToPsiLobes) {
   const auto g = graph::Graph(4);  // no couplings, SHIL only
   PhaseBatch net(g, quiet_params(), 1);
-  net.set_couplings_active(0, false);
-  net.set_shil_active(0, true);
+  net.set_couplings_active(false);
+  net.set_shil_active(true);
   net.set_uniform_shil_phase(0, 0.0);
   net.set_phases(0, std::vector<double>{0.3, 2.9, 3.6, 6.0});
   util::Rng rng(5);
@@ -129,7 +116,7 @@ TEST_P(ShilPhaseShiftSweep, LockPointsFollowPsi) {
   const double psi = GetParam();
   const auto g = graph::Graph(8);
   PhaseBatch net(g, quiet_params(), 1);
-  net.set_shil_active(0, true);
+  net.set_shil_active(true);
   net.set_uniform_shil_phase(0, psi);
   util::Rng rng(7);
   net.randomize_phases(0, rng);
@@ -152,7 +139,7 @@ TEST_P(ShilOrderSweep, OrderNShilLocksAtNPoints) {
   auto params = quiet_params();
   params.shil_order = order;
   PhaseBatch net(g, params, 1);
-  net.set_shil_active(0, true);
+  net.set_shil_active(true);
   net.set_uniform_shil_phase(0, 0.0);
   util::Rng rng(11);
   net.randomize_phases(0, rng);
@@ -165,10 +152,11 @@ TEST_P(ShilOrderSweep, OrderNShilLocksAtNPoints) {
 INSTANTIATE_TEST_SUITE_P(Orders, ShilOrderSweep, ::testing::Values(2u, 3u, 4u, 8u));
 
 TEST(PhaseDynamics, EdgeMaskDisablesInteraction) {
+  // P_EN: an edge whose endpoints sit in different groups is switched off.
   const auto g = graph::path_graph(2);
   PhaseBatch net(g, quiet_params(), 1);
-  net.set_couplings_active(0, true);
-  net.set_edge_mask(0, std::vector<std::uint8_t>{0});
+  net.set_couplings_active(true);
+  net.set_groups(0, std::vector<std::uint8_t>{0, 1});
   net.set_phases(0, std::vector<double>{0.0, 1.0});
   util::Rng rng(1);
   run(net, 10e-9, rng);
@@ -179,7 +167,7 @@ TEST(PhaseDynamics, EdgeMaskDisablesInteraction) {
 TEST(PhaseDynamics, GlobalCouplingSwitch) {
   const auto g = graph::path_graph(2);
   PhaseBatch net(g, quiet_params(), 1);
-  net.set_couplings_active(0, false);
+  net.set_couplings_active(false);
   net.set_phases(0, std::vector<double>{0.0, 1.0});
   util::Rng rng(1);
   run(net, 5e-9, rng);
@@ -189,7 +177,7 @@ TEST(PhaseDynamics, GlobalCouplingSwitch) {
 TEST(PhaseDynamics, DetuneAdvancesPhase) {
   const auto g = graph::Graph(1);
   PhaseBatch net(g, quiet_params(), 1);
-  net.set_couplings_active(0, false);
+  net.set_couplings_active(false);
   net.set_detune(0, std::vector<double>{2.0 * kPi * 1e8});  // 100 MHz offset
   net.set_phases(0, std::vector<double>{0.0});
   util::Rng rng(1);
@@ -202,7 +190,7 @@ TEST(PhaseDynamics, NoiseAccumulatesDiffusively) {
   auto params = quiet_params();
   params.noise_stddev = 2.0e3;
   PhaseBatch net(g, params, 1);
-  net.set_couplings_active(0, false);
+  net.set_couplings_active(false);
   net.set_phases(0, std::vector<double>(256, 0.0));
   util::Rng rng(13);
   const double duration = 10e-9;
@@ -224,8 +212,7 @@ TEST(PhaseDynamics, EulerTracksClosedFormAntiferromagneticPair) {
   auto params = quiet_params();
   params.dt = 1e-12;
   PhaseBatch net(g, params, 1);
-  net.set_uniform_coupling(0, -1.0);
-  net.set_couplings_active(0, true);
+  net.set_couplings_active(true);
   const double theta1 = 1.9;
   const double theta2 = 1.2;
   net.set_phases(0, std::vector<double>{theta1, theta2});
@@ -246,14 +233,14 @@ TEST(PhaseDynamics, EulerTracksClosedFormAntiferromagneticPair) {
 TEST(PhaseDynamics, ShilLevelScalesPinning) {
   const auto g = graph::Graph(1);
   PhaseBatch net(g, quiet_params(), 1);
-  net.set_shil_active(0, true);
+  net.set_shil_active(true);
   net.set_uniform_shil_phase(0, 0.0);
   net.set_phases(0, std::vector<double>{0.5});
-  net.set_shil_level(0, 0.0);
+  net.set_shil_level(0.0);
   util::Rng rng(1);
   run(net, 5e-9, rng);
   EXPECT_NEAR(net.phases(0)[0], 0.5, 1e-9) << "zero level = no SHIL force";
-  net.set_shil_level(0, 1.0);
+  net.set_shil_level(1.0);
   run(net, 5e-9, rng);
   EXPECT_LT(phase::lock_residual(net.phases(0)[0], 0.0, 2), 0.01);
 }
@@ -263,7 +250,7 @@ TEST(PhaseDynamics, ValidatesInputSizes) {
   PhaseBatch net(g, quiet_params(), 1);
   EXPECT_THROW(net.set_phases(0, std::vector<double>{0.0}),
                std::invalid_argument);
-  EXPECT_THROW(net.set_edge_mask(0, std::vector<std::uint8_t>{1, 1, 1}),
+  EXPECT_THROW(net.set_groups(0, std::vector<std::uint8_t>{0, 0}),
                std::invalid_argument);
   EXPECT_THROW(net.set_shil_phases(0, std::vector<double>{0.0}),
                std::invalid_argument);

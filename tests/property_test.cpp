@@ -37,8 +37,8 @@ TEST_P(ShilStrengthSweep, StrongEnoughShilAlwaysDiscretizes) {
   auto params = analysis::default_machine_config().network;
   params.shil_gain = gain;
   phase::PhaseBatch net(g, params, 1);
-  net.set_couplings_active(0, true);
-  net.set_shil_active(0, true);
+  net.set_couplings_active(true);
+  net.set_shil_active(true);
   net.set_uniform_shil_phase(0, 0.0);
   util::Rng rng(5);
   net.randomize_phases(0, rng);
@@ -58,8 +58,8 @@ TEST(ShilStrength, TooWeakFailsToDiscretize) {
   auto params = analysis::default_machine_config().network;
   params.shil_gain = 2.0e7;  // far below the coupling gain
   phase::PhaseBatch net(g, params, 1);
-  net.set_couplings_active(0, true);
-  net.set_shil_active(0, true);
+  net.set_couplings_active(true);
+  net.set_shil_active(true);
   net.set_uniform_shil_phase(0, 0.0);
   util::Rng rng(5);
   net.randomize_phases(0, rng);
